@@ -21,7 +21,7 @@ from .bounds import (
     uniform_integer_bound,
 )
 from .index import FexiproIndex, QueryState, prepare_query_states, topk_exact
-from .options import DEFAULT_SCAN_OPTIONS, ScanOptions, resolve_scan_options
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .reduction import MonotoneReduction, shift_constants
 from .scaling import DEFAULT_E, ScaledItems, integer_parts, scale_uniform
 from .sharded import (
@@ -77,7 +77,6 @@ __all__ = [
     "integer_parts",
     "integer_upper_bound",
     "prepare_query_states",
-    "resolve_scan_options",
     "scale_uniform",
     "scan_above",
     "shard_spans",

@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from .. import _faultsites
-from .options import ScanOptions, _UNSET, resolve_scan_options
+from .driver import BlockCursor
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .stats import PruningStats
 from .topk import TopKBuffer
 
@@ -65,17 +65,13 @@ def block_schedule(n: int, k: int, cap: int):
 
 def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
                  block_size: int = DEFAULT_BLOCK_SIZE,
-                 timings=_UNSET,
                  *, start: int = 0, stop: Optional[int] = None,
-                 shared=_UNSET, deadline=_UNSET,
-                 initial_threshold=_UNSET,
                  options: Optional[ScanOptions] = None,
                  ) -> Tuple[TopKBuffer, PruningStats]:
     """Blocked, vectorized equivalent of :func:`repro.core.scanner.scan_reference`.
 
     Per-call behaviour rides in ``options`` (a
-    :class:`~repro.core.options.ScanOptions`); the same-named individual
-    keywords are deprecated shims that warn and override the bundle.
+    :class:`~repro.core.options.ScanOptions`).
 
     When ``options.timings`` is given, the wall time of each vectorized
     stage section is accumulated per block (a handful of clock calls per
@@ -85,25 +81,19 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
     ``start``/``stop`` restrict the scan to a contiguous span of sorted
     positions (a length-band *shard*); the returned buffer then holds
     absolute positions, so per-shard buffers merge directly.
-    ``options.shared`` is an optional
-    :class:`repro.core.sharded.SharedThreshold`: its value seeds the live
-    threshold and is re-polled at every block boundary.  The cell is
-    monotone and only ever holds *achieved* k-th-best scores, so a stale
-    read merely weakens pruning — decisions stay exact — and with the
-    defaults (full span, no cell) the scan is bit-identical to the
-    reference engine.
 
-    ``options.deadline`` is an optional
-    :class:`repro.serve.resilience.Deadline`, polled at the same block
-    boundaries as ``shared``.  On expiry the scan stops *before* the next
-    block and flags ``stats.deadline_hit``; the returned buffer is then
-    the **exact** top-k of the ``stats.scanned`` items visited so far —
-    every pruned item is provably below the achieved threshold, and the
-    length-sorted order makes the visited set a contiguous prefix.  A
-    deadline that never fires changes nothing: the poll only gates which
-    blocks run, never how any item is scored (property-tested).  Each
-    block boundary is also a ``scan`` fault-injection site
-    (:mod:`repro._faultsites`), a no-op unless an injector is armed.
+    Each block boundary runs the stop protocol of
+    :class:`repro.core.driver.BlockCursor`: ``options.deadline`` and
+    ``options.budget`` are polled, the ``scan`` fault site fires, the live
+    threshold is raised to ``options.shared`` (a monotone
+    :class:`repro.core.sharded.SharedThreshold` holding only *achieved*
+    k-th-best scores, so a stale read merely weakens pruning) and
+    ``options.span`` gets a ``block`` event.  A stop leaves the **exact**
+    top-k of the ``stats.scanned`` items visited — the length-sorted order
+    makes them a contiguous prefix and every pruned item is provably below
+    the achieved threshold.  A poll that never fires changes nothing, and
+    with the defaults (full span, no cell) the scan is bit-identical to
+    the reference engine.
 
     ``options.initial_threshold`` seeds the live threshold ``t`` before
     the first block (the warm-start path of :mod:`repro.serve.cache`).
@@ -114,22 +104,16 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
     identical to the cold scan (property-tested, including adversarial
     duplicates and ties), only the pruning *counters* change.
 
-    ``options.span`` records one ``block`` event per block boundary (the
-    same boundary where ``shared``/``deadline`` are polled) carrying the
-    live threshold at block entry, plus termination/deadline events; a
+    ``options.span`` also records the length-termination event; a
     ``None`` span costs one branch per block.
     """
-    opts = resolve_scan_options(options, "scan_blocked", timings=timings,
-                                shared=shared, deadline=deadline,
-                                initial_threshold=initial_threshold)
+    opts = DEFAULT_SCAN_OPTIONS if options is None else options
     timings = opts.timings
-    shared = opts.shared
-    deadline = opts.deadline
-    budget = opts.budget
     span = opts.span
     stop = index.n if stop is None else stop
     buffer = TopKBuffer(k)
     stats = PruningStats(n_items=stop - start)
+    cursor = BlockCursor(opts, stats, index.items_bar.shape[1])
     timed = timings is not None
 
     items_bar = index.items_bar
@@ -150,46 +134,24 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
         tail_factor_base = qs.scaled.max_tail * scaled.max_tail
         e_sq = scaled.e * scaled.e
 
-    t = float(opts.initial_threshold)
-    if shared is not None and shared.value > t:
-        t = shared.value
+    t = cursor.refresh(float(opts.initial_threshold))
     t_prime = -math.inf
     terminated = False
     if span is not None:
         span.set(engine="blocked", start=start, stop=stop,
                  initial_threshold=t)
 
-    width = items_bar.shape[1]
     for bstart, bstop in block_schedule(stop - start, k, block_size):
         bstart += start
         bstop += start
-        if deadline is not None and deadline.expired():
-            stats.deadline_hit = 1
-            if span is not None:
-                span.event("deadline_expired", position=bstart, threshold=t)
+        polled = cursor.enter(bstart, bstop, t)
+        if cursor.reason is not None:
             break
-        if budget is not None:
-            # Poll-then-charge at the same boundary as the deadline poll:
-            # a spent budget stops *before* this block, so the visited set
-            # stays a contiguous prefix of exactly `scanned` items.
-            if budget.exhausted():
-                stats.budget_exhausted = 1
-                if span is not None:
-                    span.event("budget_exhausted", position=bstart,
-                               spent=budget.spent, threshold=t)
-                break
-            budget.charge((bstop - bstart) * width)
-        if _faultsites.active is not None:
-            _faultsites.fire(_faultsites.SCAN, f"block={bstart}")
-        if shared is not None:
-            polled = shared.value
-            if polled > t:
-                t = polled
-                if use_reduction and buffer.full:
-                    t_prime = reduction.threshold(t, qs.monotone,
-                                                  buffer.kth_item)
-        if span is not None:
-            span.event("block", start=bstart, stop=bstop, threshold=t)
+        if polled > t:
+            t = polled
+            if use_reduction and buffer.full:
+                t_prime = reduction.threshold(t, qs.monotone,
+                                              buffer.kth_item)
         t0 = t
 
         # --- Vectorized precomputation under the frozen threshold t0 ----
@@ -317,7 +279,5 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
             timings.select += perf_counter() - tick - full_time
         if terminated:
             break
-    if span is not None:
-        span.set(scanned=stats.scanned, full_products=stats.full_products,
-                 final_threshold=t)
+    cursor.finish(t)
     return buffer, stats

@@ -43,10 +43,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .. import _faultsites
 from .._validation import safe_row_norms
 from ..exceptions import ValidationError
 from .budget import ResultBounds, certified_bounds
+from .driver import BlockCursor
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .stats import PruningStats
 from .topk import TopKBuffer
 
@@ -333,30 +334,31 @@ def effective_k(snap: LiveCatalog, k: int) -> int:
     return k + snap.base_dead_count
 
 
-def scan_delta(snap: LiveCatalog, qs, k: int, *, seed: Optional[float] = None,
-               shared=None, deadline=None, budget=None,
+def scan_delta(snap: LiveCatalog, qs, k: int,
+               options: Optional[ScanOptions] = None,
                ) -> Tuple[TopKBuffer, PruningStats, str]:
     """Brute-force scan of the alive delta rows into a fresh buffer.
 
     Exact by construction: every alive row's raw inner product is
     computed per-row (``float(q @ row)`` — the bitwise-canonical form,
-    never a batched GEMM) and offered against the running threshold.
-    Polls the same :class:`~repro.serve.resilience.Deadline`,
-    :class:`~repro.core.budget.FlopBudget` and shared-threshold cells as
-    the base engines, at :data:`DELTA_BLOCK` granularity, and charges
-    ``rows * d`` coordinate units to the budget.  Returns ``(buffer,
-    stats, outcome)`` with outcome one of ``empty | skipped | deadline |
-    budget | scanned``.
+    never a batched GEMM) and offered against the running threshold,
+    seeded from ``options.initial_threshold``.  The deadline, budget and
+    shared-threshold cells in ``options`` are polled by the same
+    :class:`~repro.core.driver.BlockCursor` as the base engines, at
+    :data:`DELTA_BLOCK` granularity, charging ``rows * d`` coordinate
+    units to the budget; ``options.span`` is not used (callers close
+    their own span with the outcome).  Returns ``(buffer, stats,
+    outcome)`` with outcome one of ``empty | skipped | deadline | budget
+    | scanned``.
     """
+    opts = DEFAULT_SCAN_OPTIONS if options is None else options
+    shared = opts.shared
     buffer = TopKBuffer(k)
     stats = PruningStats()
     alive = snap.delta_alive_idx
     stats.delta_items = int(alive.size)
-    t = -math.inf if seed is None else float(seed)
-    if shared is not None:
-        offered = shared.value
-        if offered > t:
-            t = offered
+    cursor = BlockCursor(opts, stats, snap.d, label="delta", traced=False)
+    t = cursor.refresh(float(opts.initial_threshold))
     if alive.size == 0:
         return buffer, stats, "empty"
     # Whole-tier Cauchy–Schwarz cut: nothing alive can beat the seed.
@@ -366,29 +368,13 @@ def scan_delta(snap: LiveCatalog, qs, k: int, *, seed: Optional[float] = None,
     q = qs.q
     rows = snap.delta_items
     norms = snap.delta_norms
-    d = snap.d
     pos_base = snap.n
-    outcome = "scanned"
     m = int(alive.size)
-    i = 0
-    while i < m:
+    for i in range(0, m, DELTA_BLOCK):
         j = min(i + DELTA_BLOCK, m)
-        if deadline is not None and deadline.expired():
-            stats.deadline_hit = 1
-            outcome = "deadline"
+        t = cursor.enter(i, j, t)
+        if cursor.reason is not None:
             break
-        if budget is not None:
-            if budget.exhausted():
-                stats.budget_exhausted = 1
-                outcome = "budget"
-                break
-            budget.charge((j - i) * d)
-        if _faultsites.active is not None:
-            _faultsites.fire(_faultsites.SCAN, f"delta={i}")
-        if shared is not None:
-            offered = shared.value
-            if offered > t:
-                t = offered
         for a in alive[i:j]:
             stats.delta_scanned += 1
             # Per-row Cauchy–Schwarz: the delta tier is unsorted, so
@@ -400,10 +386,9 @@ def scan_delta(snap: LiveCatalog, qs, k: int, *, seed: Optional[float] = None,
                 buffer.push(value, pos_base + int(a))
                 if buffer.threshold > t:
                     t = buffer.threshold
-        i = j
     if shared is not None:
         shared.offer(buffer.threshold)
-    return buffer, stats, outcome
+    return buffer, stats, cursor.reason or "scanned"
 
 
 def apply_tombstones(snap: LiveCatalog, buffer: TopKBuffer,
@@ -445,8 +430,7 @@ def finish_catalog_scan(snap: LiveCatalog, qs, k: int, buffer: TopKBuffer,
         span = (opts.span.child("scan.delta", items=snap.delta_alive_count)
                 if opts.span is not None else None)
         dbuf, dstats, outcome = scan_delta(
-            snap, qs, buffer.k, seed=seed, shared=opts.shared,
-            deadline=opts.deadline, budget=opts.budget)
+            snap, qs, buffer.k, opts.replace(initial_threshold=seed))
         buffer.merge(dbuf)
         stats.merge(dstats)
         if span is not None:

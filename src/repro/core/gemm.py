@@ -61,10 +61,10 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from .. import _faultsites
 from .._validation import safe_norm, safe_row_norms
 from .blocked import block_schedule
-from .options import ScanOptions, resolve_scan_options
+from .driver import BlockCursor
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .stats import PruningStats
 from .topk import TopKBuffer
 
@@ -191,8 +191,9 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
     """GEMM-driven exact scan with the engine contract of ``scan_blocked``.
 
     Same signature shape as the cascade engines: per-call behaviour rides
-    in ``options`` (warm-start ``initial_threshold``, ``deadline`` and
-    ``shared`` polled at block boundaries, ``timings``, ``span``);
+    in ``options`` (warm-start ``initial_threshold``, ``deadline``,
+    ``budget`` and ``shared`` polled at block boundaries by
+    :class:`~repro.core.driver.BlockCursor`, ``timings``, ``span``);
     ``start``/``stop`` restrict the scan to a contiguous span of sorted
     positions so per-shard buffers merge directly.
 
@@ -208,15 +209,13 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
     length-sorted prefix visited (``stats.deadline_hit`` set), the same
     degradation contract as the other engines.
     """
-    opts = resolve_scan_options(options, "scan_gemm")
+    opts = DEFAULT_SCAN_OPTIONS if options is None else options
     timings = opts.timings
-    shared = opts.shared
-    deadline = opts.deadline
-    budget = opts.budget
     span = opts.span
     stop = index.n if stop is None else stop
     buffer = TopKBuffer(k)
     stats = PruningStats(n_items=stop - start)
+    cursor = BlockCursor(opts, stats, index.items_bar.shape[1])
     timed = timings is not None
 
     items_bar = index.items_bar
@@ -230,9 +229,7 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
     q_norm = qs.q_norm
     q_bar_norm = safe_norm(q_bar)
 
-    t = float(opts.initial_threshold)
-    if shared is not None and shared.value > t:
-        t = shared.value
+    t = cursor.refresh(float(opts.initial_threshold))
     terminated = False
     if span is not None:
         span.set(engine="gemm", start=start, stop=stop, initial_threshold=t)
@@ -240,30 +237,9 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
     for bstart, bstop in block_schedule(stop - start, k, block_size):
         bstart += start
         bstop += start
-        if deadline is not None and deadline.expired():
-            stats.deadline_hit = 1
-            if span is not None:
-                span.event("deadline_expired", position=bstart, threshold=t)
+        t = cursor.enter(bstart, bstop, t)
+        if cursor.reason is not None:
             break
-        if budget is not None:
-            # Poll-then-charge at the same boundary as the deadline poll:
-            # a spent budget stops *before* this block, so the visited set
-            # stays a contiguous prefix of exactly `scanned` items.
-            if budget.exhausted():
-                stats.budget_exhausted = 1
-                if span is not None:
-                    span.event("budget_exhausted", position=bstart,
-                               spent=budget.spent, threshold=t)
-                break
-            budget.charge((bstop - bstart) * index.items_bar.shape[1])
-        if _faultsites.active is not None:
-            _faultsites.fire(_faultsites.SCAN, f"block={bstart}")
-        if shared is not None:
-            polled = shared.value
-            if polled > t:
-                t = polled
-        if span is not None:
-            span.event("block", start=bstart, stop=bstop, threshold=t)
         # The threshold is frozen for the whole block: it only ever grows,
         # so freezing merely *weakens* the cut — selection keeps a
         # superset of what a live threshold would keep, and the replay
@@ -314,7 +290,5 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
             timings.select += perf_counter() - tick
         if terminated:
             break
-    if span is not None:
-        span.set(scanned=stats.scanned, full_products=stats.full_products,
-                 final_threshold=t)
+    cursor.finish(t)
     return buffer, stats

@@ -46,7 +46,7 @@ from .delta import (
     finish_catalog_above,
     finish_catalog_scan,
 )
-from .options import ScanOptions, _UNSET, resolve_scan_options
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .reduction import MonotoneQuery, MonotoneReduction
 from .scaling import DEFAULT_E, ScaledItems, ScaledQuery
 from .scanner import scan_reference
@@ -606,16 +606,15 @@ class FexiproIndex:
         model = ensure_cost_model(self)
         return model.choose(engines)
 
-    def _scan(self, qs: QueryState, k: int, timings=_UNSET, deadline=_UNSET,
-              initial_threshold=_UNSET,
-              options: Optional[ScanOptions] = None, *,
+    def _scan(self, qs: QueryState, k: int, *,
+              options: Optional[ScanOptions] = None,
               engine: Optional[str] = None,
               snapshot: Optional[LiveCatalog] = None):
         """Dispatch one prepared query to the configured engine.
 
-        Per-call behaviour (timings, deadline, warm-start threshold, span)
-        rides in ``options``; the individual keywords are deprecated
-        shims.  ``options.initial_threshold`` warm-starts the live pruning
+        Per-call behaviour (timings, deadline, budget, warm-start
+        threshold, span) rides in ``options``.
+        ``options.initial_threshold`` warm-starts the live pruning
         threshold; it MUST be a *strict* lower bound on this query's true
         k-th inner product (see :mod:`repro.serve.cache` for how such
         bounds are obtained exactly).  The default ``-inf`` is the cold
@@ -636,9 +635,7 @@ class FexiproIndex:
         brute-force into the same buffer, and tombstones are masked out
         — see DESIGN §2.14 for the exactness argument.
         """
-        opts = resolve_scan_options(options, "FexiproIndex._scan",
-                                    timings=timings, deadline=deadline,
-                                    initial_threshold=initial_threshold)
+        opts = DEFAULT_SCAN_OPTIONS if options is None else options
         snap = self._live if snapshot is None else snapshot
         engine = self.engine if engine is None else engine
         if engine not in _ENGINES:

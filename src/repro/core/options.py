@@ -1,12 +1,8 @@
-"""One options object for the scan paths, replacing accreted kwargs.
+"""One options object for the scan paths.
 
-Four PRs of serving features each threaded one more keyword through
-``scan_reference`` / ``scan_blocked`` / ``_scan_sharded`` (``timings``,
-``deadline``, ``shared``, ``initial_threshold`` — and now ``span``).  This
-module collapses them into a single frozen :class:`ScanOptions` value that
-every scan entry point accepts as ``options=``; the old per-feature
-keywords keep working for one release behind :data:`_UNSET` sentinels and
-a :class:`DeprecationWarning`.
+Every scan entry point takes its per-call state — ``timings``,
+``deadline``, ``budget``, ``shared``, ``initial_threshold`` and ``span``
+— as a single frozen :class:`ScanOptions` value passed as ``options=``.
 
 ``ScanOptions`` is deliberately *per-call* state (how to run this scan),
 not shard geometry: ``start``/``stop``/``block_size`` describe *what* to
@@ -16,15 +12,10 @@ scan and stay explicit parameters of the blocked engine.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace as _dc_replace
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 __all__ = ["DEFAULT_SCAN_OPTIONS", "ScanOptions"]
-
-#: Sentinel distinguishing "caller never passed this legacy kwarg" from
-#: every legitimate value (including None and -inf defaults).
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -48,9 +39,8 @@ class ScanOptions:
         per-stage wall time.
     shared:
         Optional :class:`repro.core.sharded.SharedThreshold` polled at
-        block boundaries for cross-shard threshold exchange (blocked
-        engine only; ignored by the reference engine, which never runs
-        inside a shard fan-out).
+        block boundaries for cross-shard threshold exchange (ignored by
+        the reference engine, which never runs inside a shard fan-out).
     span:
         Optional :class:`repro.obs.Span`.  When present, the engines
         record block/threshold/deadline events on it; when ``None`` (the
@@ -82,28 +72,3 @@ class ScanOptions:
 #: frozen, so handing out one object is safe and allocation-free.
 DEFAULT_SCAN_OPTIONS = ScanOptions()
 
-
-def resolve_scan_options(options: Optional[ScanOptions], caller: str,
-                         **legacy: Any) -> ScanOptions:
-    """Fold deprecated per-feature kwargs into one :class:`ScanOptions`.
-
-    ``legacy`` values equal to :data:`_UNSET` were never passed and are
-    ignored; any other value (even an explicit default like ``None``)
-    counts as use of the deprecated keyword, overrides the corresponding
-    ``options`` field, and emits a :class:`DeprecationWarning` naming the
-    caller.  ``stacklevel=3`` points the warning at the user's call site
-    (user -> engine wrapper -> here).
-    """
-    base = DEFAULT_SCAN_OPTIONS if options is None else options
-    overrides: Dict[str, Any] = {
-        key: value for key, value in legacy.items() if value is not _UNSET
-    }
-    if not overrides:
-        return base
-    warnings.warn(
-        f"{caller}: the {', '.join(sorted(overrides))} keyword(s) are "
-        f"deprecated; pass options=ScanOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return _dc_replace(base, **overrides)

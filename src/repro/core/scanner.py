@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from .. import _faultsites
 from .bounds import scaled_head_bound, scaled_tail_bound
-from .options import ScanOptions, _UNSET, resolve_scan_options
+from .driver import BlockCursor
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .stats import PruningStats
 from .topk import TopKBuffer
 
@@ -31,9 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - imported only for type checking
 MAX_THRESHOLD_EVENTS = 96
 
 
-def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int,
-                   timings=_UNSET, *, deadline=_UNSET,
-                   initial_threshold=_UNSET,
+def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int, *,
                    options: Optional[ScanOptions] = None,
                    ) -> Tuple[TopKBuffer, PruningStats]:
     """Run Algorithm 4 with the Algorithm 5 coordinate scan, one item at a time.
@@ -51,10 +50,10 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int,
     options:
         A :class:`~repro.core.options.ScanOptions` bundle.  ``timings``
         accumulates per-stage wall time (per-item clock calls — use for
-        analysis, not throughput runs).  ``deadline`` is polled per item
-        (this engine has no blocks); on expiry the scan stops and flags
-        ``stats.deadline_hit`` — the buffer is then the exact top-k of the
-        length-sorted prefix visited, same contract as
+        analysis, not throughput runs).  ``deadline`` and ``budget`` are
+        polled per item by :meth:`repro.core.driver.BlockCursor.poll`
+        (this engine has no blocks); on a stop the buffer is the exact
+        top-k of the length-sorted prefix visited, same contract as
         :func:`repro.core.blocked.scan_blocked`.  ``initial_threshold``
         warm-starts the live threshold ``t``; it must be a *strict* lower
         bound on the query's true k-th inner product (the
@@ -64,21 +63,15 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int,
         :data:`MAX_THRESHOLD_EVENTS` raises) plus termination/deadline
         events.  ``shared`` is ignored — this engine never runs inside a
         shard fan-out.
-    timings, deadline, initial_threshold:
-        Deprecated aliases for the same-named ``options`` fields; passing
-        any of them warns and overrides the bundle.
     """
-    opts = resolve_scan_options(options, "scan_reference", timings=timings,
-                                deadline=deadline,
-                                initial_threshold=initial_threshold)
+    opts = DEFAULT_SCAN_OPTIONS if options is None else options
     timings = opts.timings
-    deadline = opts.deadline
-    budget = opts.budget
     span = opts.span
     if _faultsites.active is not None:
         _faultsites.fire(_faultsites.SCAN, "scan_reference")
     buffer = TopKBuffer(k)
     stats = PruningStats(n_items=index.n)
+    cursor = BlockCursor(opts, stats)
 
     items_bar = index.items_bar
     norms = index.norms_sorted
@@ -101,22 +94,8 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int,
 
     width = items_bar.shape[1]
     for i in range(index.n):
-        if deadline is not None and deadline.expired():
-            stats.deadline_hit = 1
-            if span is not None:
-                span.event("deadline_expired", position=i, threshold=t)
+        if not cursor.poll(i, width, t):
             break
-        if budget is not None:
-            # Poll-then-charge (same boundary as the deadline poll): a
-            # spent budget stops the scan *before* this item, keeping the
-            # visited set a contiguous prefix of exactly `scanned` items.
-            if budget.exhausted():
-                stats.budget_exhausted = 1
-                if span is not None:
-                    span.event("budget_exhausted", position=i,
-                               spent=budget.spent, threshold=t)
-                break
-            budget.charge(width)
         # Line 11 of Algorithm 4: Cauchy-Schwarz early termination.  The
         # items are sorted by decreasing original length, so the first
         # failure ends the whole scan.
@@ -202,9 +181,7 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int,
         if timed:
             timings.select += perf_counter() - tick
 
-    if span is not None:
-        span.set(scanned=stats.scanned, full_products=stats.full_products,
-                 final_threshold=t)
+    cursor.finish(t)
     return buffer, stats
 
 

@@ -54,7 +54,6 @@ import math
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -69,8 +68,9 @@ from .delta import (
     effective_k,
     scan_delta,
 )
+from .driver import BlockCursor
 from .index import FexiproIndex, QueryState, _empty_result
-from .options import ScanOptions, _UNSET, resolve_scan_options
+from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .stats import (
     PruningStats,
     RetrievalResult,
@@ -192,11 +192,8 @@ class ShardScanReport:
 
 
 def scan_shard_span(index: FexiproIndex, qs: QueryState, k: int,
-                    shard_id: int, start: int, stop: int, *,
-                    shared, seed: Optional[float] = None,
-                    deadline=None, timings: Optional[StageTimings] = None,
-                    span=None, options: Optional[ScanOptions] = None,
-                    engine: str = "blocked"):
+                    shard_id: int, start: int, stop: int,
+                    options: ScanOptions, engine: str = "blocked"):
     """Scan one shard of one prepared query — the unit of fan-out work.
 
     This is the body of the sharded scan's per-shard task, hoisted to
@@ -204,14 +201,17 @@ def scan_shard_span(index: FexiproIndex, qs: QueryState, k: int,
     *processes* (closures do not pickle); the in-process thread path
     calls exactly the same function, so the two executors cannot drift.
 
-    ``shared`` is anything with the :class:`SharedThreshold` duck type —
-    the in-process cell, or a cross-process slot.  ``seed`` is the
-    threshold the shard starts from; when ``None`` it is read from
-    ``shared`` here.  Returns ``(buffer, stats, seed, outcome)`` with
-    ``outcome`` one of ``"empty"`` / ``"deadline"`` / ``"budget"`` /
-    ``"skipped"`` / ``"scanned"``; the trace ``span`` (if any) is closed
-    with the same outcome attributes the sharded scan has always
-    recorded.
+    All per-call state rides in ``options``: ``shared`` is anything with
+    the :class:`SharedThreshold` duck type — the in-process cell, or a
+    cross-process slot — and ``initial_threshold`` is the seed the shard
+    starts from, which callers read from that cell.  The deadline and
+    budget are polled once at the shard boundary (by the same
+    :class:`~repro.core.driver.BlockCursor` the kernels use, charging
+    nothing) and then per block inside the kernel.  Returns ``(buffer,
+    stats, seed, outcome)`` with ``outcome`` one of ``"empty"`` /
+    ``"deadline"`` / ``"budget"`` / ``"skipped"`` / ``"scanned"``; the
+    trace ``options.span`` (if any) is closed with the same outcome
+    attributes the sharded scan has always recorded.
 
     ``engine`` selects the span-capable scan kernel: ``"blocked"``
     (default, the cascade) or ``"gemm"``
@@ -228,58 +228,44 @@ def scan_shard_span(index: FexiproIndex, qs: QueryState, k: int,
     """
     snap = getattr(index, "_live", index)
     if start >= snap.n and stop > start:
-        return _scan_delta_span(snap, qs, k, shard_id, start, stop,
-                                shared=shared, seed=seed,
-                                deadline=deadline, span=span,
-                                options=options)
-    if seed is None:
-        seed = shared.value
+        return _scan_delta_span(snap, qs, k, shard_id, start, stop, options)
+    seed = options.initial_threshold
+    span = options.span
     if start >= stop:
         if span is not None:
             span.set(outcome="empty").end()
         return TopKBuffer(k), PruningStats(), seed, "empty"
-    if deadline is not None and deadline.expired():
-        # Shard-boundary deadline poll: the band stays unscanned.
-        stats = PruningStats(n_items=stop - start, deadline_hit=1)
+    stats = PruningStats(n_items=stop - start)
+    # Shard-boundary poll: a stop leaves the whole band unscanned (a
+    # spent budget's certified tail bound is then ``||q|| * norms[start]``).
+    boundary = BlockCursor(options, stats, traced=False)
+    if not boundary.poll(start, 0, seed):
         if span is not None:
-            span.set(outcome="deadline", start=start, stop=stop).end()
-        return TopKBuffer(k), stats, seed, "deadline"
-    budget = options.budget if options is not None else None
-    if budget is not None and budget.exhausted():
-        # Shard-boundary budget poll (same site as the deadline poll): a
-        # spent budget leaves the whole band unscanned — its certified
-        # tail bound is then ``||q|| * norms[start]``.
-        stats = PruningStats(n_items=stop - start, budget_exhausted=1)
-        if span is not None:
-            span.set(outcome="budget", start=start, stop=stop).end()
-        return TopKBuffer(k), stats, seed, "budget"
+            span.set(outcome=boundary.reason, start=start, stop=stop).end()
+        return TopKBuffer(k), stats, seed, boundary.reason
     if qs.q_norm * float(snap.norms_sorted[start]) <= seed:
         # Cauchy-Schwarz at shard granularity: no item in this shard can
         # beat a threshold already achieved by k collected results.  The
         # whole band dies unscanned.
-        stats = PruningStats(n_items=stop - start,
-                             length_terminated=1,
-                             shards_skipped=1)
+        stats.length_terminated = 1
+        stats.shards_skipped = 1
         if span is not None:
             span.set(outcome="skipped", start=start, stop=stop).end()
         return TopKBuffer(k), stats, seed, "skipped"
-    base = options if options is not None else ScanOptions()
-    shard_options = base.replace(timings=timings, shared=shared,
-                                 deadline=deadline, span=span)
     with _faultsites.tagged(f"shard={shard_id}"):
         if engine == "gemm":
             from .gemm import scan_gemm
 
             buffer, stats = scan_gemm(
                 snap, qs, k,
-                start=start, stop=stop, options=shard_options,
+                start=start, stop=stop, options=options,
             )
         else:
             buffer, stats = scan_blocked(
                 snap, qs, k, snap.block_size,
-                start=start, stop=stop, options=shard_options,
+                start=start, stop=stop, options=options,
             )
-    shared.offer(buffer.threshold)
+    options.shared.offer(buffer.threshold)
     if span is not None:
         span.set(outcome="scanned",
                  offered_threshold=buffer.threshold).end()
@@ -287,9 +273,8 @@ def scan_shard_span(index: FexiproIndex, qs: QueryState, k: int,
 
 
 def _scan_delta_span(snap: LiveCatalog, qs: QueryState, k: int,
-                     shard_id: int, start: int, stop: int, *,
-                     shared, seed: Optional[float], deadline, span,
-                     options: Optional[ScanOptions]):
+                     shard_id: int, start: int, stop: int,
+                     options: ScanOptions):
     """The delta pseudo-span body of :func:`scan_shard_span`.
 
     Runs the brute-force delta scan with the same shared-threshold,
@@ -299,13 +284,9 @@ def _scan_delta_span(snap: LiveCatalog, qs: QueryState, k: int,
     counters, never in ``n_items``/``scanned`` (the base cascade's
     balance invariants stay intact).
     """
-    if seed is None:
-        seed = shared.value
-    budget = options.budget if options is not None else None
+    span = options.span
     with _faultsites.tagged(f"shard={shard_id}"):
-        buffer, stats, outcome = scan_delta(
-            snap, qs, k, seed=seed, shared=shared, deadline=deadline,
-            budget=budget)
+        buffer, stats, outcome = scan_delta(snap, qs, k, options)
     if outcome == "skipped":
         stats.shards_skipped = 1
     if span is not None:
@@ -315,7 +296,41 @@ def _scan_delta_span(snap: LiveCatalog, qs: QueryState, k: int,
         else:
             span.set(outcome=outcome, delta=True, start=start,
                      stop=stop).end()
-    return buffer, stats, seed, outcome
+    return buffer, stats, options.initial_threshold, outcome
+
+
+def _merge_shards(snap: LiveCatalog, k: int, k_eff: int,
+                  spans: List[Tuple[int, int]], outputs,
+                  collect_timings: bool, trace_span):
+    """Merge per-shard ``(buffer, stats, seed, timings, outcome)`` exactly.
+
+    Buffers merge in span order (ascending positions, so ties resolve as
+    in the single scan), tombstones are masked back down to ``k``, and
+    ``trace_span`` gets one ``merge`` event.  Returns ``(merged_buffer,
+    total_stats, reports, timings)`` — the sharded scan's result shape.
+    """
+    merged = TopKBuffer(k_eff)
+    total = PruningStats()
+    timings = StageTimings() if collect_timings else None
+    reports: List[ShardScanReport] = []
+    for span, (buffer, stats, seed, shard_timings, __) in zip(spans,
+                                                             outputs):
+        merged.merge(buffer)
+        total.merge(stats)
+        reports.append(ShardScanReport(span=span, stats=stats,
+                                       seeded_threshold=seed))
+        if timings is not None and shard_timings is not None:
+            timings.merge(shard_timings)
+    if snap.base_dead_count:
+        merged, masked = apply_tombstones(snap, merged, k)
+        total.tombstones_masked += masked
+    if trace_span is not None:
+        trace_span.event("merge", threshold=merged.threshold,
+                         shards_skipped=total.shards_skipped,
+                         deadline_hit=total.deadline_hit,
+                         budget_exhausted=total.budget_exhausted,
+                         tombstones_masked=total.tombstones_masked)
+    return merged, total, reports, timings
 
 
 class ShardedFexiproIndex:
@@ -480,28 +495,13 @@ class ShardedFexiproIndex:
 
     def query_detailed(
         self, query, k: int = 10, *, pool=None,
-        timings: Optional[StageTimings] = _UNSET,
         options: Optional[ScanOptions] = None,
         engine: Optional[str] = None,
     ) -> Tuple[RetrievalResult, List[ShardScanReport]]:
         """Like :meth:`query`, also returning per-shard scan reports.
 
-        .. deprecated::
-            The ``timings=`` keyword is deprecated; pass the accumulator
-            through the options bundle instead
-            (``options=ScanOptions(timings=...)`` or
-            ``options.replace(timings=...)``), the same channel every
-            other surface uses.
+        Stage timings accumulate into ``options.timings`` when given.
         """
-        if timings is not _UNSET:
-            warnings.warn(
-                "query_detailed(timings=...) is deprecated; pass "
-                "options=ScanOptions(timings=...) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            if timings is not None:
-                base = options if options is not None else ScanOptions()
-                options = base.replace(timings=timings)
         timings_acc = options.timings if options is not None else None
         snap = self.index._live
         q = as_query_vector(query, snap.d)
@@ -563,8 +563,7 @@ class ShardedFexiproIndex:
     # ------------------------------------------------------------------
 
     def _scan_sharded(self, qs: QueryState, k: int, *, pool=None,
-                      collect_timings: bool = False, deadline=_UNSET,
-                      initial_threshold=_UNSET,
+                      collect_timings: bool = False,
                       options: Optional[ScanOptions] = None,
                       engine: Optional[str] = None,
                       snapshot: Optional[LiveCatalog] = None):
@@ -576,8 +575,7 @@ class ShardedFexiproIndex:
         pool is used.  With one worker the pool runs the shard closures
         inline in submission order — the deterministic mode the property
         tests pin down.  Per-call behaviour rides in ``options`` (a
-        :class:`~repro.core.options.ScanOptions`); the ``deadline`` /
-        ``initial_threshold`` keywords are deprecated shims.
+        :class:`~repro.core.options.ScanOptions`).
 
         ``options.initial_threshold`` seeds the :class:`SharedThreshold`
         cell before any shard starts (the warm-start path of
@@ -605,10 +603,7 @@ class ShardedFexiproIndex:
         and outcome — scanned / skipped / deadline / empty) plus a
         ``merge`` event on the parent after the exact merge.
         """
-        opts = resolve_scan_options(
-            options, "ShardedFexiproIndex._scan_sharded",
-            deadline=deadline, initial_threshold=initial_threshold)
-        deadline = opts.deadline
+        opts = DEFAULT_SCAN_OPTIONS if options is None else options
         trace_span = opts.span
         index = self.index
         snap = index._live if snapshot is None else snapshot
@@ -652,13 +647,13 @@ class ShardedFexiproIndex:
             shard_span = trace_span.child(
                 "scan.shard", shard=shard_id, seeded_threshold=seed,
             ) if trace_span is not None else None
-            buffer, stats, seed, __ = scan_shard_span(
+            buffer, stats, seed, outcome = scan_shard_span(
                 snap, qs, k_eff, shard_id, start, stop,
-                shared=shared, seed=seed, deadline=deadline,
-                timings=shard_timings, span=shard_span, options=opts,
+                opts.replace(initial_threshold=seed, shared=shared,
+                             timings=shard_timings, span=shard_span),
                 engine=engine,
             )
-            return (buffer, stats, seed, shard_timings)
+            return buffer, stats, seed, shard_timings, outcome
 
         if budgeted:
             # Greedy best-first budget allocation: spans are descending
@@ -675,30 +670,12 @@ class ShardedFexiproIndex:
             outputs = self._resolve_pool(pool).map(run_shard,
                                                    list(enumerate(spans)))
 
-        merged = TopKBuffer(k_eff)
-        total = PruningStats()
-        timings = StageTimings() if collect_timings else None
-        reports: List[ShardScanReport] = []
-        for span, (buffer, stats, seed, shard_timings) in zip(spans, outputs):
-            merged.merge(buffer)
-            total.merge(stats)
-            reports.append(ShardScanReport(span=span, stats=stats,
-                                           seeded_threshold=seed))
-            if timings is not None and shard_timings is not None:
-                timings.merge(shard_timings)
-        if snap.base_dead_count:
-            merged, masked = apply_tombstones(snap, merged, k)
-            total.tombstones_masked += masked
-        if trace_span is not None:
-            trace_span.event("merge", threshold=merged.threshold,
-                             shards_skipped=total.shards_skipped,
-                             deadline_hit=total.deadline_hit,
-                             budget_exhausted=total.budget_exhausted,
-                             tombstones_masked=total.tombstones_masked)
+        out = _merge_shards(snap, k, k_eff, spans, outputs, collect_timings,
+                            trace_span)
         if planned and index.cost_model is not None:
             index.cost_model.observe(
-                engine, total, time.perf_counter() - started)
-        return merged, total, reports, timings
+                engine, out[1], time.perf_counter() - started)
+        return out
 
     def _scan_sharded_process(self, procpool, qs: QueryState, k: int,
                               opts: ScanOptions, collect_timings: bool,
@@ -711,7 +688,8 @@ class ShardedFexiproIndex:
         lives in a shared-memory slot and the deadline travels as an
         absolute monotonic expiry.  The merge is byte-for-byte the same
         loop, in the same span order, so results stay bitwise identical
-        to the serial and thread paths.  Trace spans are reconstructed
+        to the serial and thread paths (:func:`_merge_shards`).  Trace
+        spans are reconstructed
         post-hoc from the per-shard outcomes (a worker process cannot
         write into the parent's tracer ring).
 
@@ -732,19 +710,9 @@ class ShardedFexiproIndex:
         outputs = procpool.run_shards(
             handle, qs, k_eff, spans, seed=float(opts.initial_threshold),
             deadline=opts.deadline, collect=collect_timings)
-        merged = TopKBuffer(k_eff)
-        total = PruningStats()
-        timings = StageTimings() if collect_timings else None
-        reports: List[ShardScanReport] = []
-        for shard_id, (span, out) in enumerate(zip(spans, outputs)):
-            buffer, stats, seed, shard_timings, outcome = out
-            merged.merge(buffer)
-            total.merge(stats)
-            reports.append(ShardScanReport(span=span, stats=stats,
-                                           seeded_threshold=seed))
-            if timings is not None and shard_timings is not None:
-                timings.merge(shard_timings)
-            if trace_span is not None:
+        if trace_span is not None:
+            for shard_id, (span, out) in enumerate(zip(spans, outputs)):
+                buffer, __, seed, __, outcome = out
                 child = trace_span.child("scan.shard", shard=shard_id,
                                          seeded_threshold=seed)
                 if outcome == "scanned":
@@ -755,15 +723,8 @@ class ShardedFexiproIndex:
                 else:
                     child.set(outcome=outcome, start=span[0], stop=span[1])
                 child.end()
-        if snap.base_dead_count:
-            merged, masked = apply_tombstones(snap, merged, k)
-            total.tombstones_masked += masked
-        if trace_span is not None:
-            trace_span.event("merge", threshold=merged.threshold,
-                             shards_skipped=total.shards_skipped,
-                             deadline_hit=total.deadline_hit,
-                             tombstones_masked=total.tombstones_masked)
-        return merged, total, reports, timings
+        return _merge_shards(snap, k, k_eff, spans, outputs, collect_timings,
+                             trace_span)
 
     def _catalog_spans(self, snap: LiveCatalog) -> List[Tuple[int, int]]:
         """The scan spans of one snapshot: base length bands + delta tail.

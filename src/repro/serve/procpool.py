@@ -238,7 +238,8 @@ def _shard_task(payload):
     timings = StageTimings() if collect else None
     buffer, stats, seen_seed, outcome = scan_shard_span(
         index, qs, k, shard_id, start, stop,
-        shared=shared, deadline=deadline, timings=timings,
+        ScanOptions(initial_threshold=shared.value, shared=shared,
+                    deadline=deadline, timings=timings),
     )
     return buffer, stats, seen_seed, timings, outcome, _WORKER["id"]
 

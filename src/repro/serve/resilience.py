@@ -18,8 +18,7 @@ Four small, independently testable pieces that
   with injectable sleep for tests.
 - :class:`~repro.exceptions.QueryError` — the structured per-query failure
   record surfaced in :attr:`repro.serve.BatchResponse.errors` instead of
-  poisoning the whole batch (moved to :mod:`repro.exceptions`; importing
-  it from here still works but warns).
+  poisoning the whole batch (defined in :mod:`repro.exceptions`).
 
 All clocks and sleeps are injectable so every behaviour is deterministic
 under test.
@@ -30,7 +29,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-import warnings
 from typing import Callable, Optional, Tuple
 
 from ..exceptions import ValidationError
@@ -38,7 +36,6 @@ from ..exceptions import ValidationError
 __all__ = [
     "CircuitBreaker",
     "Deadline",
-    "QueryError",
     "RetryPolicy",
     "is_transient",
 ]
@@ -232,17 +229,3 @@ class RetryPolicy:
         if self.backoff_ms > 0:
             self._sleep(self.backoff_ms / 1e3)
 
-
-def __getattr__(name: str):
-    # Deprecated deep-path alias: QueryError moved to repro.exceptions so
-    # the whole public error surface hangs off one ReproError base.
-    if name == "QueryError":
-        warnings.warn(
-            "importing QueryError from repro.serve.resilience is deprecated; "
-            "import it from repro.exceptions (or the repro.api facade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..exceptions import QueryError
-        return QueryError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,4 @@
-"""The stable facade contract: equivalence, shims, surface snapshot.
+"""The stable facade contract: equivalence, options, surface snapshot.
 
 Three claims:
 
@@ -7,10 +7,8 @@ Three claims:
    scores, counters) to the underlying `FexiproIndex` /
    `ShardedFexiproIndex` calls, and save/load round-trips preserve the
    flavour.
-2. **Shims** — the pre-redesign spellings keep working but say so:
-   legacy per-call scan keywords (`deadline=`, `initial_threshold=`,
-   `timings=`) and `repro.serve.resilience.QueryError` emit
-   `DeprecationWarning` while producing identical behaviour.
+2. **Options** — per-call scan state rides in one `ScanOptions` bundle,
+   which runs silently and replaces functionally.
 3. **Surface snapshot** — `repro.api.__all__` must match the block in
    `docs/api.md` exactly; extending the public API without documenting
    it (or vice versa) fails here, not in a downstream user's upgrade.
@@ -34,7 +32,6 @@ from repro import (
     ValidationError,
 )
 from repro.core.blocked import scan_blocked
-from repro.core.scanner import scan_reference
 from repro.core.variants import VARIANTS
 from repro.exceptions import QueryError, ReproError
 
@@ -70,9 +67,12 @@ def test_facade_matches_plain_index_bitwise(variant):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_facade_matches_sharded_index_bitwise(variant):
+    # Counters are pinned only on a serial schedule; "auto" may fan out
+    # to processes, whose threshold exchange timing varies run to run.
     items, queries = make_data()
-    direct = ShardedFexiproIndex(items, shards=3, variant=variant)
-    facade = Fexipro(items, variant=variant, shards=3)
+    direct = ShardedFexiproIndex(items, shards=3, variant=variant,
+                                 executor="serial")
+    facade = Fexipro(items, variant=variant, shards=3, executor="serial")
     assert facade.sharded
     for q in queries[:5]:
         a = direct.query(q, K)
@@ -122,37 +122,14 @@ def test_facade_serve_and_explain_delegate():
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# The options bundle
 # ----------------------------------------------------------------------
 
 
-def _prepared(engine="blocked"):
-    items, queries = make_data()
-    index = FexiproIndex(items, variant="F-SIR", engine=engine)
-    return index, index._prepare_query(queries[0])
-
-
-@pytest.mark.parametrize("engine", ["reference", "blocked"])
-def test_legacy_initial_threshold_kwarg_warns_and_matches(engine):
-    index, qs = _prepared(engine)
-    scan = scan_reference if engine == "reference" else scan_blocked
-    new_buffer, new_stats = scan(
-        index, qs, K, options=ScanOptions(initial_threshold=0.1))
-    with pytest.warns(DeprecationWarning, match="initial_threshold"):
-        old_buffer, old_stats = scan(index, qs, K, initial_threshold=0.1)
-    assert old_buffer.items_and_scores() == new_buffer.items_and_scores()
-    assert old_stats.as_dict() == new_stats.as_dict()
-
-
-def test_legacy_scan_kwargs_warn_on_index_and_sharded():
+def _prepared():
     items, queries = make_data()
     index = FexiproIndex(items, variant="F-SIR")
-    qs = index._prepare_query(queries[0])
-    with pytest.warns(DeprecationWarning, match="initial_threshold"):
-        index._scan(qs, K, initial_threshold=-math.inf)
-    sharded = ShardedFexiproIndex.from_index(index, shards=3)
-    with pytest.warns(DeprecationWarning, match="initial_threshold"):
-        sharded._scan_sharded(qs, K, initial_threshold=-math.inf)
+    return index, index._prepare_query(queries[0])
 
 
 def test_options_path_does_not_warn():
@@ -172,15 +149,6 @@ def test_scan_options_replace_is_functional():
     assert base.initial_threshold == -math.inf  # frozen original
 
 
-def test_resilience_query_error_import_warns_and_aliases():
-    with pytest.warns(DeprecationWarning, match="repro.exceptions"):
-        from repro.serve.resilience import QueryError as LegacyQueryError
-    assert LegacyQueryError is QueryError
-    with pytest.raises(AttributeError):
-        from repro.serve import resilience
-        resilience.no_such_name
-
-
 def test_query_error_is_repro_error_dataclass():
     error = QueryError(index=2, error=ValueError("bad"))
     assert isinstance(error, ReproError)
@@ -189,29 +157,10 @@ def test_query_error_is_repro_error_dataclass():
     assert error.args == ("bad",)
     assert error.as_dict() == {"index": 2, "error_type": "ValueError",
                                "message": "bad", "retried": False}
-
-
-def test_query_detailed_timings_kwarg_warns_and_matches():
-    items, queries = make_data()
-    sharded = ShardedFexiproIndex(items, shards=3, variant="F-SIR")
-    from repro.core.stats import StageTimings
-
-    new_acc = StageTimings()
-    new = sharded.query_detailed(queries[0], K,
-                                 options=ScanOptions(timings=new_acc))
-    old_acc = StageTimings()
-    with pytest.warns(DeprecationWarning, match="timings"):
-        old = sharded.query_detailed(queries[0], K, timings=old_acc)
-    assert old[0].ids == new[0].ids
-    assert old[0].scores == new[0].scores
-    assert old_acc.as_dict().keys() == new_acc.as_dict().keys()
-    # Even an explicit None is the legacy spelling: the kwarg itself is
-    # deprecated, only its omission is silent.
-    with pytest.warns(DeprecationWarning, match="timings"):
-        sharded.query_detailed(queries[0], K, timings=None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sharded.query_detailed(queries[0], K)
+    # The error surface lives in repro.exceptions only.
+    from repro.serve import resilience
+    with pytest.raises(AttributeError):
+        resilience.QueryError
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ import pytest
 
 from repro import FexiproIndex, ShardedFexiproIndex, _faultsites
 from repro.core.blocked import scan_blocked, block_schedule
+from repro.core.gemm import scan_gemm
 from repro.core.options import ScanOptions
 from repro.core.topk import TopKBuffer
 from repro.core.variants import VARIANTS
@@ -170,11 +171,14 @@ def test_unconfigured_service_deadline_matches_seed_results(variant):
 # (b) a firing deadline yields the exact top-k of the scanned prefix
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("engine", ["blocked", "gemm"])
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 @pytest.mark.parametrize("fire_after", [0, 1, 2, 4, 7])
-def test_degraded_single_scan_is_exact_prefix_topk(variant, fire_after):
+def test_degraded_single_scan_is_exact_prefix_topk(variant, fire_after,
+                                                   engine):
     from repro.serve.resilience import Deadline
 
+    scan = scan_gemm if engine == "gemm" else scan_blocked
     index, queries = make_index(variant)
     for q in queries[:4]:
         qs = index._prepare_query(q)
@@ -182,9 +186,8 @@ def test_degraded_single_scan_is_exact_prefix_topk(variant, fire_after):
         probe = RecordingProbe()
         _faultsites.arm(probe)
         try:
-            buffer, stats = scan_blocked(index, qs, K, BLOCK_SIZE,
-                                         options=ScanOptions(
-                                             deadline=deadline))
+            buffer, stats = scan(index, qs, K, BLOCK_SIZE,
+                                 options=ScanOptions(deadline=deadline))
         finally:
             _faultsites.disarm(probe)
         positions = scanned_positions(probe.contexts,
