@@ -48,7 +48,7 @@ from ..exceptions import ValidationError
 from .budget import ResultBounds, certified_bounds
 from .driver import BlockCursor
 from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
-from .stats import PruningStats
+from .stats import PruningStats, RetrievalResult, assemble_result
 from .topk import TopKBuffer
 
 __all__ = [
@@ -56,6 +56,7 @@ __all__ = [
     "LiveCatalog",
     "apply_tombstones",
     "catalog_bounds",
+    "catalog_result",
     "compacted_live",
     "delta_tail_bound",
     "effective_k",
@@ -507,3 +508,28 @@ def catalog_bounds(snap: LiveCatalog, q_norm: float, scores,
     if tail > band.tail_upper:
         return ResultBounds(lower=band.lower, tail_upper=tail)
     return band
+
+
+def catalog_result(snap: LiveCatalog, q_norm: float, positions, scores,
+                   stats: PruningStats, elapsed: float, *, budgeted: bool,
+                   reports=None) -> RetrievalResult:
+    """Finish one scan of ``snap`` into a :class:`RetrievalResult`.
+
+    ``positions``/``scores`` are the scan's survivors by descending score.
+    A ``budgeted`` scan also gets its certified band: a single scan
+    contributes one ``(0, n, scanned)`` segment, a sharded scan one per
+    shard report.  The delta pseudo-span is not a length band, so its
+    report is left out; its tail cap rides through the suffix-max bound
+    inside :func:`catalog_bounds` instead.
+    """
+    bounds = None
+    if budgeted:
+        if reports is None:
+            segments = [(0, snap.n, stats.scanned)]
+        else:
+            segments = [(r.span[0], r.span[1], r.stats.scanned)
+                        for r in reports if r.span[0] < snap.n]
+        bounds = catalog_bounds(snap, q_norm, scores, segments,
+                                stats.delta_scanned)
+    return assemble_result(snap.full_order, positions, scores, stats,
+                           elapsed, bounds=bounds)

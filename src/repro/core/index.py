@@ -40,7 +40,7 @@ from ..exceptions import ValidationError
 from .blocked import DEFAULT_BLOCK_SIZE, scan_blocked
 from .delta import (
     LiveCatalog,
-    catalog_bounds,
+    catalog_result,
     compacted_live,
     effective_k,
     finish_catalog_above,
@@ -393,15 +393,9 @@ class FexiproIndex:
         buffer, stats = self._scan(qs, k, options=options, snapshot=snap,
                                    engine=engine)
         elapsed = time.perf_counter() - started
-        if options is not None and options.budget is not None:
-            positions, scores = buffer.items_and_scores()
-            bounds = catalog_bounds(snap, qs.q_norm, scores,
-                                    [(0, snap.n, stats.scanned)],
-                                    stats.delta_scanned)
-            return assemble_result(snap.full_order, positions, scores,
-                                   stats, elapsed, bounds=bounds)
-        return assemble_result(snap.full_order, *buffer.items_and_scores(),
-                               stats, elapsed)
+        return catalog_result(snap, qs.q_norm, *buffer.items_and_scores(),
+                              stats, elapsed, budgeted=options is not None
+                              and options.budget is not None)
 
     def explain(self, query, k: int = 10, *, tracer=None,
                 options: Optional[ScanOptions] = None):

@@ -64,19 +64,14 @@ from .blocked import scan_blocked
 from .delta import (
     LiveCatalog,
     apply_tombstones,
-    catalog_bounds,
+    catalog_result,
     effective_k,
     scan_delta,
 )
 from .driver import BlockCursor
 from .index import FexiproIndex, QueryState, _empty_result
 from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
-from .stats import (
-    PruningStats,
-    RetrievalResult,
-    StageTimings,
-    assemble_result,
-)
+from .stats import PruningStats, RetrievalResult, StageTimings
 from .topk import TopKBuffer
 
 __all__ = [
@@ -520,22 +515,10 @@ class ShardedFexiproIndex:
         if timings_acc is not None and scan_timings is not None:
             timings_acc.merge(scan_timings)
         elapsed = time.perf_counter() - started
-        if options is not None and options.budget is not None:
-            positions, scores = buffer.items_and_scores()
-            # The delta pseudo-span is not a length band, so its report
-            # cannot index ``norms_sorted``; its tail cap rides through
-            # the suffix-max bound inside ``catalog_bounds`` instead.
-            bounds = catalog_bounds(
-                snap, qs.q_norm, scores,
-                [(r.span[0], r.span[1], r.stats.scanned)
-                 for r in reports if r.span[0] < snap.n],
-                total.delta_scanned)
-            result = assemble_result(snap.full_order, positions, scores,
-                                     total, elapsed, bounds=bounds)
-        else:
-            result = assemble_result(snap.full_order,
-                                     *buffer.items_and_scores(),
-                                     total, elapsed)
+        result = catalog_result(
+            snap, qs.q_norm, *buffer.items_and_scores(), total, elapsed,
+            budgeted=options is not None and options.budget is not None,
+            reports=reports)
         return result, reports
 
     def explain(self, query, k: int = 10, *, tracer=None,
@@ -566,7 +549,8 @@ class ShardedFexiproIndex:
                       collect_timings: bool = False,
                       options: Optional[ScanOptions] = None,
                       engine: Optional[str] = None,
-                      snapshot: Optional[LiveCatalog] = None):
+                      snapshot: Optional[LiveCatalog] = None,
+                      procpool=None):
         """Fan one prepared query out over the shards and merge exactly.
 
         Returns ``(merged_buffer, total_stats, reports, timings)``.  The
@@ -576,6 +560,17 @@ class ShardedFexiproIndex:
         inline in submission order — the deterministic mode the property
         tests pin down.  Per-call behaviour rides in ``options`` (a
         :class:`~repro.core.options.ScanOptions`).
+
+        This method alone decides whether a fan-out runs on worker
+        processes: only an unbudgeted fan-out whose resolved engine is
+        ``"blocked"`` does, on the pool ``procpool()`` returns (the
+        serving layer's hook: a zero-argument callable giving its
+        :class:`~repro.serve.procpool.ProcessScanPool`, or ``None`` when
+        that pool cannot serve now) or — with neither ``procpool`` nor
+        ``pool`` given — on the index's own, per its ``executor``.  When
+        the caller's process pool is out, or the published replica raced
+        a mutation, the shards run serially in-process over the captured
+        snapshot.
 
         ``options.initial_threshold`` seeds the :class:`SharedThreshold`
         cell before any shard starts (the warm-start path of
@@ -623,17 +618,21 @@ class ShardedFexiproIndex:
         # The base engine collects at the inflated capacity so tombstone
         # masking can never leave fewer than k alive survivors.
         k_eff = effective_k(snap, k)
-        if pool is None and engine == "blocked" and not budgeted:
-            procpool = self._maybe_procpool(opts)
+        serial = False
+        if engine == "blocked" and not budgeted:
             if procpool is not None:
+                chosen = procpool()
+            else:
+                chosen = self._maybe_procpool(opts) if pool is None else None
+            if chosen is not None:
                 out = self._scan_sharded_process(
-                    procpool, qs, k, opts, collect_timings, snap, spans)
+                    chosen, qs, k, opts, collect_timings, snap, spans)
                 if out is not None:
                     return out
-                # Replica publication raced a concurrent mutation (its
-                # token no longer matches this scan's snapshot): fall
-                # back to the in-process fan-out over the captured
-                # snapshot rather than scan someone else's catalog.
+            # The caller's process pool is out, or the replica raced a
+            # mutation (its token no longer matches this snapshot): scan
+            # the captured snapshot in-process, honestly serial.
+            serial = procpool is not None or chosen is not None
         shared = SharedThreshold(opts.initial_threshold)
         if trace_span is not None:
             trace_span.set(mode="sharded", shards=len(spans),
@@ -667,6 +666,10 @@ class ShardedFexiproIndex:
             outputs = [run_shard(numbered)
                        for numbered in enumerate(spans)]
         else:
+            if serial:
+                from ..serve.executor import WorkerPool
+
+                pool = WorkerPool(1)
             outputs = self._resolve_pool(pool).map(run_shard,
                                                    list(enumerate(spans)))
 

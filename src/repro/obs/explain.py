@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional
 
+from ..core.delta import catalog_result
 from ..core.options import ScanOptions
-from ..core.stats import PruningStats, RetrievalResult, StageTimings, \
-    assemble_result
+from ..core.stats import PruningStats, RetrievalResult, StageTimings
 from ..exceptions import ValidationError
 from .trace import Tracer
 
@@ -404,24 +404,9 @@ def explain_query(index, query, k: int = 10, *,
     if root is not None:
         root.set(mode=mode, scanned=stats.scanned).end()
 
-    bounds = None
-    if opts.budget is not None:
-        from ..core.delta import catalog_bounds
-
-        positions, scores = buffer.items_and_scores()
-        if sharded:
-            segments = [(r.span[0], r.span[1], r.stats.scanned)
-                        for r in reports if r.span[0] < snap.n]
-        else:
-            segments = [(0, snap.n, stats.scanned)]
-        bounds = catalog_bounds(snap, qs.q_norm, list(scores), segments,
-                                stats.delta_scanned)
-        result = assemble_result(snap.full_order, positions, scores, stats,
-                                 elapsed, bounds=bounds)
-    else:
-        result = assemble_result(snap.full_order,
-                                 *buffer.items_and_scores(),
-                                 stats, elapsed)
+    result = catalog_result(snap, qs.q_norm, *buffer.items_and_scores(),
+                            stats, elapsed, budgeted=opts.budget is not None,
+                            reports=reports if sharded else None)
     span_dicts = [s.as_dict() for s in tracer.spans
                   if root is not None and s.trace_id == root.trace_id]
     explanation = QueryExplanation(

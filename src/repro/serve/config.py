@@ -27,9 +27,11 @@ class ServiceConfig:
     Parameters
     ----------
     workers:
-        Thread-pool size.  ``1`` runs batches inline (no pool, fully
-        deterministic scheduling) — useful for debugging and as the serial
-        baseline in benchmarks.
+        Size of the service's worker pools: the in-process (thread) pool,
+        clamped to the host's cores, and the process pool of the
+        ``"process"`` executor, which is not.  ``1`` runs batches inline
+        (no pool, fully deterministic scheduling) — useful for debugging
+        and as the serial baseline in benchmarks.
     chunk_size:
         Queries per pool task.  ``None`` picks ``ceil(m / (4 * workers))``
         so each worker sees about four chunks per batch: large enough that

@@ -207,20 +207,22 @@ def _worker_init(cells, lock, counter, fault_rules, fault_seed: int) -> None:
 def _attach(path: str, token: Tuple[str, int]):
     """Attach (or reuse) the replica at ``path`` for identity ``token``.
 
-    The per-worker cache is keyed by path and revalidated by token: when
-    the parent's index epoch moves on, the parent publishes a new file
-    and tasks carry the new (path, token) — an old cached attachment is
-    closed, and a genuinely stale file fails the attach with
-    ``IndexIntegrityError`` instead of serving outdated answers.
+    The per-worker cache holds one attachment per index, keyed by its uid
+    (``token[0]``) and revalidated by the full token: every catalog state
+    swap makes the parent publish a new file under a fresh path, and the
+    tasks that follow carry the new (path, token) — the attachment they
+    replace is closed, releasing its mapping, and a genuinely stale file
+    fails the attach with ``IndexIntegrityError`` instead of serving
+    outdated answers.
     """
     cache = _WORKER["attachments"]
-    attachment = cache.get(path)
+    attachment = cache.get(token[0])
     if attachment is not None:
         if tuple(attachment.token) == tuple(token):
             return attachment.obj
-        cache.pop(path).close()
+        cache.pop(token[0]).close()
     attachment = attach_replica(ReplicaHandle(path=path, token=tuple(token)))
-    cache[path] = attachment
+    cache[token[0]] = attachment
     return attachment.obj
 
 

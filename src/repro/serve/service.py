@@ -8,10 +8,15 @@ answered in two phases:
    :func:`repro.core.index.prepare_query_states`, the same single
    implementation the one-off :meth:`FexiproIndex.query` path uses.  Results
    are therefore bit-identical to a serial loop, pool or no pool.
-2. **Scan** — query states are chunked and scanned on a thread pool.  The
-   index is shared read-only; each scan's heavy arithmetic runs in NumPy
-   kernels that release the GIL, so chunks genuinely overlap on multicore
-   hosts.
+2. **Scan** — the states are scanned by one of three executors: chunks
+   of whole queries on worker processes attached to a shared-memory
+   replica of the index (:mod:`repro.serve.procpool`) or on the
+   in-process pool (threads, whose GEMM kernels release the GIL), or —
+   for small batches over a sharded index — one query at a time, fanned
+   over the index's shards.  Whichever executor ran a query, its raw
+   outcome ends in one attempt loop and one finish step, so retry,
+   isolation, deadline/budget policy, span closing, certified bounds and
+   result assembly exist once.
 
 On top of the two phases sits a failure model (PR 3 — see ``DESIGN.md``
 §2.8):
@@ -42,6 +47,7 @@ counters.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import pickle
@@ -66,10 +72,9 @@ from ..core.stats import (
     RetrievalResult,
     StageTimings,
     aggregate_stats,
-    assemble_result,
 )
 from ..core.budget import FlopBudget
-from ..core.delta import catalog_bounds
+from ..core.delta import LiveCatalog, catalog_result
 from ..core.options import ScanOptions
 from ..exceptions import BudgetExhaustedError, DeadlineExceededError, \
     OverloadSheddedError, QueryError, ServiceClosedError
@@ -171,6 +176,42 @@ class BatchResponse:
     def warm_queries(self) -> int:
         """Queries scanned with a cache-seeded threshold."""
         return self.provenance.count("warm") if self.provenance else 0
+
+
+@dataclass
+class _Pending:
+    """The scanned part of one batch, built once by ``batch()``.
+
+    Per prepared state ``j``: its batch position ``indices[j]`` (error
+    records and fault tags carry it) and its warm-start ``seeds[j]``
+    (``-inf`` = cold).  Whichever executor scans state ``j`` fills its
+    slots — ``results``, ``positions`` (raw scan positions, for cache
+    stores), ``errors`` and ``timings`` — so answers land in request
+    order no matter which thread or process produced them.
+    """
+
+    snap: LiveCatalog
+    k: int
+    states: list
+    indices: List[int]
+    seeds: List[float]
+    engine: Optional[str]
+    budget_flops: Optional[float]
+    collect: bool
+    span: Optional[Span]
+
+    def __post_init__(self):
+        m = len(self.states)
+        self.results: List[Optional[RetrievalResult]] = [None] * m
+        self.positions: List[Optional[Tuple[int, ...]]] = [None] * m
+        self.errors: List[Optional[QueryError]] = [None] * m
+        self.timings: List[Optional[StageTimings]] = [None] * m
+
+    def new_budget(self) -> Optional[FlopBudget]:
+        """A fresh per-attempt FLOP budget, or ``None`` outside budget mode."""
+        if self.budget_flops is None:
+            return None
+        return FlopBudget(self.budget_flops)
 
 
 class RetrievalService:
@@ -282,7 +323,6 @@ class RetrievalService:
         self._pool = WorkerPool(
             1 if self._executor_mode == "serial" else self.config.workers)
         self._procpool = None
-        self._serial_pool: Optional[WorkerPool] = None
         self._breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown_ms / 1e3,
@@ -391,20 +431,15 @@ class RetrievalService:
         if prep_span is not None:
             prep_span.set(prepared=len(states)).end()
 
-        seeds: Optional[List[float]] = None
-        if lookups is not None and states:
-            seeds = []
+        # Warm-start thresholds, one per state: -inf means cold.
+        seeds = [-math.inf] * len(states)
+        if lookups is not None:
             for j, i in enumerate(pending):
                 lookup = lookups[i]
-                if lookup.entry is not None:
-                    seeds.append(cache.bucket_seed(
-                        snap, states[j], lookup.entry, k))
-                else:
-                    seeds.append(lookup.seed)
-            if root is not None:
-                for j, i in enumerate(pending):
-                    if seeds[j] > -math.inf:
-                        root.event("warm_start", query=i, seed=seeds[j])
+                seeds[j] = lookup.seed if lookup.entry is None \
+                    else cache.bucket_seed(snap, states[j], lookup.entry, k)
+                if root is not None and seeds[j] > -math.inf:
+                    root.event("warm_start", query=i, seed=seeds[j])
 
         collect = self.config.collect_timings
         timings: Optional[StageTimings] = None
@@ -415,18 +450,21 @@ class RetrievalService:
         engine, planner_info = self._plan_batch(len(states), mode, root)
         if root is not None:
             root.set(mode=mode)
-        if not states:
-            scanned, positions = [], []
-        elif mode == "intra":
-            scanned, positions = self._scan_intra_query(
-                states, k, timings, errors, indices=pending, seeds=seeds,
-                parent_span=root, engine=engine, budget_flops=budget_flops,
-                snap=snap)
-        else:
-            scanned, positions = self._scan_inter_query(
-                states, k, timings, errors, indices=pending, seeds=seeds,
-                parent_span=root, engine=engine, budget_flops=budget_flops,
-                snap=snap)
+        work = _Pending(snap=snap, k=k, states=states, indices=pending,
+                        seeds=seeds, engine=engine,
+                        budget_flops=budget_flops, collect=collect,
+                        span=root)
+        if states:
+            if mode == "intra":
+                self._scan_intra_query(work)
+            else:
+                self._scan_inter_query(work)
+        errors.extend(e for e in work.errors if e is not None)
+        if timings is not None:
+            for scan_timings in work.timings:
+                if scan_timings is not None:
+                    timings.merge(scan_timings)
+        scanned, positions = work.results, work.positions
 
         provenance: Optional[List[str]] = None
         if lookups is None:
@@ -450,7 +488,7 @@ class RetrievalService:
             for i in shed_set:
                 results[i] = None
             provenance = []
-            seed_of = dict(zip(pending, seeds or []))
+            seed_of = dict(zip(pending, seeds))
             for i, lookup in enumerate(lookups):
                 if i in shed_set:
                     provenance.append("shed")
@@ -712,18 +750,6 @@ class RetrievalService:
                 return None
         return self._procpool
 
-    def _fallback_pool(self) -> WorkerPool:
-        """The honest serial fan-out used when the process pool is out.
-
-        Deliberately *not* the thread pool: GIL-bound shard scans on
-        threads were measured at 0.87x the serial scan — the regression
-        this executor exists to fix — so the degraded path runs shards
-        inline instead of pretending threads parallelize them.
-        """
-        if self._serial_pool is None or self._serial_pool.closed:
-            self._serial_pool = WorkerPool(1)
-        return self._serial_pool
-
     # ------------------------------------------------------------------
     # The two parallelism axes
     # ------------------------------------------------------------------
@@ -836,199 +862,98 @@ class RetrievalService:
             self.index.cost_model.observe(engine, total_stats, actual)
         return f"{mode}/{engine}"
 
-    def _scan_inter_query(self, states, k: int,
-                          timings: Optional[StageTimings],
-                          errors: List[QueryError],
-                          *, indices: List[int],
-                          seeds: Optional[List[float]] = None,
-                          parent_span: Optional[Span] = None,
-                          engine: Optional[str] = None,
-                          budget_flops: Optional[float] = None,
-                          snap=None,
-                          ) -> Tuple[List[Optional[RetrievalResult]],
-                                     List[Optional[Tuple[int, ...]]]]:
-        """Spread whole queries over the pool (the PR-1 batch path).
+    # ------------------------------------------------------------------
+    # Dispatch: three sources of raw outcomes, one attempt/finish pair
+    # ------------------------------------------------------------------
 
-        Isolation is two-level: each query inside a chunk is guarded
-        individually (:meth:`_scan_one`), and a chunk that dies before its
-        per-query guards engage (a ``worker``-site fault in the pool) is
-        retried inline once if transient, else all its queries are marked
-        failed — the rest of the batch is untouched either way.
+    def _scan_inter_query(self, work: _Pending) -> None:
+        """Spread whole queries over the executor (the inter-query axis).
 
-        ``indices`` maps local state positions to batch positions (they
-        differ when cache hits were carved out of the batch) — error
-        records and fault tags carry the batch position.  ``seeds`` are
-        optional per-state warm-start thresholds.  ``snap`` is the
-        batch's frozen catalog snapshot.  Returns per-state results plus
-        the raw scan positions backing each result (for cache stores),
-        both aligned with ``states``.
+        Under the process executor the worker processes scan the batch
+        (:meth:`_map_inter_process`); their ``"ok"`` outcomes are finished
+        here and their ``"err"`` outcomes replayed in-process.  Otherwise,
+        or when the process pool cannot serve this batch, chunks of
+        queries run on the in-process pool, every query in its own
+        :meth:`_attempt` loop.  A chunk that dies before its queries start
+        (a ``worker``-site fault in the pool) is retried inline once if
+        transient, else all its queries are marked failed — the rest of
+        the batch is untouched either way.
         """
-        if snap is None:
-            snap = self.index._live
         if self._executor_mode == "process" \
-                and engine in (None, "blocked"):
-            # Worker processes run the blocked cascade; an explicit
-            # non-blocked engine decision must be honoured in-process.
-            procpool = self._acquire_procpool()
-            if procpool is not None:
-                outputs = self._map_inter_process(
-                    procpool, states, k, seeds, indices,
-                    budget_flops=budget_flops, snap=snap)
-                if outputs is not None:
-                    return self._assemble_inter_process(
-                        outputs, states, k, timings, errors,
-                        indices=indices, seeds=seeds,
-                        parent_span=parent_span,
-                        budget_flops=budget_flops, snap=snap)
-        collect = timings is not None
-        chunk_size = resolve_chunk_size(len(states), self._pool.workers,
+                and work.engine in (None, "blocked"):
+            # Worker processes run the index's own (blocked) cascade; an
+            # explicit non-blocked engine decision is honoured in-process.
+            outputs = self._map_inter_process(work)
+            if outputs is not None:
+                # Replays share the batch's slots but run the engine the
+                # workers ran: the index's own.
+                replay = copy.copy(work)
+                replay.engine = None
+                for j, out in enumerate(outputs):
+                    if out[0] == "ok":
+                        __, stats, positions, scores, elapsed, timings = out
+                        self._attempt(work, j, (positions, scores, stats,
+                                                elapsed, timings, None))
+                    else:
+                        self._attempt(replay, j)
+                return
+        chunk_size = resolve_chunk_size(len(work.states), self._pool.workers,
                                         self.config.chunk_size)
-        spans = chunk_spans(len(states), chunk_size)
+        spans = chunk_spans(len(work.states), chunk_size)
 
-        def run_chunk(span: Tuple[int, int]):
-            start, stop = span
-            chunk_timings = StageTimings() if collect else None
-            chunk_results: List[Optional[RetrievalResult]] = []
-            chunk_positions: List[Optional[Tuple[int, ...]]] = []
-            chunk_errors: List[QueryError] = []
-            for offset, state in enumerate(states[start:stop]):
-                seed = seeds[start + offset] if seeds is not None \
-                    else -math.inf
-                result, error, scan_positions = self._scan_one(
-                    indices[start + offset], state, k, chunk_timings,
-                    seed=seed, parent_span=parent_span, engine=engine,
-                    budget_flops=budget_flops, snap=snap)
-                chunk_results.append(result)
-                chunk_positions.append(scan_positions)
-                if error is not None:
-                    chunk_errors.append(error)
-            return chunk_results, chunk_positions, chunk_errors, \
-                chunk_timings
+        def run_chunk(span: Tuple[int, int]) -> None:
+            for j in range(*span):
+                self._attempt(work, j)
 
-        results: List[Optional[RetrievalResult]] = []
-        positions: List[Optional[Tuple[int, ...]]] = []
         outputs = self._pool.map(run_chunk, spans, return_exceptions=True)
         for span, output in zip(spans, outputs):
-            retried = False
-            if isinstance(output, Exception):
-                retried = self._retry.should_retry(output, attempt=0)
-                output = self._retry_chunk(run_chunk, span, output)
+            if not isinstance(output, Exception):
+                continue
+            retried = self._retry.should_retry(output, attempt=0)
+            output = self._retry_chunk(run_chunk, span, output)
             if isinstance(output, Exception):
                 self.metrics.counter("errors.queries").inc(span[1] - span[0])
-                for qi in range(span[0], span[1]):
-                    errors.append(QueryError(index=indices[qi], error=output,
-                                             retried=retried))
-                    results.append(None)
-                    positions.append(None)
-                continue
-            chunk_results, chunk_positions, chunk_errors, chunk_timings = \
-                output
-            results.extend(chunk_results)
-            positions.extend(chunk_positions)
-            errors.extend(chunk_errors)
-            if timings is not None and chunk_timings is not None:
-                timings.merge(chunk_timings)
-        return results, positions
+                for j in range(*span):
+                    work.errors[j] = QueryError(index=work.indices[j],
+                                                error=output, retried=retried)
 
-    def _map_inter_process(self, procpool, states, k: int,
-                           seeds: Optional[List[float]],
-                           indices: List[int],
-                           budget_flops: Optional[float] = None,
-                           snap=None):
-        """Ship the batch's query states to the process pool, or ``None``.
+    def _map_inter_process(self, work: _Pending):
+        """Scan the batch's query states on worker processes, or ``None``.
 
-        ``None`` means the pool could not serve (replica publish or task
-        dispatch failed, or the published replica does not match this
-        batch's catalog snapshot because a mutation raced the publish) —
-        counted as ``policy.process_fallback`` — and the caller runs the
-        proven thread path over the snapshot it actually holds.  Query
-        states are tiny (a handful of scalars plus one reduced vector),
-        so pickling them per batch is noise next to the scans; the index
-        itself never travels — workers attach the shared-memory replica.
+        ``None`` means the process pool cannot serve this batch: it is out
+        (:meth:`_acquire_procpool`), the replica publish or task dispatch
+        failed, or the published replica does not match the batch's
+        snapshot because a mutation raced the publish — the last two
+        counted as ``policy.process_fallback``.  Query states are tiny (a
+        handful of scalars plus one reduced vector), so pickling them per
+        batch is noise next to the scans; the index itself never travels
+        — workers attach the shared-memory replica.
         """
+        procpool = self._acquire_procpool()
+        if procpool is None:
+            return None
         try:
             handle = procpool.ensure_replica(self.index)
-            if snap is not None and \
-                    tuple(handle.token) != (snap.uid, snap.state_version):
+            if tuple(handle.token) != (work.snap.uid,
+                                       work.snap.state_version):
                 self.metrics.counter("policy.process_fallback").inc()
                 return None
-            items = [
-                (indices[local],
-                 pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
-                 float(seeds[local]) if seeds is not None else -math.inf)
-                for local, state in enumerate(states)
-            ]
-            chunk_size = resolve_chunk_size(len(states), procpool.workers,
+            items = [(qi, pickle.dumps(state,
+                                       protocol=pickle.HIGHEST_PROTOCOL),
+                      float(seed))
+                     for qi, state, seed in zip(work.indices, work.states,
+                                                work.seeds)]
+            chunk_size = resolve_chunk_size(len(items), procpool.workers,
                                             self.config.chunk_size)
             return procpool.run_query_chunks(
-                handle, items, k,
+                handle, items, work.k,
                 deadline_ms=self.config.deadline_ms,
-                budget_flops=budget_flops,
-                collect=self.config.collect_timings,
+                budget_flops=work.budget_flops,
+                collect=work.collect,
                 chunk_size=chunk_size)
         except Exception:
             self.metrics.counter("policy.process_fallback").inc()
             return None
-
-    def _assemble_inter_process(self, outputs, states, k: int,
-                                timings: Optional[StageTimings],
-                                errors: List[QueryError],
-                                *, indices: List[int],
-                                seeds: Optional[List[float]],
-                                parent_span: Optional[Span],
-                                budget_flops: Optional[float] = None,
-                                snap=None,
-                                ) -> Tuple[List[Optional[RetrievalResult]],
-                                           List[Optional[Tuple[int, ...]]]]:
-        """Turn per-query worker outcomes into results, errors and stores.
-
-        ``"ok"`` outcomes carry exact positions/scores/stats from the
-        worker; the deadline policy is enforced here in the parent
-        (policy is serving-layer law, workers only report what they
-        scanned).  ``"err"`` outcomes are replayed locally through
-        :meth:`_scan_one` so retry, isolation and metrics semantics stay
-        byte-for-byte those of the thread path.
-        """
-        if snap is None:
-            snap = self.index._live
-        results: List[Optional[RetrievalResult]] = []
-        positions: List[Optional[Tuple[int, ...]]] = []
-        for local, out in enumerate(outputs):
-            qi = indices[local]
-            seed = seeds[local] if seeds is not None else -math.inf
-            if out[0] == "ok":
-                __, stats, scan_positions, scores, elapsed, qtimings = out
-                try:
-                    self._enforce_deadline_policy(qi, stats)
-                    self._enforce_budget_policy(qi, stats)
-                except (DeadlineExceededError,
-                        BudgetExhaustedError) as error:
-                    self.metrics.counter("errors.queries").inc()
-                    errors.append(QueryError(index=qi, error=error))
-                    results.append(None)
-                    positions.append(None)
-                    continue
-                if timings is not None and qtimings is not None:
-                    timings.merge(qtimings)
-                bounds = None
-                if budget_flops is not None:
-                    bounds = catalog_bounds(
-                        snap, states[local].q_norm, list(scores),
-                        [(0, snap.n, stats.scanned)], stats.delta_scanned)
-                results.append(assemble_result(
-                    snap.full_order, list(scan_positions), list(scores),
-                    stats, elapsed, bounds=bounds))
-                positions.append(tuple(scan_positions))
-            else:
-                result, query_error, scan_positions = self._scan_one(
-                    qi, states[local], k, timings, seed=seed,
-                    parent_span=parent_span, budget_flops=budget_flops,
-                    snap=snap)
-                results.append(result)
-                positions.append(scan_positions)
-                if query_error is not None:
-                    errors.append(query_error)
-        return results, positions
 
     def _retry_chunk(self, run_chunk, span: Tuple[int, int],
                      error: Exception):
@@ -1042,208 +967,144 @@ class RetrievalService:
         except Exception as retry_error:
             return retry_error
 
-    def _scan_one(self, qi: int, state, k: int,
-                  timings: Optional[StageTimings],
-                  seed: float = -math.inf,
-                  parent_span: Optional[Span] = None,
-                  engine: Optional[str] = None,
-                  budget_flops: Optional[float] = None,
-                  snap=None,
-                  ) -> Tuple[Optional[RetrievalResult], Optional[QueryError],
-                             Optional[Tuple[int, ...]]]:
-        """One deadline-armed, fault-tagged single scan with bounded retry.
-
-        ``seed`` warm-starts the engine's live threshold (must be a strict
-        lower bound on the true k-th score; ``-inf`` = cold).  ``engine``
-        overrides the index's configured engine for this scan (the
-        planner's per-batch decision; ``None`` = index default).
-        ``budget_flops`` arms a fresh :class:`~repro.core.budget.FlopBudget`
-        per attempt (retries start with a full budget) and attaches the
-        certified band to the result.  Returns ``(result, None,
-        positions)`` on success — ``positions`` are the result's raw
-        length-sorted scan positions, which the cache stores for bucket
-        re-scoring — or ``(None, QueryError, None)`` after retries are
-        exhausted; never raises.  ``snap`` pins the catalog snapshot the
-        scan runs over (the batch's, so a retry cannot silently move to
-        a newer catalog than its neighbours saw).
-        """
-        if snap is None:
-            snap = self.index._live
-        attempt = 0
-        retried = False
-        while True:
-            span = parent_span.child("scan", query=qi, attempt=attempt) \
-                if parent_span is not None else None
-            budget = FlopBudget(budget_flops) \
-                if budget_flops is not None else None
-            try:
-                with _faultsites.tagged(f"q={qi}"):
-                    scan_started = time.perf_counter()
-                    buffer, stats = self.index._scan(
-                        state, k,
-                        options=ScanOptions(initial_threshold=seed,
-                                            deadline=self._new_deadline(),
-                                            budget=budget,
-                                            timings=timings, span=span),
-                        engine=engine, snapshot=snap,
-                    )
-                    elapsed = time.perf_counter() - scan_started
-                self._enforce_deadline_policy(qi, stats)
-                self._enforce_budget_policy(qi, stats)
-                if retried:
-                    self.metrics.counter("retries.recovered").inc()
-                if span is not None:
-                    if stats.deadline_hit or stats.budget_exhausted:
-                        span.event("degraded", scanned=stats.scanned)
-                    span.end()
-                scan_positions, scores = buffer.items_and_scores()
-                bounds = None
-                if budget is not None:
-                    bounds = catalog_bounds(
-                        snap, state.q_norm, scores,
-                        [(0, snap.n, stats.scanned)], stats.delta_scanned)
-                return assemble_result(
-                    snap.full_order, scan_positions, scores,
-                    stats, elapsed, bounds=bounds,
-                ), None, tuple(scan_positions)
-            except Exception as error:
-                if span is not None:
-                    span.set(error=type(error).__name__).end()
-                if self._retry.should_retry(error, attempt):
-                    attempt += 1
-                    retried = True
-                    self.metrics.counter("retries").inc()
-                    self._retry.backoff()
-                    continue
-                self.metrics.counter("errors.queries").inc()
-                return None, QueryError(index=qi, error=error,
-                                        retried=retried), None
-
-    def _scan_intra_query(self, states, k: int,
-                          timings: Optional[StageTimings],
-                          errors: List[QueryError],
-                          *, indices: List[int],
-                          seeds: Optional[List[float]] = None,
-                          parent_span: Optional[Span] = None,
-                          engine: Optional[str] = None,
-                          budget_flops: Optional[float] = None,
-                          snap=None,
-                          ) -> Tuple[List[Optional[RetrievalResult]],
-                                     List[Optional[Tuple[int, ...]]]]:
+    def _scan_intra_query(self, work: _Pending) -> None:
         """Answer queries one at a time, each fanned over the index shards.
 
-        A shard fan-out failure feeds the circuit breaker and the query
-        immediately falls back to the proven single-scan path
-        (:meth:`_scan_one`), so an unlucky shard costs latency, not the
-        answer.  Successes re-close a half-open breaker.  ``indices`` and
-        ``seeds`` behave as in :meth:`_scan_inter_query`; a warm seed
-        primes the cross-shard :class:`~repro.core.sharded.SharedThreshold`
-        (and survives into the single-scan fallback).
+        :meth:`ShardedFexiproIndex._scan_sharded` picks each fan-out's
+        executor.  Under the process executor the service offers it the
+        process pool, and counts ``policy.intra_fallback`` once per batch
+        when a fan-out asked for that pool and found it out (the shards
+        then run serially).  A fan-out failure feeds the circuit breaker
+        and the query falls back to the single scan of :meth:`_attempt`,
+        so an unlucky shard costs latency, not the answer; successes
+        re-close a half-open breaker.  A warm seed primes the cross-shard
+        threshold (and survives into the fallback).
         """
         sharded = self.sharded_index
-        if snap is None:
-            snap = self.index._live
-        collect = timings is not None
-        procpool = None
-        pool = self._pool
-        budgeted = budget_flops is not None and math.isfinite(budget_flops)
-        if self._executor_mode == "process" \
-                and engine in (None, "blocked") and not budgeted:
-            # A finite budget needs the deterministic serial greedy
-            # allocation inside _scan_sharded — the process fan-out
-            # cannot share one accounting cell across workers.
-            # Worker processes run the blocked cascade; a GEMM engine
-            # decision stays in-process on the thread pool, whose BLAS
-            # kernels release the GIL anyway.
-            procpool = self._acquire_procpool()
-            if procpool is None:
-                # Satellite of the 0.87x fix: without real cores the
-                # shard fan-out runs honestly serial, and says so.
-                self.metrics.counter("policy.intra_fallback").inc()
-                pool = self._fallback_pool()
-        results: List[Optional[RetrievalResult]] = []
-        positions: List[Optional[Tuple[int, ...]]] = []
-        for local, state in enumerate(states):
-            qi = indices[local]
-            seed = seeds[local] if seeds is not None else -math.inf
-            span = parent_span.child("scan.sharded", query=qi) \
-                if parent_span is not None else None
-            budget = FlopBudget(budget_flops) \
-                if budget_flops is not None else None
-            options = ScanOptions(initial_threshold=seed,
+        asked: list = []
+
+        def procpool():
+            asked.append(self._acquire_procpool())
+            return asked[-1]
+
+        offer = procpool if self._executor_mode == "process" else None
+        for j, state in enumerate(work.states):
+            qi = work.indices[j]
+            span = work.span.child("scan.sharded", query=qi) \
+                if work.span is not None else None
+            options = ScanOptions(initial_threshold=work.seeds[j],
                                   deadline=self._new_deadline(),
-                                  budget=budget,
-                                  span=span)
+                                  budget=work.new_budget(), span=span)
             try:
                 with _faultsites.tagged(f"q={qi}"):
-                    scan_started = time.perf_counter()
-                    out = None
-                    if procpool is not None:
-                        out = sharded._scan_sharded_process(
-                            procpool, state, k, options, collect,
-                            snap, sharded._catalog_spans(snap))
-                        # None: the published replica raced a mutation
-                        # and no longer matches this batch's snapshot —
-                        # scan the snapshot we hold, honestly serial.
-                    if out is None:
-                        out = sharded._scan_sharded(
-                            state, k,
-                            pool=(self._fallback_pool()
-                                  if procpool is not None else pool),
-                            collect_timings=collect,
-                            options=options,
-                            engine=engine,
-                            snapshot=snap,
-                        )
-                    buffer, stats, _reports, scan_timings = out
-                    elapsed = time.perf_counter() - scan_started
+                    started = time.perf_counter()
+                    buffer, stats, reports, timings = sharded._scan_sharded(
+                        state, work.k, pool=self._pool, procpool=offer,
+                        collect_timings=work.collect, options=options,
+                        engine=work.engine, snapshot=work.snap)
+                    elapsed = time.perf_counter() - started
             except Exception as fanout_error:
                 if span is not None:
                     span.set(error=type(fanout_error).__name__,
                              fallback=True).end()
                 self._record_breaker(self._breaker.record_failure())
                 self.metrics.counter("policy.breaker_fallback_queries").inc()
-                result, query_error, scan_positions = self._scan_one(
-                    qi, state, k, timings, seed=seed,
-                    parent_span=parent_span, engine=engine,
-                    budget_flops=budget_flops, snap=snap)
-                results.append(result)
-                positions.append(scan_positions)
-                if query_error is not None:
-                    errors.append(query_error)
+                self._attempt(work, j)
                 continue
             self._record_breaker(self._breaker.record_success())
+            self._attempt(work, j, (*buffer.items_and_scores(), stats,
+                                    elapsed, timings, reports), span)
+        if None in asked:
+            self.metrics.counter("policy.intra_fallback").inc()
+
+    def _attempt(self, work: _Pending, j: int, outcome=None,
+                 span: Optional[Span] = None) -> None:
+        """The one attempt loop every scanned query ends in; never raises.
+
+        ``outcome`` is a raw outcome an executor already produced — a
+        worker process's ``"ok"`` scan, or a shard fan-out together with
+        its ``scan.sharded`` span — and is finished first.  Otherwise each
+        attempt scans state ``j`` in-process (:meth:`_scan_one`) under the
+        ``q=<i>`` fault tag and a fresh ``scan`` span.  A transient
+        failure is retried per the service's :class:`RetryPolicy`; a final
+        failure, including a ``"fail"`` policy on a truncated scan,
+        becomes the slot's :class:`QueryError` (counted in
+        ``errors.queries``).
+        """
+        qi = work.indices[j]
+        attempt = 0
+        while True:
             try:
-                self._enforce_deadline_policy(qi, stats)
-                self._enforce_budget_policy(qi, stats)
-            except (DeadlineExceededError, BudgetExhaustedError) as error:
+                if outcome is None:
+                    span = work.span.child("scan", query=qi,
+                                           attempt=attempt) \
+                        if work.span is not None else None
+                    with _faultsites.tagged(f"q={qi}"):
+                        outcome = self._scan_one(work, j, span)
+                self._finish(work, j, outcome, span)
+                if attempt:
+                    self.metrics.counter("retries.recovered").inc()
+                return
+            except Exception as error:
                 if span is not None:
                     span.set(error=type(error).__name__).end()
+                outcome = None
+                if self._retry.should_retry(error, attempt):
+                    attempt += 1
+                    self.metrics.counter("retries").inc()
+                    self._retry.backoff()
+                    continue
                 self.metrics.counter("errors.queries").inc()
-                errors.append(QueryError(index=qi, error=error))
-                results.append(None)
-                positions.append(None)
-                continue
-            if span is not None:
-                if stats.deadline_hit or stats.budget_exhausted:
-                    span.event("degraded", scanned=stats.scanned)
-                span.end()
-            if timings is not None and scan_timings is not None:
-                timings.merge(scan_timings)
-            scan_positions, scores = buffer.items_and_scores()
-            bounds = None
-            if budget is not None:
-                bounds = catalog_bounds(
-                    snap, state.q_norm, scores,
-                    [(r.span[0], r.span[1], r.stats.scanned)
-                     for r in _reports if r.span[0] < snap.n],
-                    stats.delta_scanned)
-            results.append(assemble_result(
-                snap.full_order, scan_positions, scores,
-                stats, elapsed, bounds=bounds,
-            ))
-            positions.append(tuple(scan_positions))
-        return results, positions
+                work.errors[j] = QueryError(index=qi, error=error,
+                                            retried=attempt > 0)
+                return
+
+    def _scan_one(self, work: _Pending, j: int, span: Optional[Span]):
+        """One in-process single scan of state ``j``, as a raw outcome.
+
+        Every call arms a fresh deadline and FLOP budget (a retry starts
+        with a full budget) and scans the batch's snapshot (a retry cannot
+        silently move to a newer catalog than its neighbours saw).
+        """
+        timings = StageTimings() if work.collect else None
+        started = time.perf_counter()
+        buffer, stats = self.index._scan(
+            work.states[j], work.k,
+            options=ScanOptions(initial_threshold=work.seeds[j],
+                                deadline=self._new_deadline(),
+                                budget=work.new_budget(),
+                                timings=timings, span=span),
+            engine=work.engine, snapshot=work.snap,
+        )
+        elapsed = time.perf_counter() - started
+        return (*buffer.items_and_scores(), stats, elapsed, timings, None)
+
+    def _finish(self, work: _Pending, j: int, outcome,
+                span: Optional[Span]) -> None:
+        """Finish one successful raw outcome into state ``j``'s slots.
+
+        ``outcome`` is ``(positions, scores, stats, elapsed, timings,
+        reports)``: the survivors' raw length-sorted positions (which the
+        cache stores for bucket re-scoring) and scores by descending
+        score, the pruning counters, scan seconds, stage timings (or
+        ``None``), and a fan-out's shard reports (``None`` for a single
+        scan).  The deadline/budget policy runs first — under ``"fail"``
+        a truncated scan raises here, before anything is recorded — then
+        the span closes (with a ``degraded`` event for a truncated scan),
+        and the timings, positions and result fill the slots; the batch
+        merges the slots' timings in request order.
+        """
+        positions, scores, stats, elapsed, timings, reports = outcome
+        self._enforce_policy(work.indices[j], stats)
+        if span is not None:
+            if stats.deadline_hit or stats.budget_exhausted:
+                span.event("degraded", scanned=stats.scanned)
+            span.end()
+        work.timings[j] = timings
+        work.positions[j] = tuple(positions)
+        work.results[j] = catalog_result(
+            work.snap, work.states[j].q_norm, positions, scores, stats,
+            elapsed, budgeted=work.budget_flops is not None, reports=reports)
 
     # ------------------------------------------------------------------
     # Resilience plumbing
@@ -1255,8 +1116,8 @@ class RetrievalService:
             return None
         return Deadline.after_ms(self.config.deadline_ms, clock=self._clock)
 
-    def _enforce_deadline_policy(self, qi: int, stats: PruningStats) -> None:
-        """Raise under the ``"fail"`` policy when a scan was truncated."""
+    def _enforce_policy(self, qi: int, stats: PruningStats) -> None:
+        """Raise under a ``"fail"`` policy when a scan was truncated."""
         if stats.deadline_hit and self.config.deadline_policy == "fail":
             raise DeadlineExceededError(
                 f"query {qi} exceeded its {self.config.deadline_ms} ms "
@@ -1264,9 +1125,6 @@ class RetrievalService:
                 f"{stats.n_items} items",
                 items_scanned=stats.scanned,
             )
-
-    def _enforce_budget_policy(self, qi: int, stats: PruningStats) -> None:
-        """Raise under the ``"fail"`` budget policy when a scan was cut."""
         if stats.budget_exhausted and self.config.budget_policy == "fail":
             raise BudgetExhaustedError(
                 f"query {qi} exhausted its "
@@ -1479,9 +1337,6 @@ class RetrievalService:
         if self._procpool is not None:
             self._procpool.close()
             self._procpool = None
-        if self._serial_pool is not None:
-            self._serial_pool.close()
-            self._serial_pool = None
         self._pool.close()
 
     def __enter__(self) -> "RetrievalService":

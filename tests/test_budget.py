@@ -368,13 +368,39 @@ def test_instantly_expired_deadline_is_empty_prefix():
 # service policies: degrade, fail, and shedding
 # ----------------------------------------------------------------------
 
-def test_budget_policy_degrade_flags_and_bounds():
-    index, queries = make_index("F-SIR")
-    config = ServiceConfig(workers=1, deadline_policy="budget",
-                           budget_flops=100 * D)
+EXECUTORS = ("serial", "thread", "process")
+
+
+def serve_batch(index, queries, executor, **config):
+    """One budget-mode batch on ``executor`` plus the metrics snapshot."""
+    config = ServiceConfig(workers=2, executor=executor,
+                           deadline_policy="budget", **config)
     with RetrievalService(index, config) as service:
-        response = service.batch(queries[:4], k=K)
-        snapshot = service.metrics_snapshot()
+        response = service.batch(queries, k=K)
+        return response, service.metrics_snapshot()
+
+
+def assert_same_response(got, want):
+    """Every executor answers (and fails) exactly as the serial one."""
+    assert len(got.results) == len(want.results)
+    for a, b in zip(got.results, want.results):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.ids == b.ids
+            assert a.scores == b.scores
+            assert a.stats.as_dict() == b.stats.as_dict()
+            assert a.bounds == b.bounds
+    assert [(e.index, e.error_type, e.retried) for e in got.errors] == \
+        [(e.index, e.error_type, e.retried) for e in want.errors]
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_budget_policy_degrade_flags_and_bounds(executor):
+    index, queries = make_index("F-SIR")
+    response, snapshot = serve_batch(index, queries[:4], executor,
+                                     budget_flops=100 * D)
+    assert_same_response(response, serve_batch(
+        index, queries[:4], "serial", budget_flops=100 * D)[0])
     assert response.budget_hits == 4
     assert response.deadline_hits == 0
     assert not response.complete
@@ -386,14 +412,21 @@ def test_budget_policy_degrade_flags_and_bounds():
     assert snapshot["counters"]["pruning.budget_exhausted"] == 4
 
 
-def test_budget_policy_fail_raises_structured_errors():
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_budget_policy_fail_raises_structured_errors(executor):
     index, queries = make_index("F-SIR")
-    config = ServiceConfig(workers=1, deadline_policy="budget",
+    config = ServiceConfig(workers=2, executor=executor,
+                           deadline_policy="budget",
                            budget_flops=50 * D, budget_policy="fail")
     with RetrievalService(index, config) as service:
         response = service.batch(queries[:4], k=K)
         with pytest.raises(BudgetExhaustedError) as excinfo:
             service.query(queries[0], k=K)
+    # The process executor reaches its "ok"-then-fail-policy branch here:
+    # workers report the truncated scan, the parent fails the query.
+    assert_same_response(response, serve_batch(
+        index, queries[:4], "serial", budget_flops=50 * D,
+        budget_policy="fail")[0])
     assert len(response.errors) == 4
     for error in response.errors:
         assert error.error_type == "BudgetExhaustedError"

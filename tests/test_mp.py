@@ -264,6 +264,32 @@ def test_service_intra_process_matches_serial():
 
 
 @needs_processes
+def test_service_replays_worker_errors_in_process(monkeypatch):
+    items, queries = make_mf_like(400, 12, seed=102)
+    index = FexiproIndex(items)
+    run_query_chunks = ProcessScanPool.run_query_chunks
+
+    def second_query_fails(self, *args, **kwargs):
+        outcomes = run_query_chunks(self, *args, **kwargs)
+        outcomes[1] = ("err", "RuntimeError", "worker died", False)
+        return outcomes
+
+    monkeypatch.setattr(ProcessScanPool, "run_query_chunks",
+                        second_query_fails)
+    config = ServiceConfig(workers=2, executor="process",
+                           trace_sample_rate=1.0)
+    with RetrievalService(index, config) as service:
+        response = service.batch(queries[:4], k=5)
+        spans = [s for s in service.tracer.spans if s.name == "scan"]
+    assert response.errors == []
+    for q, got in zip(queries[:4], response.results):
+        assert_same_result(index.query(q, k=5), got)
+    # Worker outcomes get no per-query span; the replay scans in-process.
+    assert [(s.attributes["query"], s.attributes["attempt"])
+            for s in spans] == [(1, 0)]
+
+
+@needs_processes
 def test_service_process_pool_snapshot_counts_workers():
     items, queries = make_mf_like(400, 12, seed=96)
     index = FexiproIndex(items)
@@ -325,6 +351,33 @@ def test_attach_rejects_stale_replica_token(small_items):
         attachment.close()
     finally:
         discard_replica(handle)
+
+
+def test_worker_attach_closes_the_replica_it_replaces(monkeypatch,
+                                                     small_items):
+    from repro.serve import procpool
+
+    index = FexiproIndex(small_items)
+    old = publish_replica(index)
+    index.add_items(small_items[:1])
+    new = publish_replica(index)
+    monkeypatch.setitem(procpool._WORKER, "attachments", {})
+    cache = procpool._WORKER["attachments"]
+    try:
+        obj = procpool._attach(old.path, old.token)
+        [first] = cache.values()
+        assert procpool._attach(old.path, old.token) is obj
+        # The republish has a fresh path: one entry per index remains,
+        # and the attachment it replaced is closed, not leaked.
+        procpool._attach(new.path, new.token)
+        assert len(cache) == 1
+        assert first.obj is None
+        [current] = cache.values()
+        assert tuple(current.token) == tuple(new.token)
+        current.close()
+    finally:
+        discard_replica(old)
+        discard_replica(new)
 
 
 @needs_processes

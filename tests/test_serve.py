@@ -54,6 +54,31 @@ def test_chunking_choices_do_not_change_results():
         assert ids == baseline
 
 
+def test_thread_chunks_fill_their_own_slots_under_contention():
+    # Pool threads write answers straight into the batch's per-query
+    # slots; a tiny switch interval interleaves them as often as possible.
+    import sys
+
+    items, queries = make_mf_like(300, 10, seed=86)
+    queries = np.concatenate([queries] * 4)
+    index = FexiproIndex(items, variant="F-SIR")
+    serial = [index.query(q, k=4) for q in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with RetrievalService(index, ServiceConfig(
+                workers=2, executor="thread", chunk_size=1)) as service:
+            response = service.batch(queries, k=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert response.errors == []
+    for a, b in zip(serial, response.results):
+        assert a.ids == b.ids
+        assert a.scores == b.scores
+        assert a.stats.as_dict() == b.stats.as_dict()
+    assert response.timings.total > 0.0
+
+
 def test_service_single_query_and_default_k():
     items, queries = make_mf_like(300, 10, seed=82)
     index = FexiproIndex(items)
