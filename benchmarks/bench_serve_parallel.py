@@ -11,8 +11,8 @@ sums exactly.
 Quick mode (``REPRO_QUICK=1``, used by CI) shrinks the workload so the
 parallel path is exercised on every PR in a few seconds.
 
-The speedup assertion is gated on core count: a thread pool cannot beat a
-serial loop on a single-core host, and CI runners vary; correctness is
+The speedup assertion is gated on core count: worker processes cannot beat
+a serial loop on a single-core host, and CI runners vary; correctness is
 asserted unconditionally.
 """
 

@@ -753,17 +753,16 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if name == "serve":
             cmd.add_argument("--workers", type=int, default=4,
-                             help="thread-pool size for the batch "
+                             help="worker processes for the batch "
                                   "serving comparison (default 4)")
             cmd.add_argument("--executor", default="auto",
-                             choices=("auto", "process", "thread",
-                                      "serial"),
+                             choices=("auto", "process", "serial"),
                              help="scan execution backend: 'process' runs "
                                   "scans on real cores over a shared-"
-                                  "memory index replica, 'thread' keeps "
-                                  "the GIL-bound pool, 'serial' runs "
-                                  "inline; 'auto' (default) picks "
-                                  "processes when they can win")
+                                  "memory index replica, 'serial' runs "
+                                  "them in one ordered loop; 'auto' "
+                                  "(default) sends only multi-query "
+                                  "batches of blocked scans to processes")
             cmd.add_argument("--engine", default=None,
                              choices=("auto", "reference", "blocked",
                                       "gemm"),

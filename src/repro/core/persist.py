@@ -261,6 +261,8 @@ def load_checksummed(path, kind: str, cls):
         )
     try:
         obj = pickle.loads(payload)
+    except ValidationError:
+        raise  # a decodable object that rejected its own state
     except Exception as error:  # checksum passed but payload undecodable
         raise IndexIntegrityError(
             path, f"payload failed to unpickle ({type(error).__name__}: "

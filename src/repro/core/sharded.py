@@ -83,8 +83,23 @@ __all__ = [
 ]
 
 #: Valid values for the ``executor`` knob (how the intra-query fan-out
-#: actually runs when the caller supplies no pool of its own).
-EXECUTORS = ("auto", "process", "thread", "serial")
+#: runs when the caller does not choose for it).
+EXECUTORS = ("auto", "process", "serial")
+
+
+def check_executor(executor) -> str:
+    """Validate an ``executor`` knob value (shared with the service)."""
+    if executor == "thread":
+        raise ValidationError(
+            "executor='thread' was removed (the GIL serialized its scans); "
+            "use 'serial' or 'process'"
+        )
+    if executor not in EXECUTORS:
+        raise ValidationError(
+            f"executor must be one of {EXECUTORS}; got {executor!r}"
+        )
+    return executor
+
 
 #: The span-capable scan kernels — what a shard can actually run, and
 #: what the planner chooses between for a sharded query.
@@ -193,8 +208,8 @@ def scan_shard_span(index: FexiproIndex, qs: QueryState, k: int,
 
     This is the body of the sharded scan's per-shard task, hoisted to
     module level so it is importable by reference from worker
-    *processes* (closures do not pickle); the in-process thread path
-    calls exactly the same function, so the two executors cannot drift.
+    *processes* (closures do not pickle); the in-process fan-out calls
+    exactly the same function, so the two executors cannot drift.
 
     All per-call state rides in ``options``: ``shared`` is anything with
     the :class:`SharedThreshold` duck type — the in-process cell, or a
@@ -340,19 +355,18 @@ class ShardedFexiproIndex:
         Number of contiguous length bands (default: one per core, in
         [2, 16]).  ``shards=1`` degenerates to the plain single scan.
     workers:
-        Threads for the intra-query fan-out (default: ``shards``); the
-        effective pool size is clamped to the host core count, and the
-        shards run sequentially — in band order, each seeded by its
-        predecessors — when only one worker is available.
+        Worker processes for the intra-query fan-out (default:
+        ``shards``), clamped to the shard count.  In-process, the shards
+        always run sequentially — in band order, each seeded by its
+        predecessors.
     executor:
-        How the fan-out runs when no external pool is supplied:
+        How the fan-out runs when the caller does not choose:
         ``"process"`` scans shards on real cores via a
         :class:`repro.serve.procpool.ProcessScanPool` over a
         shared-memory replica (falling back in-process when the host
-        cannot start one); ``"thread"`` keeps the GIL-bound thread pool;
-        ``"serial"`` forces the deterministic inline order; ``"auto"``
-        (default) picks processes only when they can actually win —
-        multiple workers, shards and cores, and no in-process-only
+        cannot start one); ``"serial"`` always scans in-process;
+        ``"auto"`` (default) picks processes only when they can actually
+        win — multiple workers, shards and cores, and no in-process-only
         instrumentation (armed fault injector, tracer span) active.
     **index_options:
         Forwarded to :class:`FexiproIndex` (``variant``, ``rho``, ``e``,
@@ -417,12 +431,7 @@ class ShardedFexiproIndex:
                 f"workers must be a positive integer; got {workers!r}"
             )
         self.workers = int(workers)
-        if executor not in EXECUTORS:
-            raise ValidationError(
-                f"executor must be one of {EXECUTORS}; got {executor!r}"
-            )
-        self.executor = executor
-        self._pool = None
+        self.executor = check_executor(executor)
         self._procpool = None
 
     # ------------------------------------------------------------------
@@ -489,7 +498,7 @@ class ShardedFexiproIndex:
         return result
 
     def query_detailed(
-        self, query, k: int = 10, *, pool=None,
+        self, query, k: int = 10, *,
         options: Optional[ScanOptions] = None,
         engine: Optional[str] = None,
     ) -> Tuple[RetrievalResult, List[ShardScanReport]]:
@@ -509,7 +518,7 @@ class ShardedFexiproIndex:
             ), []
         qs = self.index._prepare_query(q, snapshot=snap)
         buffer, total, reports, scan_timings = self._scan_sharded(
-            qs, k, pool=pool, collect_timings=timings_acc is not None,
+            qs, k, collect_timings=timings_acc is not None,
             options=options, snapshot=snap, engine=engine,
         )
         if timings_acc is not None and scan_timings is not None:
@@ -545,7 +554,7 @@ class ShardedFexiproIndex:
     # The sharded scan
     # ------------------------------------------------------------------
 
-    def _scan_sharded(self, qs: QueryState, k: int, *, pool=None,
+    def _scan_sharded(self, qs: QueryState, k: int, *,
                       collect_timings: bool = False,
                       options: Optional[ScanOptions] = None,
                       engine: Optional[str] = None,
@@ -553,24 +562,20 @@ class ShardedFexiproIndex:
                       procpool=None):
         """Fan one prepared query out over the shards and merge exactly.
 
-        Returns ``(merged_buffer, total_stats, reports, timings)``.  The
-        caller may supply a :class:`repro.serve.executor.WorkerPool` (the
-        serving layer shares its own); otherwise the index's lazily created
-        pool is used.  With one worker the pool runs the shard closures
-        inline in submission order — the deterministic mode the property
-        tests pin down.  Per-call behaviour rides in ``options`` (a
+        Returns ``(merged_buffer, total_stats, reports, timings)``.
+        In-process, the shards run in band order, each seeded by its
+        predecessors.  Per-call behaviour rides in ``options`` (a
         :class:`~repro.core.options.ScanOptions`).
 
         This method alone decides whether a fan-out runs on worker
         processes: only an unbudgeted fan-out whose resolved engine is
         ``"blocked"`` does, on the pool ``procpool()`` returns (the
         serving layer's hook: a zero-argument callable giving its
-        :class:`~repro.serve.procpool.ProcessScanPool`, or ``None`` when
-        that pool cannot serve now) or — with neither ``procpool`` nor
-        ``pool`` given — on the index's own, per its ``executor``.  When
-        the caller's process pool is out, or the published replica raced
-        a mutation, the shards run serially in-process over the captured
-        snapshot.
+        :class:`~repro.serve.procpool.ProcessScanPool`, or ``None`` to
+        scan in-process) or — without ``procpool`` — on the index's own,
+        per its ``executor``.  When no pool serves, or the published
+        replica raced a mutation, the shards run in-process over the
+        captured snapshot.
 
         ``options.initial_threshold`` seeds the :class:`SharedThreshold`
         cell before any shard starts (the warm-start path of
@@ -618,21 +623,17 @@ class ShardedFexiproIndex:
         # The base engine collects at the inflated capacity so tombstone
         # masking can never leave fewer than k alive survivors.
         k_eff = effective_k(snap, k)
-        serial = False
         if engine == "blocked" and not budgeted:
-            if procpool is not None:
-                chosen = procpool()
-            else:
-                chosen = self._maybe_procpool(opts) if pool is None else None
+            chosen = procpool() if procpool is not None \
+                else self._maybe_procpool(opts)
             if chosen is not None:
                 out = self._scan_sharded_process(
                     chosen, qs, k, opts, collect_timings, snap, spans)
                 if out is not None:
                     return out
-            # The caller's process pool is out, or the replica raced a
-            # mutation (its token no longer matches this snapshot): scan
-            # the captured snapshot in-process, honestly serial.
-            serial = procpool is not None or chosen is not None
+            # No process pool serves, or the replica raced a mutation
+            # (its token no longer matches this snapshot): scan the
+            # captured snapshot in-process.
         shared = SharedThreshold(opts.initial_threshold)
         if trace_span is not None:
             trace_span.set(mode="sharded", shards=len(spans),
@@ -666,12 +667,9 @@ class ShardedFexiproIndex:
             outputs = [run_shard(numbered)
                        for numbered in enumerate(spans)]
         else:
-            if serial:
-                from ..serve.executor import WorkerPool
+            from ..serve.executor import map_in_order
 
-                pool = WorkerPool(1)
-            outputs = self._resolve_pool(pool).map(run_shard,
-                                                   list(enumerate(spans)))
+            outputs = map_in_order(run_shard, list(enumerate(spans)))
 
         out = _merge_shards(snap, k, k_eff, spans, outputs, collect_timings,
                             trace_span)
@@ -691,10 +689,9 @@ class ShardedFexiproIndex:
         lives in a shared-memory slot and the deadline travels as an
         absolute monotonic expiry.  The merge is byte-for-byte the same
         loop, in the same span order, so results stay bitwise identical
-        to the serial and thread paths (:func:`_merge_shards`).  Trace
-        spans are reconstructed
-        post-hoc from the per-shard outcomes (a worker process cannot
-        write into the parent's tracer ring).
+        to the in-process path (:func:`_merge_shards`).  Trace spans are
+        reconstructed post-hoc from the per-shard outcomes (a worker
+        process cannot write into the parent's tracer ring).
 
         Returns ``None`` when the published replica does not match this
         scan's captured snapshot (a mutation landed between the snapshot
@@ -747,15 +744,14 @@ class ShardedFexiproIndex:
 
         Explicit ``executor="process"`` gets the pool whenever the host
         can start one (falling back to the in-process path otherwise —
-        never an error, matching the thread pool's clamp-to-one-core
-        behaviour).  ``"auto"`` is conservative: real parallelism must be
-        worth having (multiple workers, shards and cores) and nothing
+        never an error).  ``"auto"`` is conservative: real parallelism must
+        be worth having (multiple workers, shards and cores) and nothing
         in-process-only may be armed — a live fault injector fires in the
         *parent's* sites, and a tracer's ring only the parent can write
         block-level events into.
         """
-        executor = getattr(self, "executor", "auto")
-        if executor in ("thread", "serial"):
+        executor = self.executor
+        if executor == "serial":
             return None
         from ..serve.procpool import process_executor_usable
 
@@ -778,22 +774,12 @@ class ShardedFexiproIndex:
                 max(1, min(self.workers, self.n_shards)))
         return self._procpool
 
-    def _resolve_pool(self, pool):
-        if pool is not None:
-            return pool
-        if self._pool is None:
-            from ..serve.executor import WorkerPool
-
-            workers = max(1, min(self.workers, self.n_shards))
-            if getattr(self, "executor", "auto") == "serial":
-                workers = 1
-            self._pool = WorkerPool(workers)
-        return self._pool
-
     @property
     def resolved_workers(self) -> int:
         """Effective intra-query pool size (after shard/core clamping)."""
-        return self._resolve_pool(None).workers
+        if self.executor == "serial":
+            return 1
+        return max(1, min(self.workers, self.n_shards, os.cpu_count() or 1))
 
     # ------------------------------------------------------------------
     # Persistence and lifecycle
@@ -803,9 +789,8 @@ class ShardedFexiproIndex:
         """Persist the sharded index (inner index + shard configuration).
 
         Checksummed format 2 (:mod:`repro.core.persist`), same pickle
-        caveats as :meth:`FexiproIndex.save`; the worker pool is never
-        stored — it is recreated (and re-clamped to the loading host's
-        cores) on first use.
+        caveats as :meth:`FexiproIndex.save`; the process pool is never
+        stored — it is recreated on first use.
         """
         from .persist import save_checksummed
 
@@ -825,21 +810,24 @@ class ShardedFexiproIndex:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_pool"] = None      # thread pools do not pickle
-        state["_procpool"] = None  # neither do process pools
+        state["_procpool"] = None  # process pools do not pickle
         return state
 
     def __setstate__(self, state):
+        state = dict(state)
+        state.pop("_pool", None)  # files saved with a thread pool slot
+        # Files saved before the executor knob existed restore as "auto";
+        # "thread" named the in-process fan-out, which is "serial" now.
+        executor = state.setdefault("executor", "auto")
+        if executor == "thread":
+            state["executor"] = "serial"
+        else:
+            check_executor(executor)
         self.__dict__.update(state)
-        # Files saved before the executor knob existed restore cleanly.
-        self.__dict__.setdefault("executor", "auto")
-        self.__dict__.setdefault("_procpool", None)
+        self._procpool = None
 
     def close(self) -> None:
-        """Shut the internal pools down (if any were ever created)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Shut the process pool down (if one was ever created)."""
         if self._procpool is not None:
             self._procpool.close()
             self._procpool = None

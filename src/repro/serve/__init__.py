@@ -4,8 +4,9 @@ The paper's conclusion names LEMP-style batch workloads as the natural
 extension of single-query FEXIPRO; this package is that extension's serving
 layer:
 
-- :class:`RetrievalService` — answers query batches through a chunked
-  thread pool, with per-query latency capture and pruning-counter rollups.
+- :class:`RetrievalService` — answers query batches in chunks, in order
+  or on worker processes, with per-query latency capture and
+  pruning-counter rollups.
   Wrapping a :class:`~repro.core.sharded.ShardedFexiproIndex` unlocks a
   second parallelism axis: small batches are routed down the *intra-query*
   path (each query fanned over the index's length-band shards), large
@@ -15,11 +16,11 @@ layer:
   tunables;
 - :class:`MetricsRegistry`, :class:`Counter`, :class:`Histogram` — a
   dependency-free metrics substrate the engines feed;
-- :class:`WorkerPool` + chunking helpers — the execution layer;
+- chunking helpers — the execution layer;
 - :class:`ProcessScanPool` (PR 6) — a multi-process executor that runs
   scans on real cores over a shared-memory (mmap) replica of the index,
-  selected via ``ServiceConfig.executor`` (``"auto"`` picks it whenever
-  it can win; results stay bitwise identical);
+  selected via ``ServiceConfig.executor`` (``"auto"`` sends it only
+  multi-query batches of blocked scans; results stay bitwise identical);
 - a failure model (PR 3): per-query :class:`Deadline` budgets with
   exact-prefix degradation, per-query fault isolation surfacing
   :class:`QueryError` entries (with a bounded :class:`RetryPolicy`), a
@@ -50,7 +51,7 @@ Quickstart::
 from .cache import CacheEntry, CacheLookup, QueryCache
 from .compactor import Compactor
 from .config import ServiceConfig, default_workers
-from .executor import WorkerPool, chunk_spans, resolve_chunk_size
+from .executor import chunk_spans, resolve_chunk_size
 from .faults import FaultInjector, FaultRule
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -91,7 +92,6 @@ __all__ = [
     "RetrievalService",
     "RetryPolicy",
     "ServiceConfig",
-    "WorkerPool",
     "chunk_spans",
     "default_workers",
     "is_transient",

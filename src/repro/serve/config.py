@@ -6,16 +6,16 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+from ..core.sharded import check_executor
 from ..exceptions import ValidationError
 
 
 def default_workers() -> int:
     """A sensible worker count for this host: one per core, capped at 8.
 
-    The scan workload is NumPy-kernel-bound, so threads beyond the core
-    count only add scheduling noise; the cap keeps a big machine from
-    spawning dozens of threads for a layer whose block scans already
-    saturate memory bandwidth with a few.
+    Worker processes beyond the core count only add scheduling noise; the
+    cap keeps a big machine from starting dozens of processes for a layer
+    whose block scans already saturate memory bandwidth with a few.
     """
     return max(1, min(8, os.cpu_count() or 1))
 
@@ -27,11 +27,10 @@ class ServiceConfig:
     Parameters
     ----------
     workers:
-        Size of the service's worker pools: the in-process (thread) pool,
-        clamped to the host's cores, and the process pool of the
-        ``"process"`` executor, which is not.  ``1`` runs batches inline
-        (no pool, fully deterministic scheduling) — useful for debugging
-        and as the serial baseline in benchmarks.
+        Size of the process pool (not clamped to the host's cores).
+        Clamped to the cores, it also sets the default chunking and the
+        intra-query limit.  ``1`` never starts worker processes under
+        ``"auto"``.
     chunk_size:
         Queries per pool task.  ``None`` picks ``ceil(m / (4 * workers))``
         so each worker sees about four chunks per batch: large enough that
@@ -56,15 +55,16 @@ class ServiceConfig:
         into the model.  All engines return bitwise-identical ids and
         scores, so this knob can only ever change latency.
     executor:
-        How scans execute on the pool.  ``"thread"`` is the historical
-        GIL-bound thread pool; ``"process"`` runs scans in worker
-        *processes* attached zero-copy to a shared-memory replica of the
-        index (:mod:`repro.serve.procpool`) — real cores for the
-        Python-heavy pruning cascade; ``"serial"`` forces inline
-        execution; ``"auto"`` (default) picks processes when they can
-        win (multiple workers and cores, a real monotonic clock, no
-        armed fault injector) and threads otherwise.  Results are
-        bitwise identical across all four.
+        Where scans run.  ``"process"`` runs them in worker *processes*
+        attached zero-copy to a shared-memory replica of the index
+        (:mod:`repro.serve.procpool`) — real cores for the Python-heavy
+        pruning cascade; ``"serial"`` runs everything in one ordered loop
+        in the serving process; ``"auto"`` (default) sends to processes
+        only multi-query batches of blocked scans, when processes can win
+        (multiple workers and cores, a real monotonic clock, no armed
+        fault injector), and runs everything else serially.  Results are
+        bitwise identical across all three.  The thread executor was
+        removed: the GIL serialized its scans.
     mp_start_method:
         Start method for process executors (``"fork"`` / ``"spawn"`` /
         ``"forkserver"``); ``None`` defers to the ``REPRO_MP_START``
@@ -232,11 +232,7 @@ class ServiceConfig:
                 f"engine must be one of ('reference', 'blocked', 'gemm', "
                 f"'auto') or None; got {self.engine!r}"
             )
-        if self.executor not in ("auto", "process", "thread", "serial"):
-            raise ValidationError(
-                f"executor must be one of ('auto', 'process', 'thread', "
-                f"'serial'); got {self.executor!r}"
-            )
+        check_executor(self.executor)
         if self.mp_start_method is not None and (
                 not isinstance(self.mp_start_method, str)
                 or self.mp_start_method not in

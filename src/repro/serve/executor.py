@@ -1,25 +1,21 @@
-"""Chunked thread-pool execution for query batches.
+"""Chunked, in-order execution of query batches in the serving process.
 
-Threads — not processes — are the right pool for this workload: the blocked
-scan spends its time inside NumPy kernels that release the GIL, the index
-is shared read-only (zero pickling, zero copies), and results come back as
-small Python objects.  Chunking groups several queries per task so pool
-overhead is amortized while the per-chunk NumPy work of different workers
-overlaps.
+FEXIPRO answers a query with one sequential, length-sorted scan, and most
+of the blocked cascade is Python (the select replay above all), so threads
+cannot overlap two scans: the GIL serializes them.  In-process work
+therefore runs as one ordered loop; real parallelism comes from worker
+processes (:mod:`repro.serve.procpool`).  Chunking still groups queries
+per task: it is the unit of the ``worker`` fault site and of chunk-level
+retry, and the process executor hands chunks to its workers.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from .. import _faultsites
-from ..exceptions import ServiceClosedError, ValidationError
-
-logger = logging.getLogger(__name__)
+from ..exceptions import ValidationError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -61,88 +57,24 @@ def chunk_spans(total: int, chunk_size: int) -> List[Tuple[int, int]]:
             for start in range(0, total, chunk_size)]
 
 
-class WorkerPool:
-    """An order-preserving map over a lazily created thread pool.
+def map_in_order(fn: Callable[[T], R], items: Sequence[T], *,
+                 return_exceptions: bool = False) -> List[R]:
+    """Apply ``fn`` to every item in order on the calling thread.
 
-    With ``workers == 1`` everything runs inline on the calling thread —
-    no pool, no handoff — which doubles as the serial baseline for the
-    parallel-speedup benchmark and keeps single-worker deployments free of
-    threading entirely.
-
-    The effective pool size is ``min(workers, host cores)``: the scans are
-    NumPy-kernel-bound, so threads beyond the core count only add
-    scheduling noise.  The original request survives as :attr:`requested`
-    (and both ends up in the serving metrics snapshot), so a config written
-    for a big machine ports to a laptop without edits or surprises.
+    Each task passes through the ``worker`` fault-injection site before
+    running (a no-op unless an injector is armed).  With
+    ``return_exceptions=True`` a task that raises contributes its
+    exception object to the result list instead of poisoning the whole
+    map — the serving layer's per-chunk isolation hook.
     """
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValidationError(f"workers must be positive; got {workers}")
-        self.requested = int(workers)
-        self.workers = max(1, min(self.requested, os.cpu_count() or 1))
-        if self.workers != self.requested:
-            logger.debug(
-                "worker pool clamped to %d (requested %d, host has %d cores)",
-                self.workers, self.requested, os.cpu_count() or 1,
-            )
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._closed = False
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T], *,
-            return_exceptions: bool = False) -> List[R]:
-        """Apply ``fn`` to every item, returning results in input order.
-
-        Each task passes through the ``worker`` fault-injection site
-        before running (a no-op unless an injector is armed).  With
-        ``return_exceptions=True`` a task that raises contributes its
-        exception object to the result list instead of poisoning the whole
-        map — the serving layer's per-chunk isolation hook.  Calling
-        ``map`` on a closed pool raises
-        :class:`~repro.exceptions.ServiceClosedError` (use-after-close is
-        a lifecycle bug, not input validation).
-        """
-        if self._closed:
-            raise ServiceClosedError("worker pool is closed")
-
-        def call(item: T):
+    out: List = []
+    for item in items:
+        try:
             if _faultsites.active is not None:
                 _faultsites.fire(_faultsites.WORKER, "pool.map")
-            return fn(item)
-
-        def guarded(item: T):
-            try:
-                return call(item)
-            except Exception as error:
-                return error
-
-        task = guarded if return_exceptions else call
-        if self.workers == 1 or len(items) <= 1:
-            return [task(item) for item in items]
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-serve",
-            )
-        return list(self._executor.map(task, items))
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called."""
-        return self._closed
-
-    def close(self) -> None:
-        """Shut the pool down; further ``map`` calls raise.
-
-        Idempotent: closing an already-closed pool is a no-op.
-        """
-        self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            out.append(fn(item))
+        except Exception as error:
+            if not return_exceptions:
+                raise
+            out.append(error)
+    return out

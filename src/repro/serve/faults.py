@@ -10,15 +10,15 @@ injector is armed):
   tagged per query / per shard by the serving layer), so a rule here raises
   or stalls *inside* a scan exactly as a bad memory page or a stolen CPU
   would;
-- ``worker`` — fired by :class:`repro.serve.executor.WorkerPool` before
-  each pool task, modelling executor-level failures;
+- ``worker`` — fired by :func:`repro.serve.executor.map_in_order` before
+  each chunk or shard task, modelling executor-level failures;
 - ``io``     — a byte-level transform applied to the serialized index
   payload in :mod:`repro.core.persist`, modelling bit rot and torn writes.
 
 Determinism: all randomness comes from one ``random.Random(seed)`` guarded
-by a lock, and rules fire in declaration order.  With single-worker pools
-(the configuration the chaos tests pin down) a given seed always produces
-the same fault sequence; CI sweeps ``REPRO_FAULT_SEED`` to vary it.
+by a lock, and rules fire in declaration order.  In-process execution is
+one ordered loop, so a given seed always produces the same fault
+sequence; CI sweeps ``REPRO_FAULT_SEED`` to vary it.
 
 Example
 -------

@@ -1,10 +1,9 @@
 """The multi-process scan executor: :class:`ProcessScanPool`.
 
-Threads never fixed the intra-query fan-out: the blocked engine's pruning
+Threads cannot parallelize the scans: the blocked engine's pruning
 cascade spends much of its time in *Python* (per-row replay, heap pushes,
-bound bookkeeping), so the GIL serialized the shard scans and the
-"parallel" sharded path measured 0.87x the serial scan.  This module runs
-the same shard/chunk tasks on real cores:
+bound bookkeeping), so the GIL serialized them, and the thread executor
+was removed.  This module runs the shard/chunk tasks on real cores:
 
 - the preprocessed index is published once as a read-only format-3
   replica in ``/dev/shm`` (:mod:`repro.core.replica`) and every worker
@@ -15,7 +14,7 @@ the same shard/chunk tasks on real cores:
   (:class:`_SlotThreshold` duck-types
   :class:`~repro.core.sharded.SharedThreshold`), polled lock-free at the
   same block boundaries as before — a stale read only weakens pruning,
-  exactly as in the thread path, so results stay bitwise identical;
+  never mis-prunes, so results stay bitwise identical;
 - deadlines travel as an absolute ``time.monotonic`` expiry (the Linux
   monotonic clock is system-wide) and are re-polled in the worker at the
   same block/shard boundaries, so exact-prefix degradation keeps working;
@@ -310,9 +309,9 @@ class ProcessScanPool:
     Parameters
     ----------
     workers:
-        Pool size.  Deliberately *not* clamped to the host core count
-        (unlike the thread pool): processes schedule preemptively, and
-        the correctness tests need multi-worker pools on one-core hosts.
+        Pool size.  Deliberately *not* clamped to the host core count:
+        processes schedule preemptively, and the correctness tests need
+        multi-worker pools on one-core hosts.
     start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; default per
         :func:`resolve_start_method` (``REPRO_MP_START`` env, then fork).

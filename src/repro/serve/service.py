@@ -1,4 +1,4 @@
-"""The batch retrieval service: parallel scans over shared preparation.
+"""The batch retrieval service: scans over shared preparation.
 
 :class:`RetrievalService` is the serving-layer entry point.  A batch is
 answered in two phases:
@@ -8,15 +8,17 @@ answered in two phases:
    :func:`repro.core.index.prepare_query_states`, the same single
    implementation the one-off :meth:`FexiproIndex.query` path uses.  Results
    are therefore bit-identical to a serial loop, pool or no pool.
-2. **Scan** — the states are scanned by one of three executors: chunks
+2. **Scan** — the states are scanned by one of three sources: chunks
    of whole queries on worker processes attached to a shared-memory
-   replica of the index (:mod:`repro.serve.procpool`) or on the
-   in-process pool (threads, whose GEMM kernels release the GIL), or —
-   for small batches over a sharded index — one query at a time, fanned
-   over the index's shards.  Whichever executor ran a query, its raw
-   outcome ends in one attempt loop and one finish step, so retry,
-   isolation, deadline/budget policy, span closing, certified bounds and
-   result assembly exist once.
+   replica of the index (:mod:`repro.serve.procpool`), the same chunks
+   in one ordered loop in this process, or — for small batches over a
+   sharded index — one query at a time, fanned over the index's shards.
+   Worker processes pay off only for a batch of two or more blocked
+   scans: one query costs less to scan here than to ship, and threads
+   would not help, since the GIL serializes the cascade's Python replay.
+   Whichever source ran a query, its raw outcome ends in one attempt loop
+   and one finish step, so retry, isolation, deadline/budget policy, span
+   closing, certified bounds and result assembly exist once.
 
 On top of the two phases sits a failure model (PR 3 — see ``DESIGN.md``
 §2.8):
@@ -81,7 +83,7 @@ from ..exceptions import BudgetExhaustedError, DeadlineExceededError, \
 from ..obs.trace import Span, Tracer
 from .cache import CacheLookup, QueryCache
 from .config import ServiceConfig
-from .executor import WorkerPool, chunk_spans, resolve_chunk_size
+from .executor import chunk_spans, map_in_order, resolve_chunk_size
 from .metrics import MetricsRegistry
 from .resilience import CircuitBreaker, Deadline, RetryPolicy
 
@@ -187,7 +189,7 @@ class _Pending:
     (``-inf`` = cold).  Whichever executor scans state ``j`` fills its
     slots — ``results``, ``positions`` (raw scan positions, for cache
     stores), ``errors`` and ``timings`` — so answers land in request
-    order no matter which thread or process produced them.
+    order no matter which process produced them.
     """
 
     snap: LiveCatalog
@@ -215,7 +217,7 @@ class _Pending:
 
 
 class RetrievalService:
-    """Answer query batches over a shared index with a worker pool.
+    """Answer query batches over a shared index.
 
     Parameters
     ----------
@@ -262,8 +264,8 @@ class RetrievalService:
         by deadlines, the circuit breaker and retry backoff — swap in fakes
         for deterministic resilience tests.
 
-    The service is a context manager; leaving the ``with`` block shuts the
-    worker pool down (``close()`` is idempotent, and serving after close
+    The service is a context manager; leaving the ``with`` block shuts any
+    worker processes down (``close()`` is idempotent, and serving after close
     raises :class:`~repro.exceptions.ServiceClosedError`).
     """
 
@@ -320,8 +322,12 @@ class RetrievalService:
         self.metrics_server = None
         self._clock = clock
         self._executor_mode = self._resolve_executor()
-        self._pool = WorkerPool(
-            1 if self._executor_mode == "serial" else self.config.workers)
+        # The worker count the chunking and the intra limit plan for:
+        # the configured one (1 under "serial") clamped to the cores.
+        self._requested = 1 if self.config.executor == "serial" \
+            else self.config.workers
+        self._workers = max(1, min(self._requested, os.cpu_count() or 1))
+        self._closed = False
         self._procpool = None
         self._breaker = CircuitBreaker(
             threshold=self.config.breaker_threshold,
@@ -374,7 +380,7 @@ class RetrievalService:
         cold — see :mod:`repro.serve.cache` for the exactness argument.
         Ids and scores are identical to the cache-less service either way.
         """
-        if self._pool.closed:
+        if self._closed:
             raise ServiceClosedError("service is closed")
         wall_started = time.perf_counter()
         # One frozen catalog snapshot serves the whole batch: validation,
@@ -524,9 +530,8 @@ class RetrievalService:
         For each catalog item id in ``items``, computes the exact
         audience — every user whose forward top-k would contain it — via
         the attached :class:`~repro.core.reverse.ReverseIndex`.  Probes
-        are chunked over the worker pool (the reverse scan's heavy
-        arithmetic runs in GIL-releasing NumPy/BLAS kernels), one
-        snapshot pair pinned before the first probe serves them all, and
+        run in chunks, in order, in this process; one snapshot pair
+        pinned before the first probe serves them all, and
         failures are isolated per probe exactly like :meth:`batch`: a
         failed probe's slot is ``None`` with a structured
         :class:`~repro.exceptions.QueryError` in ``errors``.  The
@@ -541,7 +546,7 @@ class RetrievalService:
         ``serve.campaign`` root span with one ``reverse.scan`` child per
         probe.
         """
-        if self._pool.closed:
+        if self._closed:
             raise ServiceClosedError("service is closed")
         rindex = self.reverse
         if rindex is None:
@@ -566,7 +571,7 @@ class RetrievalService:
         results: List[Optional[ReverseResult]] = [None] * m
         provenance: List[str] = ["error"] * m
         errors: List[QueryError] = []
-        chunk_size = resolve_chunk_size(m, self._pool.workers,
+        chunk_size = resolve_chunk_size(m, self._workers,
                                         self.config.chunk_size)
         spans = chunk_spans(m, chunk_size)
 
@@ -594,7 +599,7 @@ class RetrievalService:
             return chunk_out
 
         agg = ReverseStats()
-        outputs = self._pool.map(run_chunk, spans, return_exceptions=True)
+        outputs = map_in_order(run_chunk, spans, return_exceptions=True)
         for span, output in zip(spans, outputs):
             if isinstance(output, Exception):
                 # The chunk died before its per-probe guards engaged
@@ -661,7 +666,7 @@ class RetrievalService:
         skip it — and no deadline is armed, so the account is always the
         complete one.  Results are exact regardless of provenance.
         """
-        if self._pool.closed:
+        if self._closed:
             raise ServiceClosedError("service is closed")
         from ..obs.explain import explain_query
         snap = self.index._live
@@ -705,28 +710,46 @@ class RetrievalService:
     # ------------------------------------------------------------------
 
     def _resolve_executor(self) -> str:
-        """Resolve ``config.executor`` to a concrete backend, once.
+        """Resolve ``config.executor`` to ``"process"`` or ``"serial"``, once.
 
-        ``"auto"`` picks processes only when they can actually win:
-        several workers, several cores, a process start method the host
-        supports, and the real monotonic clock (an injected fake clock
-        cannot tick inside another process, so deadline semantics would
-        silently change).  Explicit ``"process"`` is honoured even when
-        those heuristics say no — per-call guards still drop to the
-        serial fallback when the pool cannot serve (and count it as
-        ``policy.intra_fallback``).
+        ``"auto"`` keeps processes in play only when they can actually
+        win: several workers, several cores, a process start method the
+        host supports, and the real monotonic clock (an injected fake
+        clock cannot tick inside another process, so deadline semantics
+        would silently change).  Explicit ``"process"`` is honoured even
+        when those heuristics say no.  :meth:`_wants_processes` then
+        decides per batch.
         """
         from .procpool import process_executor_usable
 
         mode = self.config.executor
-        if mode in ("process", "thread", "serial"):
+        if mode != "auto":
             return mode
         if (self.config.workers > 1
                 and (os.cpu_count() or 1) > 1
                 and self._clock is time.monotonic
                 and process_executor_usable(self.config.mp_start_method)):
             return "process"
-        return "thread"
+        return "serial"
+
+    def _wants_processes(self, work: _Pending, intra: bool = False) -> bool:
+        """Whether ``work`` is offered the process pool: the one decision.
+
+        Explicit ``"process"`` offers it to every shard fan-out and to
+        every inter-query batch whose engine is the blocked cascade (the
+        only one workers run).  ``"auto"`` offers it only to inter-query
+        batches of two or more such queries: shipping a single query or
+        one fan-out to a worker costs more than scanning it here.  The
+        pool itself may still be out (:meth:`_acquire_procpool`), and the
+        scan then runs in-process.
+        """
+        if self._executor_mode != "process":
+            return False
+        if intra:
+            return self.config.executor == "process"
+        if work.engine not in (None, "blocked"):
+            return False
+        return self.config.executor == "process" or len(work.states) > 1
 
     def _acquire_procpool(self):
         """The live process pool, or ``None`` when it cannot serve now.
@@ -776,7 +799,7 @@ class RetrievalService:
             return "inter"
         limit = self.config.intra_query_batch_max
         if limit is None:
-            limit = max(2, self._pool.workers) - 1
+            limit = max(2, self._workers) - 1
         if not 0 < batch_size <= limit:
             return "inter"
         allowed, event = self._breaker.allow()
@@ -867,22 +890,19 @@ class RetrievalService:
     # ------------------------------------------------------------------
 
     def _scan_inter_query(self, work: _Pending) -> None:
-        """Spread whole queries over the executor (the inter-query axis).
+        """Scan whole queries, chunk by chunk (the inter-query axis).
 
-        Under the process executor the worker processes scan the batch
-        (:meth:`_map_inter_process`); their ``"ok"`` outcomes are finished
-        here and their ``"err"`` outcomes replayed in-process.  Otherwise,
-        or when the process pool cannot serve this batch, chunks of
-        queries run on the in-process pool, every query in its own
+        When :meth:`_wants_processes` says so, worker processes scan the
+        batch (:meth:`_map_inter_process`); their ``"ok"`` outcomes are
+        finished here and their ``"err"`` outcomes replayed in-process.
+        Otherwise, or when the process pool cannot serve this batch, the
+        chunks run in order in this process, every query in its own
         :meth:`_attempt` loop.  A chunk that dies before its queries start
-        (a ``worker``-site fault in the pool) is retried inline once if
-        transient, else all its queries are marked failed — the rest of
-        the batch is untouched either way.
+        (a ``worker``-site fault) is retried inline once if transient,
+        else all its queries are marked failed — the rest of the batch is
+        untouched either way.
         """
-        if self._executor_mode == "process" \
-                and work.engine in (None, "blocked"):
-            # Worker processes run the index's own (blocked) cascade; an
-            # explicit non-blocked engine decision is honoured in-process.
+        if self._wants_processes(work):
             outputs = self._map_inter_process(work)
             if outputs is not None:
                 # Replays share the batch's slots but run the engine the
@@ -897,7 +917,7 @@ class RetrievalService:
                     else:
                         self._attempt(replay, j)
                 return
-        chunk_size = resolve_chunk_size(len(work.states), self._pool.workers,
+        chunk_size = resolve_chunk_size(len(work.states), self._workers,
                                         self.config.chunk_size)
         spans = chunk_spans(len(work.states), chunk_size)
 
@@ -905,7 +925,7 @@ class RetrievalService:
             for j in range(*span):
                 self._attempt(work, j)
 
-        outputs = self._pool.map(run_chunk, spans, return_exceptions=True)
+        outputs = map_in_order(run_chunk, spans, return_exceptions=True)
         for span, output in zip(spans, outputs):
             if not isinstance(output, Exception):
                 continue
@@ -971,23 +991,26 @@ class RetrievalService:
         """Answer queries one at a time, each fanned over the index shards.
 
         :meth:`ShardedFexiproIndex._scan_sharded` picks each fan-out's
-        executor.  Under the process executor the service offers it the
-        process pool, and counts ``policy.intra_fallback`` once per batch
-        when a fan-out asked for that pool and found it out (the shards
-        then run serially).  A fan-out failure feeds the circuit breaker
-        and the query falls back to the single scan of :meth:`_attempt`,
-        so an unlucky shard costs latency, not the answer; successes
-        re-close a half-open breaker.  A warm seed primes the cross-shard
-        threshold (and survives into the fallback).
+        executor.  When :meth:`_wants_processes` says so, the service
+        offers it the process pool, and counts ``policy.intra_fallback``
+        once per batch when a fan-out asked for that pool and found it
+        out.  Otherwise the shards run in order in this process.  A
+        fan-out failure feeds the circuit breaker and the query falls
+        back to the single scan of :meth:`_attempt`, so an unlucky shard
+        costs latency, not the answer; successes re-close a half-open
+        breaker.  A warm seed primes the cross-shard threshold (and
+        survives into the fallback).
         """
         sharded = self.sharded_index
+        offered = self._wants_processes(work, intra=True)
         asked: list = []
 
         def procpool():
+            if not offered:
+                return None
             asked.append(self._acquire_procpool())
             return asked[-1]
 
-        offer = procpool if self._executor_mode == "process" else None
         for j, state in enumerate(work.states):
             qi = work.indices[j]
             span = work.span.child("scan.sharded", query=qi) \
@@ -999,7 +1022,7 @@ class RetrievalService:
                 with _faultsites.tagged(f"q={qi}"):
                     started = time.perf_counter()
                     buffer, stats, reports, timings = sharded._scan_sharded(
-                        state, work.k, pool=self._pool, procpool=offer,
+                        state, work.k, procpool=procpool,
                         collect_timings=work.collect, options=options,
                         engine=work.engine, snapshot=work.snap)
                     elapsed = time.perf_counter() - started
@@ -1270,10 +1293,11 @@ class RetrievalService:
         """A JSON-serializable snapshot of the service's metrics.
 
         Besides the registry contents this reports the deployment shape:
-        ``workers`` (requested vs. core-clamped resolved pool size and the
-        host core count), ``shards`` (the wrapped index's shard count, or
+        ``workers`` (requested vs. core-clamped resolved worker count —
+        both 1 under ``"serial"`` — and the host core count), ``shards`` (the wrapped index's shard count, or
         ``None`` for a plain single-scan index), ``executor`` (the
-        configured and resolved scan backend, plus the live process
+        configured and resolved scan backend — ``"process"`` or
+        ``"serial"`` — plus the live process
         pool's start method, per-worker task counts and replicas when one
         exists), ``breaker`` (the live
         circuit-breaker state guarding the intra-query path) and ``cache``
@@ -1281,8 +1305,8 @@ class RetrievalService:
         """
         snapshot = self.metrics.snapshot()
         snapshot["workers"] = {
-            "requested": self._pool.requested,
-            "resolved": self._pool.workers,
+            "requested": self._requested,
+            "resolved": self._workers,
             "host_cores": os.cpu_count() or 1,
         }
         snapshot["shards"] = (self.sharded_index.n_shards
@@ -1322,10 +1346,10 @@ class RetrievalService:
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has been called."""
-        return self._pool.closed
+        return self._closed
 
     def close(self) -> None:
-        """Shut the worker pool down; the service cannot serve afterwards.
+        """Shut the service down; it cannot serve afterwards.
 
         Idempotent — a second ``close()`` is a no-op, while serving after
         close raises :class:`~repro.exceptions.ServiceClosedError`.
@@ -1337,7 +1361,7 @@ class RetrievalService:
         if self._procpool is not None:
             self._procpool.close()
             self._procpool = None
-        self._pool.close()
+        self._closed = True
 
     def __enter__(self) -> "RetrievalService":
         return self

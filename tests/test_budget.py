@@ -172,7 +172,7 @@ def test_infinite_budget_is_bitwise_identical_sharded(variant, engine):
         assert armed_stats.as_dict() == seed_stats.as_dict()
 
 
-@pytest.mark.parametrize("executor", ("thread", "process"))
+@pytest.mark.parametrize("executor", ("serial", "process"))
 def test_infinite_service_budget_matches_unbudgeted(executor):
     from repro.serve.procpool import process_executor_usable
 
@@ -314,7 +314,7 @@ def test_zero_budget_sharded_scan_is_empty_prefix():
     assert result.bounds.kth_lower == -math.inf
 
 
-@pytest.mark.parametrize("executor", ("thread", "process", "serial"))
+@pytest.mark.parametrize("executor", ("process", "serial"))
 def test_zero_budget_service_batch_never_raises(executor):
     from repro.serve.procpool import process_executor_usable
 
@@ -368,7 +368,7 @@ def test_instantly_expired_deadline_is_empty_prefix():
 # service policies: degrade, fail, and shedding
 # ----------------------------------------------------------------------
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def serve_batch(index, queries, executor, **config):

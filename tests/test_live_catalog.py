@@ -214,7 +214,7 @@ def test_query_races_writer_and_compactor_bitwise():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_mutation_chaos_schedule_is_exact_or_loud(executor):
     """Seeded fault sweep over interleaved add/remove/compact/query.
 

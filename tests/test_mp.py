@@ -14,7 +14,9 @@ so the same tests run under fork and spawn legs.
 """
 
 import multiprocessing
+import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +100,8 @@ def test_resolve_start_method_rejects_unavailable():
 def test_service_config_validates_executor_knobs():
     with pytest.raises(ValidationError):
         ServiceConfig(executor="bogus")
+    with pytest.raises(ValidationError, match="removed"):
+        ServiceConfig(executor="thread")
     with pytest.raises(ValidationError):
         ServiceConfig(mp_start_method="bogus")
     assert ServiceConfig(executor="process").executor == "process"
@@ -113,6 +117,8 @@ def test_procpool_rejects_bad_workers():
 def test_sharded_index_validates_executor(small_items):
     with pytest.raises(ValidationError):
         ShardedFexiproIndex(small_items, shards=2, executor="bogus")
+    with pytest.raises(ValidationError, match="removed"):
+        ShardedFexiproIndex(small_items, shards=2, executor="thread")
 
 
 # ----------------------------------------------------------------------
@@ -287,6 +293,29 @@ def test_service_replays_worker_errors_in_process(monkeypatch):
     # Worker outcomes get no per-query span; the replay scans in-process.
     assert [(s.attributes["query"], s.attributes["attempt"])
             for s in spans] == [(1, 0)]
+
+
+@needs_processes
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
+def test_auto_sends_only_multi_row_blocked_batches_to_processes():
+    items, queries = make_mf_like(400, 12, seed=103)
+    config = ServiceConfig(workers=2, intra_query_batch_max=1)
+
+    def pool(index, batch, **overrides):
+        with RetrievalService(index, replace(config, **overrides)) \
+                as service:
+            response = service.batch(batch, k=5)
+            assert response.errors == []
+            return response.mode, \
+                service.metrics_snapshot()["executor"]["pool"]
+
+    index = FexiproIndex(items)
+    assert pool(index, queries[:1]) == ("inter", None)
+    assert pool(index, queries[:4], engine="gemm") == ("inter/gemm", None)
+    with ShardedFexiproIndex(items, shards=2) as sharded:
+        assert pool(sharded, queries[:1]) == ("intra", None)
+    mode, snapshot = pool(index, queries[:4])
+    assert mode == "inter" and snapshot is not None
 
 
 @needs_processes

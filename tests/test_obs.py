@@ -288,10 +288,10 @@ def test_service_explain_provenance_hit_warm_cold():
 def test_service_batch_emits_span_tree():
     items, queries = make_mf_like(700, 16, seed=5)
     index = FexiproIndex(items, variant="F-SIR")
-    # Pinned to threads: in-process spans are the executor's contract,
+    # Pinned to serial: in-process spans are the executor's contract,
     # and "auto" may pick worker processes on a multi-core host.
     config = ServiceConfig(workers=2, trace_sample_rate=1.0,
-                           executor="thread")
+                           executor="serial")
     with RetrievalService(index, config) as service:
         service.batch(queries[:3], K)
         spans = service.tracer.spans

@@ -68,12 +68,29 @@ def test_sharded_save_load_round_trip(tmp_path, small_items, small_queries):
     assert loaded.n_shards == 5
     assert loaded.workers == 3
     assert loaded.spans == sharded.spans
-    assert loaded._pool is None  # pools are never persisted
+    assert loaded._procpool is None  # pools are never persisted
     for q in small_queries[:5]:
         a = sharded.query(q, k=6)
         b = loaded.query(q, k=6)
         assert a.ids == b.ids
         assert a.scores == b.scores
+
+
+def test_sharded_load_maps_removed_thread_executor(tmp_path, small_items,
+                                                   small_queries):
+    from repro import ShardedFexiproIndex
+
+    sharded = ShardedFexiproIndex(small_items, shards=3, variant="F-SIR")
+    sharded.executor = "thread"  # as a file saved before its removal
+    sharded.save(tmp_path / "thread.pkl")
+    loaded = ShardedFexiproIndex.load(tmp_path / "thread.pkl")
+    assert loaded.executor == "serial"
+    for q in small_queries[:3]:
+        assert loaded.query(q, k=6).ids == sharded.index.query(q, k=6).ids
+    sharded.executor = "bogus"
+    sharded.save(tmp_path / "bogus.pkl")
+    with pytest.raises(ValidationError, match="executor"):
+        ShardedFexiproIndex.load(tmp_path / "bogus.pkl")
 
 
 def test_sharded_and_plain_formats_reject_each_other(tmp_path, small_items):

@@ -107,7 +107,7 @@ def test_sharded_engines_bitwise_identical(engine):
     items, queries = make_data(800, 20, seed=8)
     single = FexiproIndex(items, variant="F-SIR")
     sharded = ShardedFexiproIndex(items, shards=3, variant="F-SIR",
-                                  engine=engine, executor="thread")
+                                  engine=engine, executor="serial")
     with sharded:
         for q in queries[:4]:
             a = single.query(q, 7)
@@ -306,7 +306,7 @@ def test_service_engine_knob_identity(engine):
     items, queries = make_data(400, 14, seed=5)
     index = FexiproIndex(items, variant="F-SIR")
     expected = [index.query(q, 6) for q in queries[:6]]
-    config = ServiceConfig(workers=2, executor="thread", engine=engine)
+    config = ServiceConfig(workers=2, executor="serial", engine=engine)
     with RetrievalService(FexiproIndex(items, variant="F-SIR"),
                           config) as service:
         response = service.batch(queries[:6], 6)
@@ -330,7 +330,7 @@ def test_service_engine_knob_identity(engine):
 def test_service_planner_metrics_and_prometheus():
     items, queries = make_data(400, 14, seed=5)
     index = FexiproIndex(items, variant="F-SIR")
-    config = ServiceConfig(workers=2, executor="thread", engine="auto")
+    config = ServiceConfig(workers=2, executor="serial", engine="auto")
     with RetrievalService(index, config) as service:
         service.batch(queries[:4], 5)
         service.batch(queries[4:8], 5)
@@ -354,7 +354,7 @@ def test_service_planner_with_cache_warm_start_identity():
     items, queries = make_data(400, 14, seed=6)
     serial = FexiproIndex(items, variant="F-SIR")
     expected = [serial.query(q, 6) for q in queries[:6]]
-    config = ServiceConfig(workers=2, executor="thread", engine="auto",
+    config = ServiceConfig(workers=2, executor="serial", engine="auto",
                            cache_capacity=32, warm_bucket_decimals=2)
     with RetrievalService(FexiproIndex(items, variant="F-SIR"),
                           config) as service:
@@ -371,8 +371,8 @@ def test_service_intra_mode_plans_span_capable_engine():
     serial = FexiproIndex(items, variant="F-SIR")
     expected = [serial.query(q, 7) for q in queries[:2]]
     sharded = ShardedFexiproIndex(items, shards=3, variant="F-SIR",
-                                  executor="thread")
-    config = ServiceConfig(workers=2, executor="thread", engine="auto",
+                                  executor="serial")
+    config = ServiceConfig(workers=2, executor="serial", engine="auto",
                            intra_query_batch_max=3)
     with RetrievalService(sharded, config) as service:
         response = service.batch(queries[:2], 7)

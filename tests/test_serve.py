@@ -12,10 +12,10 @@ from repro.serve import (
     MetricsRegistry,
     RetrievalService,
     ServiceConfig,
-    WorkerPool,
     chunk_spans,
     resolve_chunk_size,
 )
+from repro.serve.executor import map_in_order
 
 from conftest import make_mf_like
 
@@ -52,31 +52,6 @@ def test_chunking_choices_do_not_change_results():
         if baseline is None:
             baseline = ids
         assert ids == baseline
-
-
-def test_thread_chunks_fill_their_own_slots_under_contention():
-    # Pool threads write answers straight into the batch's per-query
-    # slots; a tiny switch interval interleaves them as often as possible.
-    import sys
-
-    items, queries = make_mf_like(300, 10, seed=86)
-    queries = np.concatenate([queries] * 4)
-    index = FexiproIndex(items, variant="F-SIR")
-    serial = [index.query(q, k=4) for q in queries]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with RetrievalService(index, ServiceConfig(
-                workers=2, executor="thread", chunk_size=1)) as service:
-            response = service.batch(queries, k=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert response.errors == []
-    for a, b in zip(serial, response.results):
-        assert a.ids == b.ids
-        assert a.scores == b.scores
-        assert a.stats.as_dict() == b.stats.as_dict()
-    assert response.timings.total > 0.0
 
 
 def test_service_single_query_and_default_k():
@@ -194,21 +169,17 @@ def test_chunk_spans_cover_range_exactly():
         chunk_spans(10, 0)
 
 
-def test_worker_pool_preserves_order():
-    with WorkerPool(4) as pool:
-        out = pool.map(lambda x: x * x, list(range(50)))
-    assert out == [x * x for x in range(50)]
+def test_map_in_order_preserves_order_and_isolates_errors():
+    def square(x):
+        if x == 3:
+            raise RuntimeError("boom")
+        return x * x
 
-
-def test_worker_pool_inline_when_single_worker():
-    pool = WorkerPool(1)
-    assert pool._executor is None
-    assert pool.map(str, [1, 2, 3]) == ["1", "2", "3"]
-    assert pool._executor is None  # never spun up a thread
-    pool.close()
-    pool.close()  # idempotent
-    with pytest.raises(ServiceClosedError):
-        pool.map(str, [1])
+    out = map_in_order(square, list(range(6)), return_exceptions=True)
+    assert out[:3] == [0, 1, 4] and out[4:] == [16, 25]
+    assert isinstance(out[3], RuntimeError)
+    with pytest.raises(RuntimeError):
+        map_in_order(square, list(range(6)))
 
 
 # ----------------------------------------------------------------------
@@ -388,19 +359,6 @@ def test_intra_path_collects_timings_and_metrics():
 # Worker resolution
 # ----------------------------------------------------------------------
 
-def test_worker_pool_clamps_to_host_cores():
-    import os
-
-    cores = os.cpu_count() or 1
-    pool = WorkerPool(1_000)
-    assert pool.requested == 1_000
-    assert pool.workers == min(1_000, cores)
-    pool.close()
-    pool = WorkerPool(1)
-    assert (pool.requested, pool.workers) == (1, 1)
-    pool.close()
-
-
 def test_metrics_snapshot_reports_deployment_shape():
     import os
 
@@ -413,3 +371,7 @@ def test_metrics_snapshot_reports_deployment_shape():
     assert workers["requested"] == 3
     assert workers["resolved"] == min(3, os.cpu_count() or 1)
     assert workers["host_cores"] == (os.cpu_count() or 1)
+    config = ServiceConfig(workers=3, executor="serial")
+    with RetrievalService(index, config) as service:
+        workers = service.metrics_snapshot()["workers"]
+    assert (workers["requested"], workers["resolved"]) == (1, 1)
