@@ -563,13 +563,7 @@ def _serve_sharded_section(args, workload, index, serial,
     with RetrievalService(sharded,
                           ServiceConfig(workers=args.workers,
                                         executor=args.executor)) as service:
-        one = service.batch(workload.queries[:1], k=args.k)
-        many = service.batch(workload.queries, k=args.k)
         snapshot = service.metrics_snapshot()
-    report.print_table(
-        ["service routing", "mode"],
-        [["batch of 1", one.mode], [f"batch of {m}", many.mode]],
-    )
     report.print_table(
         ["deployment", "value"],
         [["workers requested", snapshot["workers"]["requested"]],

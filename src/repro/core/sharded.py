@@ -558,8 +558,7 @@ class ShardedFexiproIndex:
                       collect_timings: bool = False,
                       options: Optional[ScanOptions] = None,
                       engine: Optional[str] = None,
-                      snapshot: Optional[LiveCatalog] = None,
-                      procpool=None):
+                      snapshot: Optional[LiveCatalog] = None):
         """Fan one prepared query out over the shards and merge exactly.
 
         Returns ``(merged_buffer, total_stats, reports, timings)``.
@@ -567,15 +566,11 @@ class ShardedFexiproIndex:
         predecessors.  Per-call behaviour rides in ``options`` (a
         :class:`~repro.core.options.ScanOptions`).
 
-        This method alone decides whether a fan-out runs on worker
-        processes: only an unbudgeted fan-out whose resolved engine is
-        ``"blocked"`` does, on the pool ``procpool()`` returns (the
-        serving layer's hook: a zero-argument callable giving its
-        :class:`~repro.serve.procpool.ProcessScanPool`, or ``None`` to
-        scan in-process) or — without ``procpool`` — on the index's own,
-        per its ``executor``.  When no pool serves, or the published
-        replica raced a mutation, the shards run in-process over the
-        captured snapshot.
+        Only an unbudgeted fan-out whose resolved engine is ``"blocked"``
+        may run on worker processes, on the pool :meth:`_maybe_procpool`
+        picks per the index's ``executor``.  When no pool serves, or the
+        published replica raced a mutation, the shards run in-process
+        over the captured snapshot.
 
         ``options.initial_threshold`` seeds the :class:`SharedThreshold`
         cell before any shard starts (the warm-start path of
@@ -595,8 +590,8 @@ class ShardedFexiproIndex:
         shared cell was achieved by collected (scanned) items, so pruned
         and unvisited items are provably below the merged buffer's k-th
         score.  Each shard runs under a ``shard=<i>`` fault-injection tag
-        so injector rules can fail shard scans without touching
-        single-scan fallbacks.
+        so injector rules can fail shard scans without touching single
+        scans.
 
         ``options.span`` makes the fan-out trace itself: one ``scan.shard``
         child span per shard (carrying its span bounds, seeded threshold
@@ -624,8 +619,7 @@ class ShardedFexiproIndex:
         # masking can never leave fewer than k alive survivors.
         k_eff = effective_k(snap, k)
         if engine == "blocked" and not budgeted:
-            chosen = procpool() if procpool is not None \
-                else self._maybe_procpool(opts)
+            chosen = self._maybe_procpool(opts)
             if chosen is not None:
                 out = self._scan_sharded_process(
                     chosen, qs, k, opts, collect_timings, snap, spans)

@@ -3,7 +3,7 @@
 A pure renderer: takes the JSON-ready dict produced by
 :meth:`repro.serve.metrics.MetricsRegistry.snapshot` (or the richer
 :meth:`repro.serve.service.RetrievalService.metrics_snapshot`, which adds
-``workers`` / ``shards`` / ``breaker`` / ``cache`` / ``tracer`` sections)
+``workers`` / ``shards`` / ``cache`` / ``tracer`` sections)
 and emits `text exposition format 0.0.4
 <https://prometheus.io/docs/instrumenting/exposition_formats/>`_ — no
 imports from :mod:`repro.serve`, no sockets, trivially testable.
@@ -21,8 +21,8 @@ Mapping rules:
   ``..._count``
 - stage times → ``repro_stage_seconds_total{stage="integer"}``
 - deployment-shape sections → gauges (``repro_workers{kind="resolved"}``,
-  ``repro_shards``, ``repro_breaker_state{state="open"}`` one-hot, and a
-  generic numeric spill of the cache/tracer sections).
+  ``repro_shards``, and a generic numeric spill of the cache/tracer
+  sections).
 """
 
 from __future__ import annotations
@@ -152,16 +152,6 @@ def render_prometheus(snapshot: Dict[str, Any],
     if shards is not None:
         lines.append(f"# TYPE {namespace}_shards gauge")
         lines.append(f"{namespace}_shards {_format_value(shards)}")
-
-    breaker = snapshot.get("breaker")
-    if breaker:
-        name = f"{namespace}_breaker_state"
-        lines.append(f"# TYPE {name} gauge")
-        for state in ("closed", "open", "half_open"):
-            flag = 1 if breaker.get("state") == state else 0
-            lines.append(f'{name}{{state="{state}"}} {flag}')
-        _spill_numeric(lines, namespace, "breaker",
-                       {k: v for k, v in breaker.items() if k != "state"})
 
     _spill_numeric(lines, namespace, "cache", snapshot.get("cache"))
     _spill_numeric(lines, namespace, "tracer", snapshot.get("tracer"))

@@ -6,13 +6,10 @@ layer:
 
 - :class:`RetrievalService` — answers query batches in chunks, in order
   or on worker processes, with per-query latency capture and
-  pruning-counter rollups.
-  Wrapping a :class:`~repro.core.sharded.ShardedFexiproIndex` unlocks a
-  second parallelism axis: small batches are routed down the *intra-query*
-  path (each query fanned over the index's length-band shards), large
-  batches down the *inter-query* path (queries spread over workers) —
-  identical results either way, choice recorded per batch;
-- :class:`ServiceConfig` — worker/chunking/instrumentation/routing
+  pruning-counter rollups.  Every query gets one single scan; over a
+  :class:`~repro.core.sharded.ShardedFexiproIndex` the service scans
+  the inner index;
+- :class:`ServiceConfig` — worker/chunking/instrumentation/resilience
   tunables;
 - :class:`MetricsRegistry`, :class:`Counter`, :class:`Histogram` — a
   dependency-free metrics substrate the engines feed;
@@ -23,9 +20,8 @@ layer:
   multi-query batches of blocked scans; results stay bitwise identical);
 - a failure model (PR 3): per-query :class:`Deadline` budgets with
   exact-prefix degradation, per-query fault isolation surfacing
-  :class:`QueryError` entries (with a bounded :class:`RetryPolicy`), a
-  :class:`CircuitBreaker` guarding the intra-query shard fan-out, and a
-  deterministic :class:`FaultInjector` for chaos testing;
+  :class:`QueryError` entries (with a bounded :class:`RetryPolicy`), and
+  a deterministic :class:`FaultInjector` for chaos testing;
 - :class:`QueryCache` (PR 4) — an exactness-preserving LRU result cache
   with epoch-bound invalidation and a threshold warm-start path that
   seeds both engines' pruning from cached evidence (see
@@ -59,12 +55,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .resilience import (
-    CircuitBreaker,
-    Deadline,
-    RetryPolicy,
-    is_transient,
-)
+from .resilience import Deadline, RetryPolicy, is_transient
 from ..exceptions import QueryError
 from .procpool import (
     ProcessScanPool,
@@ -77,7 +68,6 @@ __all__ = [
     "BatchResponse",
     "CacheEntry",
     "CacheLookup",
-    "CircuitBreaker",
     "Compactor",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",

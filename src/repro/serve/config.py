@@ -28,9 +28,8 @@ class ServiceConfig:
     ----------
     workers:
         Size of the process pool (not clamped to the host's cores).
-        Clamped to the cores, it also sets the default chunking and the
-        intra-query limit.  ``1`` never starts worker processes under
-        ``"auto"``.
+        Clamped to the cores, it also sets the default chunking.  ``1``
+        never starts worker processes under ``"auto"``.
     chunk_size:
         Queries per pool task.  ``None`` picks ``ceil(m / (4 * workers))``
         so each worker sees about four chunks per batch: large enough that
@@ -69,19 +68,10 @@ class ServiceConfig:
         Start method for process executors (``"fork"`` / ``"spawn"`` /
         ``"forkserver"``); ``None`` defers to the ``REPRO_MP_START``
         environment variable, then the platform preference.
-    intra_query_batch_max:
-        Largest batch that is routed down the *intra-query* (sharded) path
-        when the service wraps a
-        :class:`~repro.core.sharded.ShardedFexiproIndex`.  ``None`` (the
-        default) picks ``max(2, resolved workers) - 1``: once a batch has
-        at least as many queries as the pool has workers, one-query-per-
-        worker parallelism saturates the host with less coordination than
-        fanning each query over shards.  ``0`` disables the intra-query
-        path entirely.  Ignored for plain :class:`FexiproIndex` services.
     deadline_ms:
         Per-query scan time budget in milliseconds (``None`` = unlimited).
         A fresh monotonic :class:`~repro.serve.resilience.Deadline` is
-        armed per query and polled at block/shard boundaries; expiry
+        armed per query and polled at block boundaries; expiry
         behaviour follows ``deadline_policy``.
     deadline_policy:
         ``"degrade"`` (default): an expired query returns the exact top-k
@@ -124,13 +114,6 @@ class ServiceConfig:
         expiry is never retried.
     retry_backoff_ms:
         Sleep between attempts (via the service's injectable ``sleep``).
-    breaker_threshold:
-        Consecutive intra-query (shard fan-out) failures that trip the
-        circuit breaker; an open breaker routes batches to the proven
-        single-scan path until a cooldown probe succeeds.
-    breaker_cooldown_ms:
-        How long an open breaker refuses the intra path before letting one
-        half-open probe through.
     cache_capacity:
         Entries retained by the service's :class:`~repro.serve.cache.
         QueryCache` (LRU beyond it).  ``0`` (the default) disables caching
@@ -190,7 +173,6 @@ class ServiceConfig:
     engine: Optional[str] = None
     executor: str = "auto"
     mp_start_method: Optional[str] = None
-    intra_query_batch_max: Optional[int] = None
     deadline_ms: Optional[float] = None
     deadline_policy: str = "degrade"
     budget_flops: Optional[float] = None
@@ -198,8 +180,6 @@ class ServiceConfig:
     shed_capacity_flops: Optional[float] = None
     retries: int = 1
     retry_backoff_ms: float = 0.0
-    breaker_threshold: int = 3
-    breaker_cooldown_ms: float = 1000.0
     cache_capacity: int = 0
     cache_ttl_s: Optional[float] = None
     warm_start: bool = True
@@ -240,13 +220,6 @@ class ServiceConfig:
             raise ValidationError(
                 f"mp_start_method must be 'fork', 'spawn', 'forkserver' or "
                 f"None; got {self.mp_start_method!r}"
-            )
-        if self.intra_query_batch_max is not None and (
-                not isinstance(self.intra_query_batch_max, int)
-                or self.intra_query_batch_max < 0):
-            raise ValidationError(
-                f"intra_query_batch_max must be a non-negative integer or "
-                f"None; got {self.intra_query_batch_max!r}"
             )
         if self.deadline_ms is not None and not (
                 isinstance(self.deadline_ms, (int, float))
@@ -317,20 +290,6 @@ class ServiceConfig:
             raise ValidationError(
                 f"retry_backoff_ms must be non-negative; "
                 f"got {self.retry_backoff_ms!r}"
-            )
-        if not isinstance(self.breaker_threshold, int) or \
-                isinstance(self.breaker_threshold, bool) or \
-                self.breaker_threshold < 1:
-            raise ValidationError(
-                f"breaker_threshold must be a positive integer; "
-                f"got {self.breaker_threshold!r}"
-            )
-        if not isinstance(self.breaker_cooldown_ms, (int, float)) or \
-                isinstance(self.breaker_cooldown_ms, bool) or \
-                self.breaker_cooldown_ms < 0:
-            raise ValidationError(
-                f"breaker_cooldown_ms must be non-negative; "
-                f"got {self.breaker_cooldown_ms!r}"
             )
         if not isinstance(self.cache_capacity, int) or \
                 isinstance(self.cache_capacity, bool) or \

@@ -1,15 +1,15 @@
 """Deterministic, seedable fault injection for the serving stack.
 
 Every resilience behaviour in this repo — deadline degradation, per-query
-isolation, retry, the shard circuit breaker, index-integrity verification —
+isolation, retry, shard fan-out failures, index-integrity verification —
 is tested by *injecting real faults into the real code paths*, not by
 mocking.  The call sites live in :mod:`repro._faultsites` (no-op unless an
 injector is armed):
 
 - ``scan``   — fired by the blocked/reference engines once per block (and
-  tagged per query / per shard by the serving layer), so a rule here raises
-  or stalls *inside* a scan exactly as a bad memory page or a stolen CPU
-  would;
+  tagged per query by the serving layer and per shard by the sharded
+  fan-out), so a rule here raises or stalls *inside* a scan exactly as a
+  bad memory page or a stolen CPU would;
 - ``worker`` — fired by :func:`repro.serve.executor.map_in_order` before
   each chunk or shard task, modelling executor-level failures;
 - ``io``     — a byte-level transform applied to the serialized index
@@ -65,7 +65,7 @@ class FaultRule:
         models a one-off transient fault.
     match:
         Substring the call's context must contain (e.g. ``"q=3"`` to poison
-        one query, ``"shard="`` to hit only intra-query shard scans).
+        one query, ``"shard="`` to hit only sharded fan-out scans).
     transient:
         Whether raised faults carry ``transient=True`` — the marker the
         serving layer's bounded retry honours.

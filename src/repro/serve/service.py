@@ -8,43 +8,38 @@ answered in two phases:
    :func:`repro.core.index.prepare_query_states`, the same single
    implementation the one-off :meth:`FexiproIndex.query` path uses.  Results
    are therefore bit-identical to a serial loop, pool or no pool.
-2. **Scan** — the states are scanned by one of three sources: chunks
-   of whole queries on worker processes attached to a shared-memory
-   replica of the index (:mod:`repro.serve.procpool`), the same chunks
-   in one ordered loop in this process, or — for small batches over a
-   sharded index — one query at a time, fanned over the index's shards.
+2. **Scan** — every state gets FEXIPRO's one length-sorted cascade scan
+   (Algorithm 5), in chunks of whole queries: on worker processes
+   attached to a shared-memory replica of the index
+   (:mod:`repro.serve.procpool`), or in one ordered loop in this process.
    Worker processes pay off only for a batch of two or more blocked
    scans: one query costs less to scan here than to ship, and threads
    would not help, since the GIL serializes the cascade's Python replay.
-   Whichever source ran a query, its raw outcome ends in one attempt loop
-   and one finish step, so retry, isolation, deadline/budget policy, span
-   closing, certified bounds and result assembly exist once.
+   A service over a :class:`~repro.core.sharded.ShardedFexiproIndex`
+   scans its inner index the same way; the shard fan-out is the sharded
+   index's own query API.  Whichever source ran a query, its raw outcome
+   ends in one attempt loop and one finish step, so retry, isolation,
+   deadline/budget policy, span closing, certified bounds and result
+   assembly exist once.
 
-On top of the two phases sits a failure model (PR 3 — see ``DESIGN.md``
-§2.8):
+On top of the two phases sits a failure model (see ``DESIGN.md`` §2.8):
 
 - **Deadlines** — ``ServiceConfig.deadline_ms`` arms a fresh monotonic
   :class:`~repro.serve.resilience.Deadline` per query, polled by the
-  engines at block/shard boundaries.  Expiry either degrades (the exact
-  top-k of the scanned length-sorted prefix, ``complete=False``) or fails
-  the query (:class:`~repro.exceptions.DeadlineExceededError`), per
+  engines at block boundaries.  Expiry either degrades (the exact top-k
+  of the scanned length-sorted prefix, ``complete=False``) or fails the
+  query (:class:`~repro.exceptions.DeadlineExceededError`), per
   ``deadline_policy``.
-- **Per-query fault isolation** — a raising query no longer poisons the
+- **Per-query fault isolation** — a raising query does not poison the
   batch: it becomes a structured
   :class:`~repro.serve.resilience.QueryError` in
   :attr:`BatchResponse.errors` (after one bounded retry for transient
   faults), every other query is served normally.
-- **Circuit breaker** — consecutive intra-query shard-fan-out failures
-  open a :class:`~repro.serve.resilience.CircuitBreaker` that routes
-  subsequent batches to the proven single-scan path until a cooldown
-  probe succeeds; the failing query itself falls back to a single scan
-  immediately, so shard faults degrade latency, not availability.
 
 Every query feeds the service's :class:`~repro.serve.metrics.MetricsRegistry`
 with latency observations, pruning-counter rollups and (optionally) the
 engines' per-stage wall times; resilience events surface as
-``policy.breaker_*``, ``deadline.*``, ``retries*`` and ``errors.queries``
-counters.
+``deadline.*``, ``retries*`` and ``errors.queries`` counters.
 """
 
 from __future__ import annotations
@@ -85,7 +80,7 @@ from .cache import CacheLookup, QueryCache
 from .config import ServiceConfig
 from .executor import chunk_spans, map_in_order, resolve_chunk_size
 from .metrics import MetricsRegistry
-from .resilience import CircuitBreaker, Deadline, RetryPolicy
+from .resilience import Deadline, RetryPolicy
 
 
 @dataclass
@@ -95,11 +90,9 @@ class BatchResponse:
     ``results`` are in request order and identical (ids, scores, pruning
     counters) to what a serial ``[index.query(q, k) for q in queries]``
     would produce; each result's ``elapsed`` covers its own scan.  ``stats``
-    is the exact sum of the per-query pruning counters.  ``mode`` records
-    which parallelism axis answered the batch: ``"inter"`` (queries spread
-    over workers) or ``"intra"`` (each query fanned over index shards) —
-    ids and scores are identical either way.  When the service's
-    ``config.engine`` knob is set, ``mode`` is suffixed with the engine
+    is the exact sum of the per-query pruning counters.  ``mode`` is
+    ``"inter"``: whole queries are spread over the executor.  When the
+    service's ``config.engine`` knob is set, it is suffixed with the engine
     that ran the scans (``"inter/gemm"``) and ``planner`` carries the
     decision record: the chosen engine, the cost model's per-engine
     predictions, predicted vs. actual scan seconds and the resulting
@@ -222,15 +215,12 @@ class RetrievalService:
     Parameters
     ----------
     index:
-        A preprocessed :class:`~repro.core.index.FexiproIndex` — or a
-        :class:`~repro.core.sharded.ShardedFexiproIndex`, which additionally
-        unlocks the *intra-query* path: small batches (by default, fewer
-        queries than pool workers) are answered one query at a time with
-        that query fanned over the index's length-band shards, cutting the
-        latency of a single hot query instead of only the throughput of a
-        big batch.  The routing is adaptive per batch and never changes
-        results.  The service only reads the index; one index can back
-        several services.
+        A preprocessed :class:`~repro.core.index.FexiproIndex`, or a
+        :class:`~repro.core.sharded.ShardedFexiproIndex`, whose inner
+        index the service then scans: in one process the shards would
+        run one after another, the same scan plus coordination.  The
+        shard count shows in :meth:`metrics_snapshot`.  The service only
+        reads the index; one index can back several services.
     config:
         A :class:`~repro.serve.config.ServiceConfig` (defaults are sane for
         a small multicore host).
@@ -251,7 +241,7 @@ class RetrievalService:
         (``None`` when tracing is off — the engines then pay one branch
         per block).  Sampling is per *batch*: a sampled batch gets a
         ``serve.batch`` root span with prepare / cache-lookup / per-query
-        scan (and per-shard) children.
+        scan children.
     reverse:
         An optional :class:`~repro.core.reverse.ReverseIndex` over a user
         corpus, unlocking :meth:`campaign` (reverse-MIPS audience
@@ -261,7 +251,7 @@ class RetrievalService:
         keeps sharpening the reverse scan's exact thresholds.
     clock / sleep:
         Injectable time sources (``time.monotonic`` / ``time.sleep``) used
-        by deadlines, the circuit breaker and retry backoff — swap in fakes
+        by deadlines, the query cache and retry backoff — swap in fakes
         for deterministic resilience tests.
 
     The service is a context manager; leaving the ``with`` block shuts any
@@ -322,18 +312,13 @@ class RetrievalService:
         self.metrics_server = None
         self._clock = clock
         self._executor_mode = self._resolve_executor()
-        # The worker count the chunking and the intra limit plan for:
-        # the configured one (1 under "serial") clamped to the cores.
+        # The worker count the chunking plans for: the configured one
+        # (1 under "serial") clamped to the cores.
         self._requested = 1 if self.config.executor == "serial" \
             else self.config.workers
         self._workers = max(1, min(self._requested, os.cpu_count() or 1))
         self._closed = False
         self._procpool = None
-        self._breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown_ms / 1e3,
-            clock=clock,
-        )
         self._retry = RetryPolicy(
             retries=self.config.retries,
             backoff_ms=self.config.retry_backoff_ms,
@@ -452,19 +437,15 @@ class RetrievalService:
         if collect:
             timings = StageTimings(prepare=prepare_time)
 
-        mode = self._select_mode(len(states))
-        engine, planner_info = self._plan_batch(len(states), mode, root)
+        engine, planner_info = self._plan_batch(len(states), root)
         if root is not None:
-            root.set(mode=mode)
+            root.set(mode="inter")
         work = _Pending(snap=snap, k=k, states=states, indices=pending,
                         seeds=seeds, engine=engine,
                         budget_flops=budget_flops, collect=collect,
                         span=root)
         if states:
-            if mode == "intra":
-                self._scan_intra_query(work)
-            else:
-                self._scan_inter_query(work)
+            self._scan_inter_query(work)
         errors.extend(e for e in work.errors if e is not None)
         if timings is not None:
             for scan_timings in work.timings:
@@ -507,9 +488,10 @@ class RetrievalService:
 
         total_stats = aggregate_stats(r.stats for r in scanned
                                       if r is not None)
+        mode = "inter"
         if planner_info is not None:
-            mode = self._finish_plan(planner_info, mode, engine,
-                                     scanned, total_stats)
+            mode = self._finish_plan(planner_info, engine, scanned,
+                                     total_stats)
         elapsed = time.perf_counter() - wall_started
         response = BatchResponse(results=results, stats=total_stats,
                                  elapsed=elapsed, prepare_time=prepare_time,
@@ -657,8 +639,9 @@ class RetrievalService:
         """EXPLAIN one query as this service would serve it.
 
         Runs the query through :func:`repro.obs.explain.explain_query`
-        against the service's index (the sharded fan-out when one is
-        wrapped), seeded exactly as serving would seed it: the cache is
+        against the index the service scans (the inner index when a
+        sharded one is wrapped: the single scan serving runs), seeded
+        exactly as serving would seed it: the cache is
         probed first, and a hit or warm neighbour contributes its
         threshold seed, recorded as the explanation's ``provenance``
         (``"hit"`` / ``"warm"`` / ``"cold"``).  Unlike serving, a hit
@@ -694,12 +677,10 @@ class RetrievalService:
                     seed = lookup.seed
                 if seed > -math.inf:
                     provenance = "warm"
-        target = self.sharded_index if self.sharded_index is not None \
-            else self.index
         # Explain builds its own always-sampling tracer (the service's
         # tracer may head-sample this query away, losing the trajectory).
         return explain_query(
-            target, q, k,
+            self.index, q, k,
             options=ScanOptions(initial_threshold=seed),
             provenance=provenance,
             snapshot=snap,
@@ -732,21 +713,18 @@ class RetrievalService:
             return "process"
         return "serial"
 
-    def _wants_processes(self, work: _Pending, intra: bool = False) -> bool:
+    def _wants_processes(self, work: _Pending) -> bool:
         """Whether ``work`` is offered the process pool: the one decision.
 
-        Explicit ``"process"`` offers it to every shard fan-out and to
-        every inter-query batch whose engine is the blocked cascade (the
-        only one workers run).  ``"auto"`` offers it only to inter-query
-        batches of two or more such queries: shipping a single query or
-        one fan-out to a worker costs more than scanning it here.  The
-        pool itself may still be out (:meth:`_acquire_procpool`), and the
-        scan then runs in-process.
+        Explicit ``"process"`` offers it to every batch whose engine is
+        the blocked cascade (the only one workers run).  ``"auto"`` offers
+        it only to batches of two or more such queries: shipping a single
+        query to a worker costs more than scanning it here.  The pool
+        itself may still be out (:meth:`_acquire_procpool`), and the scan
+        then runs in-process.
         """
         if self._executor_mode != "process":
             return False
-        if intra:
-            return self.config.executor == "process"
         if work.engine not in (None, "blocked"):
             return False
         return self.config.executor == "process" or len(work.states) > 1
@@ -774,43 +752,10 @@ class RetrievalService:
         return self._procpool
 
     # ------------------------------------------------------------------
-    # The two parallelism axes
+    # Planning
     # ------------------------------------------------------------------
 
-    def _select_mode(self, batch_size: int) -> str:
-        """Pick the parallelism axis for one batch (``"inter"``/``"intra"``).
-
-        Big batches keep the pool busy with one query per worker (least
-        coordination per unit of work); batches smaller than the pool would
-        leave workers idle, so — when the service wraps a sharded index —
-        each query is instead fanned over the index's shards.  Both paths
-        return identical ids and scores, so this is purely a scheduling
-        decision; :class:`BatchResponse.mode` records the choice.
-
-        The circuit breaker has the last word: while it is open (recent
-        consecutive shard failures), intra-eligible batches are routed to
-        the proven single-scan path (``policy.breaker_short_circuits``),
-        with one half-open probe after the cooldown.
-        """
-        if self.sharded_index is None or batch_size == 0:
-            return "inter"
-        if self.config.engine == "reference":
-            # The reference engine has no span scan to fan out.
-            return "inter"
-        limit = self.config.intra_query_batch_max
-        if limit is None:
-            limit = max(2, self._workers) - 1
-        if not 0 < batch_size <= limit:
-            return "inter"
-        allowed, event = self._breaker.allow()
-        if event == "probe":
-            self.metrics.counter("policy.breaker_probes").inc()
-        if not allowed:
-            self.metrics.counter("policy.breaker_short_circuits").inc()
-            return "inter"
-        return "intra"
-
-    def _plan_batch(self, pending: int, mode: str,
+    def _plan_batch(self, pending: int,
                     root: Optional[Span]) -> Tuple[Optional[str],
                                                    Optional[dict]]:
         """The planner's ``plan()`` step: pick this batch's scan engine.
@@ -821,9 +766,7 @@ class RetrievalService:
         decision record.  ``"auto"`` consults the index's calibrated
         :class:`~repro.analysis.cost_model.CostModel` (calibrating it on
         first use) and picks the engine with the lowest predicted batch
-        cost — restricted to the span-capable engines when the batch is
-        routed down the intra-query (sharded) path, since ``reference``
-        has no span scan.  The decision is counted per engine
+        cost.  The decision is counted per engine
         (``planner.decisions.<engine>``), gauged (calibration age) and
         traced (a ``plan`` event on the batch's root span); the actual
         cost is reconciled by :meth:`_finish_plan` after the scans.
@@ -832,16 +775,14 @@ class RetrievalService:
         if configured is None or pending == 0:
             return configured, None
         info: dict = {"configured": configured, "engine": configured,
-                      "mode": mode, "queries": pending,
+                      "mode": "inter", "queries": pending,
                       "predictions": None, "predicted_seconds": None,
                       "actual_seconds": None, "mispredict_ratio": None}
         if configured == "auto":
             from ..analysis.cost_model import ensure_cost_model
-            from ..core.sharded import SPAN_ENGINES
 
             model = ensure_cost_model(self.index)
-            engines = SPAN_ENGINES if mode == "intra" else None
-            engine, predictions = model.choose(engines)
+            engine, predictions = model.choose()
             info.update(
                 engine=engine,
                 predictions=predictions,
@@ -861,7 +802,7 @@ class RetrievalService:
                        predicted_seconds=info["predicted_seconds"])
         return engine, info
 
-    def _finish_plan(self, info: dict, mode: str, engine: str,
+    def _finish_plan(self, info: dict, engine: str,
                      scanned, total_stats: PruningStats) -> str:
         """Reconcile the plan with what the scans actually cost.
 
@@ -883,14 +824,14 @@ class RetrievalService:
         if info["configured"] == "auto" and actual > 0 \
                 and self.index.cost_model is not None:
             self.index.cost_model.observe(engine, total_stats, actual)
-        return f"{mode}/{engine}"
+        return f"inter/{engine}"
 
     # ------------------------------------------------------------------
-    # Dispatch: three sources of raw outcomes, one attempt/finish pair
+    # Dispatch: two sources of raw outcomes, one attempt/finish pair
     # ------------------------------------------------------------------
 
     def _scan_inter_query(self, work: _Pending) -> None:
-        """Scan whole queries, chunk by chunk (the inter-query axis).
+        """Scan whole queries, chunk by chunk.
 
         When :meth:`_wants_processes` says so, worker processes scan the
         batch (:meth:`_map_inter_process`); their ``"ok"`` outcomes are
@@ -913,7 +854,7 @@ class RetrievalService:
                     if out[0] == "ok":
                         __, stats, positions, scores, elapsed, timings = out
                         self._attempt(work, j, (positions, scores, stats,
-                                                elapsed, timings, None))
+                                                elapsed, timings))
                     else:
                         self._attempt(replay, j)
                 return
@@ -987,66 +928,11 @@ class RetrievalService:
         except Exception as retry_error:
             return retry_error
 
-    def _scan_intra_query(self, work: _Pending) -> None:
-        """Answer queries one at a time, each fanned over the index shards.
-
-        :meth:`ShardedFexiproIndex._scan_sharded` picks each fan-out's
-        executor.  When :meth:`_wants_processes` says so, the service
-        offers it the process pool, and counts ``policy.intra_fallback``
-        once per batch when a fan-out asked for that pool and found it
-        out.  Otherwise the shards run in order in this process.  A
-        fan-out failure feeds the circuit breaker and the query falls
-        back to the single scan of :meth:`_attempt`, so an unlucky shard
-        costs latency, not the answer; successes re-close a half-open
-        breaker.  A warm seed primes the cross-shard threshold (and
-        survives into the fallback).
-        """
-        sharded = self.sharded_index
-        offered = self._wants_processes(work, intra=True)
-        asked: list = []
-
-        def procpool():
-            if not offered:
-                return None
-            asked.append(self._acquire_procpool())
-            return asked[-1]
-
-        for j, state in enumerate(work.states):
-            qi = work.indices[j]
-            span = work.span.child("scan.sharded", query=qi) \
-                if work.span is not None else None
-            options = ScanOptions(initial_threshold=work.seeds[j],
-                                  deadline=self._new_deadline(),
-                                  budget=work.new_budget(), span=span)
-            try:
-                with _faultsites.tagged(f"q={qi}"):
-                    started = time.perf_counter()
-                    buffer, stats, reports, timings = sharded._scan_sharded(
-                        state, work.k, procpool=procpool,
-                        collect_timings=work.collect, options=options,
-                        engine=work.engine, snapshot=work.snap)
-                    elapsed = time.perf_counter() - started
-            except Exception as fanout_error:
-                if span is not None:
-                    span.set(error=type(fanout_error).__name__,
-                             fallback=True).end()
-                self._record_breaker(self._breaker.record_failure())
-                self.metrics.counter("policy.breaker_fallback_queries").inc()
-                self._attempt(work, j)
-                continue
-            self._record_breaker(self._breaker.record_success())
-            self._attempt(work, j, (*buffer.items_and_scores(), stats,
-                                    elapsed, timings, reports), span)
-        if None in asked:
-            self.metrics.counter("policy.intra_fallback").inc()
-
-    def _attempt(self, work: _Pending, j: int, outcome=None,
-                 span: Optional[Span] = None) -> None:
+    def _attempt(self, work: _Pending, j: int, outcome=None) -> None:
         """The one attempt loop every scanned query ends in; never raises.
 
-        ``outcome`` is a raw outcome an executor already produced — a
-        worker process's ``"ok"`` scan, or a shard fan-out together with
-        its ``scan.sharded`` span — and is finished first.  Otherwise each
+        ``outcome`` is a raw outcome a worker process already produced
+        (an ``"ok"`` scan), and is finished first.  Otherwise each
         attempt scans state ``j`` in-process (:meth:`_scan_one`) under the
         ``q=<i>`` fault tag and a fresh ``scan`` span.  A transient
         failure is retried per the service's :class:`RetryPolicy`; a final
@@ -1056,6 +942,7 @@ class RetrievalService:
         """
         qi = work.indices[j]
         attempt = 0
+        span: Optional[Span] = None
         while True:
             try:
                 if outcome is None:
@@ -1100,24 +987,23 @@ class RetrievalService:
             engine=work.engine, snapshot=work.snap,
         )
         elapsed = time.perf_counter() - started
-        return (*buffer.items_and_scores(), stats, elapsed, timings, None)
+        return (*buffer.items_and_scores(), stats, elapsed, timings)
 
     def _finish(self, work: _Pending, j: int, outcome,
                 span: Optional[Span]) -> None:
         """Finish one successful raw outcome into state ``j``'s slots.
 
-        ``outcome`` is ``(positions, scores, stats, elapsed, timings,
-        reports)``: the survivors' raw length-sorted positions (which the
-        cache stores for bucket re-scoring) and scores by descending
-        score, the pruning counters, scan seconds, stage timings (or
-        ``None``), and a fan-out's shard reports (``None`` for a single
-        scan).  The deadline/budget policy runs first — under ``"fail"``
+        ``outcome`` is ``(positions, scores, stats, elapsed, timings)``:
+        the survivors' raw length-sorted positions (which the cache
+        stores for bucket re-scoring) and scores by descending score, the
+        pruning counters, scan seconds and stage timings (or ``None``).
+        The deadline/budget policy runs first — under ``"fail"``
         a truncated scan raises here, before anything is recorded — then
         the span closes (with a ``degraded`` event for a truncated scan),
         and the timings, positions and result fill the slots; the batch
         merges the slots' timings in request order.
         """
-        positions, scores, stats, elapsed, timings, reports = outcome
+        positions, scores, stats, elapsed, timings = outcome
         self._enforce_policy(work.indices[j], stats)
         if span is not None:
             if stats.deadline_hit or stats.budget_exhausted:
@@ -1127,7 +1013,7 @@ class RetrievalService:
         work.positions[j] = tuple(positions)
         work.results[j] = catalog_result(
             work.snap, work.states[j].q_norm, positions, scores, stats,
-            elapsed, budgeted=work.budget_flops is not None, reports=reports)
+            elapsed, budgeted=work.budget_flops is not None)
 
     # ------------------------------------------------------------------
     # Resilience plumbing
@@ -1245,10 +1131,6 @@ class RetrievalService:
                        demand=demand, capacity=float(capacity))
         return admitted, (floor if admitted else budget_flops)
 
-    def _record_breaker(self, event: Optional[str]) -> None:
-        if event is not None:
-            self.metrics.counter(f"policy.breaker_{event}").inc()
-
     # ------------------------------------------------------------------
     # Metrics and lifecycle
     # ------------------------------------------------------------------
@@ -1257,10 +1139,7 @@ class RetrievalService:
         metrics = self.metrics
         metrics.counter("batches").inc()
         metrics.counter("queries").inc(len(response.results))
-        # The mode may carry a "/<engine>" planner suffix; the policy
-        # counter tracks the parallelism axis alone.
-        metrics.counter(
-            f"policy.{response.mode.split('/')[0]}_query").inc()
+        metrics.counter("policy.inter_query").inc()
         batch_hist = metrics.histogram("latency.batch_seconds")
         batch_hist.observe(response.elapsed)
         scan_hist = metrics.histogram("latency.scan_seconds")
@@ -1294,14 +1173,14 @@ class RetrievalService:
 
         Besides the registry contents this reports the deployment shape:
         ``workers`` (requested vs. core-clamped resolved worker count —
-        both 1 under ``"serial"`` — and the host core count), ``shards`` (the wrapped index's shard count, or
-        ``None`` for a plain single-scan index), ``executor`` (the
+        both 1 under ``"serial"`` — and the host core count), ``shards``
+        (the wrapped index's shard count, or ``None`` for a plain
+        index), ``executor`` (the
         configured and resolved scan backend — ``"process"`` or
         ``"serial"`` — plus the live process
         pool's start method, per-worker task counts and replicas when one
-        exists), ``breaker`` (the live
-        circuit-breaker state guarding the intra-query path) and ``cache``
-        (the query cache's counters, or ``None`` when caching is off).
+        exists) and ``cache`` (the query cache's counters, or ``None``
+        when caching is off).
         """
         snapshot = self.metrics.snapshot()
         snapshot["workers"] = {
@@ -1317,7 +1196,6 @@ class RetrievalService:
             "pool": (self._procpool.snapshot()
                      if self._procpool is not None else None),
         }
-        snapshot["breaker"] = self._breaker.snapshot()
         snapshot["cache"] = (self.cache.snapshot()
                              if self.cache is not None else None)
         snapshot["compactor"] = (self.compactor.snapshot()

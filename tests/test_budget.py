@@ -336,14 +336,22 @@ def test_zero_budget_service_batch_never_raises(executor):
 def test_zero_budget_sharded_service_batch_never_raises():
     sharded, queries = make_index("F-SIR", sharded=True)
     config = ServiceConfig(workers=2, deadline_policy="budget",
-                           budget_flops=0.0, intra_query_batch_max=100)
+                           budget_flops=0.0)
     with RetrievalService(sharded, config) as service:
         response = service.batch(queries[:3], k=K)
     assert not response.errors
     assert response.budget_hits == 3
-    for result in response.results:
+    for q, result in zip(queries[:3], response.results):
         assert result.ids == []
         assert result.bounds is not None
+        # The fan-out stops every shard at its boundary poll, and its
+        # certified band covers one segment per shard.
+        fanned, reports = sharded.query_detailed(
+            q, K, options=ScanOptions(budget=FlopBudget(0.0)))
+        assert fanned.ids == []
+        assert fanned.bounds is not None
+        assert fanned.stats.budget_exhausted == len(reports) == 3
+        assert all(r.stats.scanned == 0 for r in reports)
 
 
 def test_instantly_expired_deadline_is_empty_prefix():

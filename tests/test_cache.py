@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import FexiproIndex, ShardedFexiproIndex
+from repro.core.options import ScanOptions
 from repro.core.variants import VARIANTS
 from repro.exceptions import ValidationError
 from repro.serve import (
@@ -67,27 +68,20 @@ def test_warm_start_bitwise_identical_all_variants(variant, engine):
 
 
 def test_warm_start_sharded_intra_mode_bitwise():
+    # The shard fan-out takes a warm seed the way the cache hands one
+    # out for a smaller k: the cached k-th score, one ulp down.
     items, queries = make_mf_like(600, 16, seed=21)
-    sharded = ShardedFexiproIndex(items, shards=3)
-    truth_big = [sharded.index.query(q, 8) for q in queries[:1]]
-    truth_small = [sharded.index.query(q, 3) for q in queries[:1]]
-    config = ServiceConfig(workers=4, cache_capacity=32)
-    with RetrievalService(sharded, config) as service:
-        # A single-query batch takes the intra (shard-fanout) path on any
-        # host, however few cores the pool resolved to.
-        first = service.batch(queries[:1], k=8)
-        assert first.mode == "intra"
-        warm = service.batch(queries[:1], k=3)
-        assert warm.mode == "intra"
-        assert warm.provenance == ["warm"]
-        hot = service.batch(queries[:1], k=8)
-        assert hot.provenance == ["hit"]
-    for truth, got in zip(truth_big, first.results):
-        _assert_bitwise(truth, got)
-    for truth, got in zip(truth_big, hot.results):
-        _assert_bitwise(truth, got)
-    for truth, got in zip(truth_small, warm.results):
-        _assert_bitwise(truth, got)
+    sharded = ShardedFexiproIndex(items, shards=3, executor="serial")
+    for q in queries[:3]:
+        big = sharded.index.query(q, 8)
+        seed = math.nextafter(big.scores[2], -math.inf)
+        cold, __ = sharded.query_detailed(q, 3, options=ScanOptions())
+        warm, reports = sharded.query_detailed(
+            q, 3, options=ScanOptions(initial_threshold=seed))
+        _assert_bitwise(sharded.index.query(q, 3), cold)
+        _assert_bitwise(cold, warm)
+        assert reports[0].seeded_threshold == seed
+        assert warm.stats.scanned <= cold.stats.scanned
 
 
 def test_warm_start_ties_exactly_at_boundary():
@@ -569,11 +563,17 @@ def test_exact_hits_survive_compaction_bitwise():
 def test_exact_hits_survive_compaction_sharded_intra():
     items, queries = make_mf_like(500, 16, seed=83)
     index = ShardedFexiproIndex(items, shards=3, variant="F-SIR")
-    config = ServiceConfig(workers=2, cache_capacity=64,
-                           intra_query_batch_max=64)
+    config = ServiceConfig(workers=2, cache_capacity=64)
     with RetrievalService(index, config) as service:
         index.add_items(items[:6] * 0.7)
         warm = service.batch(queries[:4], k=5)
+        # The fan-out, delta pseudo-span included, agrees with the
+        # service's single scan on the dirty catalog.
+        for q, got in zip(queries[:4], warm.results):
+            fanned, reports = index.query_detailed(q, 5,
+                                                   options=ScanOptions())
+            assert len(reports) == 4
+            _assert_bitwise(fanned, got)
         assert index.compact()
         after = service.batch(queries[:4], k=5)
         assert all(p == "hit" for p in after.provenance)

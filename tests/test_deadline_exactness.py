@@ -235,24 +235,32 @@ def test_degraded_sharded_scan_is_exact_topk_of_scanned_union(variant,
             assert ids == sharded.index.query(q, k=K).ids
 
 
+def stepped_clock():
+    """A clock on which every poll burns 0.25 "seconds"."""
+    calls = {"n": 0}
+
+    def clock():
+        calls["n"] += 1
+        return float(calls["n"]) * 0.25
+
+    return clock
+
+
 @pytest.mark.parametrize("sharded", [False, True])
 def test_degraded_service_result_is_exact_prefix_topk(sharded):
-    """The service-level degrade path returns the prefix oracle's answer."""
+    """The service-level degrade path returns the prefix oracle's answer.
+
+    Over a sharded index the service runs the inner index's single scan,
+    so both legs check against the one-span prefix oracle.
+    """
     from repro.serve import RetrievalService, ServiceConfig
 
     index, queries = make_index("F-SIR", sharded=sharded)
     plain = index.index if sharded else index
 
-    calls = {"n": 0}
-
-    def stepped_clock():
-        calls["n"] += 1
-        return float(calls["n"]) * 0.25  # every poll burns 0.25 "seconds"
-
-    config = ServiceConfig(workers=1, deadline_ms=1_000.0,
-                           intra_query_batch_max=100)
+    config = ServiceConfig(workers=1, deadline_ms=1_000.0)
     probe = RecordingProbe()
-    service = RetrievalService(index, config, clock=stepped_clock)
+    service = RetrievalService(index, config, clock=stepped_clock())
     with service:
         _faultsites.arm(probe)
         try:
@@ -263,13 +271,44 @@ def test_degraded_service_result_is_exact_prefix_topk(sharded):
     assert response.deadline_hits >= 1
     # Group recorded contexts per query tag and check each degraded
     # result against its own scanned-set oracle.
-    spans = index.spans if sharded else None
     for qi, result in enumerate(response.results):
         contexts = [c.split(":", 1)[1] for c in probe.contexts
                     if c.startswith(f"q={qi}:")]
-        positions = scanned_positions(
-            contexts,
-            (lambda s: spans[s]) if sharded else (lambda _s: (0, plain.n)))
+        positions = scanned_positions(contexts, lambda _s: (0, plain.n))
+        qs = plain._prepare_query(queries[qi])
+        oracle_ids, oracle_scores = oracle_topk(plain, qs, positions)
+        assert [plain.order[p] for p in oracle_ids] == list(result.ids)
+        assert oracle_scores == list(result.scores)
+
+
+def test_degraded_sharded_query_is_exact_prefix_topk():
+    """The fan-out's degrade path, shard-boundary polls included."""
+    from repro.serve.resilience import Deadline
+
+    sharded, queries = make_index("F-SIR", sharded=True)
+    plain = sharded.index
+    spans = sharded.spans
+    clock = stepped_clock()
+    probe = RecordingProbe()
+    results = []
+    _faultsites.arm(probe)
+    try:
+        for qi, q in enumerate(queries[:3]):
+            options = ScanOptions(deadline=Deadline(1.0, clock=clock))
+            with _faultsites.tagged(f"q={qi}"):
+                result, reports = sharded.query_detailed(q, K,
+                                                         options=options)
+            results.append((result, reports))
+    finally:
+        _faultsites.disarm(probe)
+    # Four polls spend the deadline: later shards die at their boundary.
+    assert any(report.stats.deadline_hit and report.stats.scanned == 0
+               for __, reports in results for report in reports)
+    for qi, (result, __) in enumerate(results):
+        assert not result.complete
+        contexts = [c.split(":", 1)[1] for c in probe.contexts
+                    if c.startswith(f"q={qi}:")]
+        positions = scanned_positions(contexts, lambda s: spans[s])
         qs = plain._prepare_query(queries[qi])
         oracle_ids, oracle_scores = oracle_topk(plain, qs, positions)
         assert [plain.order[p] for p in oracle_ids] == list(result.ids)

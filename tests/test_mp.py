@@ -37,7 +37,6 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.serve import (
-    FaultInjector,
     FaultRule,
     MetricsRegistry,
     ProcessScanPool,
@@ -250,26 +249,6 @@ def test_service_inter_process_matches_serial(variant, engine):
 
 
 @needs_processes
-def test_service_intra_process_matches_serial():
-    items, queries = make_mf_like(500, 12, seed=95)
-    sharded = ShardedFexiproIndex(items, shards=4, workers=1)
-    config = ServiceConfig(workers=4, executor="process",
-                           intra_query_batch_max=4,
-                           collect_timings=False)
-    with RetrievalService(sharded, config) as service:
-        response = service.batch(queries[:2], k=6)
-        assert response.mode == "intra"
-        assert response.errors == []
-        for q, got in zip(queries[:2], response.results):
-            assert_same_answer(sharded.index.query(q, k=6), got)
-        snap = service.metrics_snapshot()["executor"]
-        assert snap["mode"] == "process"
-        assert snap["pool"] is not None
-        assert snap["pool"]["effective_workers"] >= 1
-    sharded.close()
-
-
-@needs_processes
 def test_service_replays_worker_errors_in_process(monkeypatch):
     items, queries = make_mf_like(400, 12, seed=102)
     index = FexiproIndex(items)
@@ -299,7 +278,7 @@ def test_service_replays_worker_errors_in_process(monkeypatch):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
 def test_auto_sends_only_multi_row_blocked_batches_to_processes():
     items, queries = make_mf_like(400, 12, seed=103)
-    config = ServiceConfig(workers=2, intra_query_batch_max=1)
+    config = ServiceConfig(workers=2)
 
     def pool(index, batch, **overrides):
         with RetrievalService(index, replace(config, **overrides)) \
@@ -313,7 +292,7 @@ def test_auto_sends_only_multi_row_blocked_batches_to_processes():
     assert pool(index, queries[:1]) == ("inter", None)
     assert pool(index, queries[:4], engine="gemm") == ("inter/gemm", None)
     with ShardedFexiproIndex(items, shards=2) as sharded:
-        assert pool(sharded, queries[:1]) == ("intra", None)
+        assert pool(sharded, queries[:1]) == ("inter", None)
     mode, snapshot = pool(index, queries[:4])
     assert mode == "inter" and snapshot is not None
 
@@ -331,34 +310,6 @@ def test_service_process_pool_snapshot_counts_workers():
         assert pool["live"]
         assert pool["effective_workers"] >= 1
         assert sum(pool["tasks_per_worker"].values()) >= 1
-
-
-# ----------------------------------------------------------------------
-# Satellite 1: intra-query routing falls back to *serial*, and says so
-# ----------------------------------------------------------------------
-
-@needs_processes
-def test_intra_falls_back_to_serial_when_pool_unavailable():
-    items, queries = make_mf_like(500, 12, seed=97)
-    sharded = ShardedFexiproIndex(items, shards=3, workers=1)
-    config = ServiceConfig(workers=4, executor="process",
-                           collect_timings=False)
-    with RetrievalService(sharded, config) as service:
-        # An armed injector makes the process pool unusable (workers
-        # could not replay the parent's in-flight chaos deterministically
-        # without rules of their own), so the service must fall back —
-        # to the serial scan, not the GIL-bound thread fan-out.
-        with FaultInjector([]):
-            response = service.batch(queries[:1], k=6)
-        assert response.mode == "intra"
-        assert response.errors == []
-        # The fallback is the *serial* sharded scan (not the GIL-bound
-        # thread fan-out), so the identity is total.
-        assert_same_result(sharded.query(queries[0], k=6),
-                           response.results[0])
-        counters = service.metrics_snapshot()["counters"]
-        assert counters.get("policy.intra_fallback", 0) >= 1
-    sharded.close()
 
 
 # ----------------------------------------------------------------------

@@ -280,6 +280,23 @@ def test_service_explain_provenance_hit_warm_cold():
         assert_explain_matches_registry(warm)
 
 
+def test_sharded_service_explains_the_scan_it_serves():
+    # The service scans a sharded index's inner index, and EXPLAIN
+    # accounts for that same single scan.
+    items, queries = make_mf_like(700, 16, seed=5)
+    sharded = ShardedFexiproIndex(items, shards=3, variant="F-SIR")
+    config = ServiceConfig(workers=1, collect_timings=False)
+    with RetrievalService(sharded, config) as service:
+        explanation = service.explain(queries[0], K)
+        served = service.batch(queries[:1], K).results[0]
+    assert explanation.provenance == "cold"
+    assert explanation.mode == "single"
+    assert explanation.shards is None
+    assert explanation.result.ids == served.ids
+    assert explanation.result.scores == served.scores
+    assert explanation.counters == served.stats.as_dict()
+
+
 # ----------------------------------------------------------------------
 # Service tracing integration
 # ----------------------------------------------------------------------
@@ -306,15 +323,14 @@ def test_service_batch_emits_span_tree():
     assert all(s.parent_id == root.span_id for s in scans)
 
 
-def test_service_sharded_batch_traces_shard_children():
+def test_sharded_query_traces_shard_children():
     items, queries = make_mf_like(700, 16, seed=5)
     sharded = ShardedFexiproIndex(items, shards=3, variant="F-SIR")
-    config = ServiceConfig(workers=2, trace_sample_rate=1.0,
-                           intra_query_batch_max=4)
-    with RetrievalService(sharded, config) as service:
-        response = service.batch(queries[:1], K)
-        spans = service.tracer.spans
-    assert response.mode == "intra"
+    tracer = Tracer(sample_rate=1.0)
+    root = tracer.start("scan.sharded", query=0)
+    sharded.query_detailed(queries[0], K, options=ScanOptions(span=root))
+    root.end()
+    spans = tracer.spans
     names = [s.name for s in spans]
     assert "scan.sharded" in names
     assert names.count("scan.shard") == 3
@@ -379,7 +395,6 @@ def test_render_prometheus_service_sections():
         service.batch(queries[:3], K)
         text = render_prometheus(service.metrics_snapshot())
     assert 'repro_workers{kind="requested"} 2' in text
-    assert 'repro_breaker_state{state="closed"} 1' in text
     assert "repro_cache_size" in text
     assert "repro_tracer_exported_total" in text
     assert "repro_pruning_full_products_total" in text

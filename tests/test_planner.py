@@ -314,11 +314,11 @@ def test_service_engine_knob_identity(engine):
         assert got.ids == want.ids
         assert got.scores == want.scores
     if engine is None:
-        assert response.mode in ("inter", "intra")
+        assert response.mode == "inter"
         assert response.planner is None
     else:
         mode, __, used = response.mode.partition("/")
-        assert mode in ("inter", "intra")
+        assert mode == "inter"
         assert used in ENGINES
         if engine != "auto":
             assert used == engine
@@ -366,22 +366,20 @@ def test_service_planner_with_cache_warm_start_identity():
         assert response.cache_hits == 6
 
 
-def test_service_intra_mode_plans_span_capable_engine():
+def test_service_engine_knob_over_sharded_index():
+    # The service scans a sharded index's inner index, so every engine —
+    # the reference one included — serves it.
     items, queries = make_data(700, 16, seed=9)
-    serial = FexiproIndex(items, variant="F-SIR")
-    expected = [serial.query(q, 7) for q in queries[:2]]
+    expected = FexiproIndex(items, variant="F-SIR").query(queries[0], 7)
     sharded = ShardedFexiproIndex(items, shards=3, variant="F-SIR",
                                   executor="serial")
-    config = ServiceConfig(workers=2, executor="serial", engine="auto",
-                           intra_query_batch_max=3)
-    with RetrievalService(sharded, config) as service:
-        response = service.batch(queries[:2], 7)
-    mode, __, used = response.mode.partition("/")
-    assert mode == "intra"
-    assert used in ("blocked", "gemm")  # reference cannot span-scan
-    for got, want in zip(response.results, expected):
-        assert got.ids == want.ids
-        assert got.scores == want.scores
+    for engine in ENGINES:
+        config = ServiceConfig(workers=2, executor="serial", engine=engine)
+        with RetrievalService(sharded, config) as service:
+            response = service.batch(queries[:1], 7)
+        assert response.mode == f"inter/{engine}"
+        assert response.results[0].ids == expected.ids
+        assert response.results[0].scores == expected.scores
 
 
 def test_gauge_and_registry_round_trip():

@@ -4,8 +4,8 @@ Every behaviour is driven by *real* injected faults
 (:class:`repro.serve.FaultInjector`) and injectable clocks — no mocks of
 the code under test.  ``REPRO_FAULT_SEED`` (swept by the CI chaos job)
 varies the injector seed; all assertions hold for every seed because the
-rules used here are deterministic (probability 1) and the properties
-asserted are seed-independent.
+rules used here are deterministic (probability 1) or the properties
+asserted of random ones are seed-independent.
 """
 
 import math
@@ -20,7 +20,6 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.serve import (
-    CircuitBreaker,
     Deadline,
     FaultInjector,
     FaultRule,
@@ -73,54 +72,6 @@ def test_deadline_after_ms_and_validation():
     for bad in (0, -1.0, float("nan")):
         with pytest.raises(ValidationError):
             Deadline(bad, clock=clock)
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker
-# ----------------------------------------------------------------------
-
-def test_breaker_trips_after_consecutive_failures():
-    clock = FakeClock()
-    breaker = CircuitBreaker(threshold=3, cooldown=5.0, clock=clock)
-    assert breaker.allow() == (True, None)
-    assert breaker.record_failure() is None
-    assert breaker.record_failure() is None
-    assert breaker.record_success() is None  # resets the streak
-    assert breaker.record_failure() is None
-    assert breaker.record_failure() is None
-    assert breaker.record_failure() == "opened"
-    assert breaker.state == CircuitBreaker.OPEN
-    assert breaker.allow() == (False, None)  # cooling down
-
-
-def test_breaker_half_open_probe_recloses_or_reopens():
-    clock = FakeClock()
-    breaker = CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
-    assert breaker.record_failure() == "opened"
-    assert breaker.allow() == (False, None)
-    clock.advance(5.0)
-    assert breaker.allow() == (True, "probe")
-    assert breaker.state == CircuitBreaker.HALF_OPEN
-    assert breaker.allow() == (False, None)  # one probe at a time
-    assert breaker.record_success() == "reclosed"
-    assert breaker.state == CircuitBreaker.CLOSED
-
-    assert breaker.record_failure() == "opened"
-    clock.advance(5.0)
-    assert breaker.allow() == (True, "probe")
-    assert breaker.record_failure() == "opened"  # probe failed: re-open
-    assert breaker.allow() == (False, None)
-    snap = breaker.snapshot()
-    assert snap["opened_total"] == 3
-    assert snap["reclosed_total"] == 1
-    assert snap["probes_total"] == 2
-
-
-def test_breaker_validation():
-    with pytest.raises(ValidationError):
-        CircuitBreaker(threshold=0)
-    with pytest.raises(ValidationError):
-        CircuitBreaker(cooldown=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -398,76 +349,56 @@ def test_single_query_failure_reraises(small_items, small_queries):
 
 
 # ----------------------------------------------------------------------
-# Service: circuit breaker around the intra-query path
+# Sharded indexes: shard faults are loud, the service scans the inner index
 # ----------------------------------------------------------------------
 
-def _sharded_breaker_service(items, clock, **overrides):
-    sharded = ShardedFexiproIndex(items, shards=3, workers=1,
+def test_shard_scan_fault_on_sharded_query_raises(small_items,
+                                                  small_queries):
+    sharded = ShardedFexiproIndex(small_items, shards=3, workers=1,
+                                  variant="F-SIR", executor="serial")
+    truth = [sharded.index.query(q, k=4) for q in small_queries]
+    # One failing shard fails the whole query: no partial merge.
+    with FaultInjector([FaultRule(site="scan", kind="raise",
+                                  match="shard=0")], seed=FAULT_SEED):
+        with pytest.raises(InjectedFault):
+            sharded.query(small_queries[0], k=4)
+    # Under seeded random shard faults every query either raises or is
+    # exact; none comes back wrong.
+    injector = FaultInjector(
+        [FaultRule(site="scan", kind="raise", match="shard=",
+                   probability=0.3)],
+        seed=FAULT_SEED)
+    with injector:
+        for q, want in zip(small_queries, truth):
+            try:
+                got = sharded.query(q, k=4)
+            except InjectedFault:
+                continue
+            assert got.ids == want.ids
+            assert got.scores == want.scores
+
+
+def test_sharded_service_serves_the_inner_single_scan(small_items,
+                                                      small_queries):
+    sharded = ShardedFexiproIndex(small_items, shards=3, workers=1,
                                   variant="F-SIR")
-    config = dict(workers=1, intra_query_batch_max=100,
-                  breaker_threshold=3, breaker_cooldown_ms=1_000.0)
-    config.update(overrides)
-    return RetrievalService(sharded, ServiceConfig(**config), clock=clock)
-
-
-def test_shard_faults_fall_back_per_query_then_trip_breaker(small_items,
-                                                            small_queries):
-    clock = FakeClock()
-    queries = small_queries[:3]
-    injector = FaultInjector(
-        [FaultRule(site="scan", kind="raise", match="shard=")],
-        seed=FAULT_SEED)
-    service = _sharded_breaker_service(small_items, clock)
-    serial = [service.index.query(q, k=4) for q in queries]
-    with service:
-        with injector:
-            first = service.batch(queries, k=4)  # 3 shard failures: trips
-            assert first.mode == "intra"
-            second = service.batch(queries, k=4)  # breaker open: inter
-        snapshot = service.metrics_snapshot()
-
-        # Every query was still answered — by the single-scan fallback.
-        assert not first.errors and first.complete
-        for result, truth in zip(first.results, serial):
-            assert result.ids == truth.ids
-            assert result.scores == truth.scores
-        assert second.mode == "inter"
-        assert not second.errors
-
-        assert snapshot["breaker"]["state"] == "open"
-        assert snapshot["counters"]["policy.breaker_opened"] == 1
-        assert snapshot["counters"]["policy.breaker_fallback_queries"] == 3
-        assert snapshot["counters"]["policy.breaker_short_circuits"] == 1
-
-        # Cooldown passes, the probe succeeds (faults are gone), and the
-        # breaker re-closes: intra routing resumes.
-        clock.advance(2.0)
-        third = service.batch(queries, k=4)
-        assert third.mode == "intra"
-        assert not third.errors
-        snapshot = service.metrics_snapshot()
-        assert snapshot["breaker"]["state"] == "closed"
-        assert snapshot["counters"]["policy.breaker_probes"] == 1
-        assert snapshot["counters"]["policy.breaker_reclosed"] == 1
-
-
-def test_failed_probe_reopens_breaker(small_items, small_queries):
-    clock = FakeClock()
-    injector = FaultInjector(
-        [FaultRule(site="scan", kind="raise", match="shard=")],
-        seed=FAULT_SEED)
-    service = _sharded_breaker_service(small_items, clock,
-                                       breaker_threshold=1)
-    with service, injector:
-        one = service.batch(small_queries[:1], k=4)  # trip on first failure
-        assert one.mode == "intra" and not one.errors
-        clock.advance(2.0)
-        probe = service.batch(small_queries[:1], k=4)  # probe fails again
-        assert probe.mode == "intra" and not probe.errors
-        snapshot = service.metrics_snapshot()
-    assert snapshot["breaker"]["state"] == "open"
-    assert snapshot["counters"]["policy.breaker_opened"] == 2
-    assert snapshot["counters"]["policy.breaker_probes"] == 1
+    config = ServiceConfig(workers=2, executor="serial")
+    responses = {}
+    for name, index in (("sharded", sharded), ("inner", sharded.index)):
+        with RetrievalService(index, config) as service:
+            one = service.batch(small_queries[:1], k=4)
+            many = service.batch(small_queries, k=4)
+            counters = service.metrics_snapshot()["counters"]
+        responses[name] = (one, many, counters)
+    (one, many, counters), (one_in, many_in, counters_in) = \
+        responses["sharded"], responses["inner"]
+    assert one.mode == "inter"
+    assert counters == counters_in
+    for got, want in zip(one.results + many.results,
+                         one_in.results + many_in.results):
+        assert got.ids == want.ids
+        assert got.scores == want.scores
+        assert got.stats.as_dict() == want.stats.as_dict()
 
 
 # ----------------------------------------------------------------------

@@ -273,65 +273,20 @@ def test_service_config_resilience_validation():
         ServiceConfig(retries=-1)
     with pytest.raises(ValidationError):
         ServiceConfig(retry_backoff_ms=-1.0)
-    with pytest.raises(ValidationError):
-        ServiceConfig(breaker_threshold=0)
-    with pytest.raises(ValidationError):
-        ServiceConfig(breaker_cooldown_ms=-0.5)
+    for removed in ("intra_query_batch_max", "breaker_threshold",
+                    "breaker_cooldown_ms"):
+        with pytest.raises(TypeError):
+            ServiceConfig(**{removed: 1})
     config = ServiceConfig(deadline_ms=50.0, deadline_policy="fail",
-                           retries=2, retry_backoff_ms=1.0,
-                           breaker_threshold=5, breaker_cooldown_ms=10.0)
+                           retries=2, retry_backoff_ms=1.0)
     assert config.deadline_ms == 50.0
     assert config.deadline_policy == "fail"
     assert config.retries == 2
 
 
 # ----------------------------------------------------------------------
-# Adaptive parallelism policy (sharded index serving)
+# Batch mode
 # ----------------------------------------------------------------------
-
-def _sharded_service(config=None, n=400, d=12, seed=89, shards=4):
-    from repro import ShardedFexiproIndex
-
-    items, queries = make_mf_like(n, d, seed=seed)
-    sharded = ShardedFexiproIndex(items, shards=shards, workers=2,
-                                  variant="F-SIR")
-    return RetrievalService(sharded, config), queries
-
-
-def test_service_accepts_sharded_index_and_routes_small_batches():
-    service, queries = _sharded_service(ServiceConfig(workers=2))
-    with service:
-        one = service.batch(queries[:1], k=5)
-        many = service.batch(queries, k=5)
-        snapshot = service.metrics_snapshot()
-    assert one.mode == "intra"
-    assert many.mode == "inter"
-    assert snapshot["counters"]["policy.intra_query"] == 1
-    assert snapshot["counters"]["policy.inter_query"] == 1
-    serial = [service.index.query(q, k=5) for q in queries]
-    assert one.results[0].ids == serial[0].ids
-    assert one.results[0].scores == serial[0].scores
-    for a, b in zip(many.results, serial):
-        assert a.ids == b.ids
-        assert a.scores == b.scores
-
-
-def test_intra_query_batch_max_overrides_policy():
-    forced, queries = _sharded_service(
-        ServiceConfig(workers=2, intra_query_batch_max=1_000))
-    with forced as service:
-        response = service.batch(queries, k=4)
-    assert response.mode == "intra"
-    serial = [service.index.query(q, k=4) for q in queries]
-    for a, b in zip(response.results, serial):
-        assert a.ids == b.ids and a.scores == b.scores
-
-    disabled, queries = _sharded_service(
-        ServiceConfig(workers=2, intra_query_batch_max=0))
-    with disabled as service:
-        response = service.batch(queries[:1], k=4)
-    assert response.mode == "inter"
-
 
 def test_plain_index_never_routes_intra():
     items, queries = make_mf_like(300, 10, seed=90)
@@ -341,18 +296,6 @@ def test_plain_index_never_routes_intra():
         snapshot = service.metrics_snapshot()
     assert response.mode == "inter"
     assert snapshot["shards"] is None
-
-
-def test_intra_path_collects_timings_and_metrics():
-    service, queries = _sharded_service(ServiceConfig(workers=2))
-    with service:
-        response = service.batch(queries[:1], k=5)
-        snapshot = service.metrics_snapshot()
-    assert response.mode == "intra"
-    assert response.timings is not None
-    assert response.timings.total > 0.0
-    assert snapshot["counters"]["queries"] == 1
-    assert snapshot["histograms"]["latency.scan_seconds"]["count"] == 1
 
 
 # ----------------------------------------------------------------------
