@@ -1,11 +1,11 @@
-"""Intra-query parallelism benchmark: sharded scan vs serial single scan.
+"""Intra-query parallelism benchmark: process shard fan-out vs single scan.
 
-PR 1's serving pool only helps when there are many queries to spread over
-cores; a single hot query still paid the full sequential scan.  This bench
+A serving pool only helps when there are many queries to spread over
+cores; a single hot query still pays the full sequential scan.  This bench
 measures what :class:`repro.core.sharded.ShardedFexiproIndex` buys for that
 single-query case — each query fanned over contiguous length-band shards
-with a shared best-so-far threshold — while asserting the non-negotiable
-parts unconditionally:
+on worker processes (``executor="process"``) with a shared best-so-far
+threshold — while asserting the non-negotiable parts unconditionally:
 
 - ids *and scores* are bit-identical to the single scan (exactness is the
   paper's headline, so it is the benchmark's gate too);
@@ -48,7 +48,8 @@ def _workload():
 
 def test_sharded_scan_vs_serial(benchmark, sink):
     items, queries = _workload()
-    sharded = ShardedFexiproIndex(items, shards=SHARDS, variant="F-SIR")
+    sharded = ShardedFexiproIndex(items, shards=SHARDS, variant="F-SIR",
+                                  executor="process")
     index = sharded.index  # the serial baseline shares the preprocessing
 
     def run():
@@ -61,8 +62,9 @@ def test_sharded_scan_vs_serial(benchmark, sink):
         sharded_time = time.perf_counter() - started
         return serial, serial_time, results, sharded_time
 
-    serial, serial_time, results, sharded_time = benchmark.pedantic(
-        run, rounds=1, iterations=1)
+    with sharded:
+        serial, serial_time, results, sharded_time = benchmark.pedantic(
+            run, rounds=1, iterations=1)
 
     skipped = sum(r.stats.shards_skipped for r in results)
     shard_scans = SHARDS * N_QUERIES
@@ -73,7 +75,7 @@ def test_sharded_scan_vs_serial(benchmark, sink):
         report.print_header(
             f"Single-query latency - serial scan vs {SHARDS} shards "
             f"({N_QUERIES} queries x {N_ITEMS} items x {D} dims, k={K})",
-            f"host cores: {cores}, intra-query workers: "
+            f"host cores: {cores}, fan-out worker processes: "
             f"{sharded.resolved_workers}"
             + (" [quick mode]" if QUICK else ""),
             out=out,

@@ -533,7 +533,8 @@ def _serve_sharded_section(args, workload, index, serial,
         f"{args.shards} length-band shards"
     )
     sharded = ShardedFexiproIndex.from_index(index, shards=args.shards,
-                                             workers=args.workers)
+                                             workers=args.workers,
+                                             executor=args.executor)
     started = time.perf_counter()
     skipped = scanned = 0
     identical = True
@@ -596,8 +597,7 @@ def _cmd_explain(args) -> None:
         f"query #{args.query})",
         describe(workload),
     )
-    engine = Fexipro(workload.items, variant="F-SIR",
-                     shards=args.shards or None)
+    engine = Fexipro(workload.items, variant="F-SIR")
     explanation = engine.explain(workload.queries[args.query], k=args.k)
     print(explanation.format())
     counters = explanation.counters
@@ -811,10 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--query", type=int, default=0,
                              help="which workload query to explain "
                                   "(default 0)")
-            cmd.add_argument("--shards", type=int, default=0,
-                             help="explain the sharded fan-out with this "
-                                  "many shards instead of a single scan "
-                                  "(0 = single)")
         if name == "campaign":
             cmd.add_argument("--probes", type=int, default=4,
                              help="how many probe items to audience-build "

@@ -26,7 +26,6 @@ from .reduction import MonotoneReduction, shift_constants
 from .scaling import DEFAULT_E, ScaledItems, integer_parts, scale_uniform
 from .sharded import (
     ShardedFexiproIndex,
-    SharedThreshold,
     default_shards,
     shard_spans,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ScaledItems",
     "ScanOptions",
     "ShardedFexiproIndex",
-    "SharedThreshold",
     "StageTimings",
     "TopKBuffer",
     "VARIANTS",

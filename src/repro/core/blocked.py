@@ -85,9 +85,9 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
     Each block boundary runs the stop protocol of
     :class:`repro.core.driver.BlockCursor`: ``options.deadline`` and
     ``options.budget`` are polled, the ``scan`` fault site fires, the live
-    threshold is raised to ``options.shared`` (a monotone
-    :class:`repro.core.sharded.SharedThreshold` holding only *achieved*
-    k-th-best scores, so a stale read merely weakens pruning) and
+    threshold is raised to ``options.shared`` (the process fan-out's
+    monotone cross-shard cell, holding only *achieved* k-th-best scores,
+    so a stale read merely weakens pruning) and
     ``options.span`` gets a ``block`` event.  A stop leaves the **exact**
     top-k of the ``stats.scanned`` items visited — the length-sorted order
     makes them a contiguous prefix and every pruned item is provably below

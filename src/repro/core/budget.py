@@ -6,8 +6,7 @@ work depending on host load, so under contention deadlines fire
 chaotically.  This module adds the compute-denominated sibling — in the
 spirit of "A Greedy Approach for Budgeted Maximum Inner Product Search"
 (PAPERS.md) — a per-query **FLOP budget** polled and charged at exactly
-the block/shard boundaries where ``SharedThreshold`` and ``Deadline``
-are already polled.
+the block boundaries where ``Deadline`` is already polled.
 
 Two objects live here:
 
@@ -38,9 +37,9 @@ start + scanned``::
 
 by Cauchy–Schwarz and the length sort.  :func:`tail_upper_bound` is that
 right-hand side; :func:`certified_bounds` takes the max over the scanned
-segments of a (possibly sharded) scan.  Items that *were* visited but
-pruned are provably at or below the achieved threshold, which never
-exceeds the k-th reported score — so the band
+segments (a budgeted query is one single scan, so one segment).  Items
+that *were* visited but pruned are provably at or below the achieved
+threshold, which never exceeds the k-th reported score — so the band
 ``[scores[k-1], tail_upper]`` brackets every unreported item: reported
 scores are exact lower bounds, and nothing unseen can beat
 ``tail_upper``.  The property is engine-independent and is pinned by
@@ -66,7 +65,7 @@ __all__ = [
 class FlopBudget:
     """A per-query compute budget in coordinate (multiply-accumulate) units.
 
-    Engines poll :meth:`exhausted` at block/shard boundaries — the same
+    Engines poll :meth:`exhausted` at block boundaries — the same
     sites where deadlines are polled — and :meth:`charge` the coordinates
     of each block they decide to run (*poll-then-charge*: the last block
     may overshoot ``total`` by at most one block's worth of work, and a
@@ -75,11 +74,9 @@ class FlopBudget:
     entirely — an infinite budget changes no decision, so results stay
     bitwise identical to an unbudgeted scan (property-tested).
 
-    The cell is deliberately lock-free (`spent` is a plain float): finite
-    budgets always run on serial execution paths, where accounting is
-    exact; an infinite budget may be charged from concurrent shard
-    threads, where ``spent`` is advisory and the stop condition can never
-    fire anyway.
+    The cell is deliberately lock-free (`spent` is a plain float): a
+    budgeted query is always one single scan, which charges it from one
+    thread, so the accounting is exact.
     """
 
     __slots__ = ("total", "spent")
@@ -168,12 +165,9 @@ def certified_bounds(q_norm: float, norms_sorted,
     """Assemble the :class:`ResultBounds` band for one scan.
 
     ``segments`` is one ``(start, stop, scanned)`` triple per scanned
-    span: a single scan contributes ``[(0, n, stats.scanned)]``, a
-    sharded scan one triple per shard (a skipped or deadline-unscanned
-    shard has ``scanned == 0``, so its bound is ``||q|| * norms[start]``
-    — sound, because skipping was justified by a threshold the final
-    k-th score can only exceed).  The global tail bound is the max over
-    segments.
+    span: a single scan contributes ``[(0, n, stats.scanned)]``.  An
+    unscanned segment has ``scanned == 0``, so its bound is ``||q|| *
+    norms[start]``.  The global tail bound is the max over segments.
     """
     tail = -math.inf
     for start, stop, scanned in segments:

@@ -511,25 +511,20 @@ def catalog_bounds(snap: LiveCatalog, q_norm: float, scores,
 
 
 def catalog_result(snap: LiveCatalog, q_norm: float, positions, scores,
-                   stats: PruningStats, elapsed: float, *, budgeted: bool,
-                   reports=None) -> RetrievalResult:
+                   stats: PruningStats, elapsed: float, *,
+                   budgeted: bool) -> RetrievalResult:
     """Finish one scan of ``snap`` into a :class:`RetrievalResult`.
 
     ``positions``/``scores`` are the scan's survivors by descending score.
-    A ``budgeted`` scan also gets its certified band: a single scan
-    contributes one ``(0, n, scanned)`` segment, a sharded scan one per
-    shard report.  The delta pseudo-span is not a length band, so its
-    report is left out; its tail cap rides through the suffix-max bound
-    inside :func:`catalog_bounds` instead.
+    A ``budgeted`` scan also gets its certified band: a budgeted scan is
+    always one single scan, so its base tier is the one ``(0, n,
+    scanned)`` segment, and the delta tier's tail cap rides through the
+    suffix-max bound inside :func:`catalog_bounds`.
     """
     bounds = None
     if budgeted:
-        if reports is None:
-            segments = [(0, snap.n, stats.scanned)]
-        else:
-            segments = [(r.span[0], r.span[1], r.stats.scanned)
-                        for r in reports if r.span[0] < snap.n]
-        bounds = catalog_bounds(snap, q_norm, scores, segments,
+        bounds = catalog_bounds(snap, q_norm, scores,
+                                [(0, snap.n, stats.scanned)],
                                 stats.delta_scanned)
     return assemble_result(snap.full_order, positions, scores, stats,
                            elapsed, bounds=bounds)

@@ -16,7 +16,8 @@ the shared cell; and the ``block`` span event.  A stop sets
 
 The blocked, GEMM and delta kernels call :meth:`~BlockCursor.enter` per
 block; the reference engine calls :meth:`~BlockCursor.poll` per item;
-the sharded scan polls each shard boundary with zero units.
+the process fan-out's shard scans poll each shard boundary with zero
+units.
 """
 
 from __future__ import annotations

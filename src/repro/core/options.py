@@ -38,9 +38,11 @@ class ScanOptions:
         Optional :class:`~repro.core.stats.StageTimings` accumulator for
         per-stage wall time.
     shared:
-        Optional :class:`repro.core.sharded.SharedThreshold` polled at
-        block boundaries for cross-shard threshold exchange (ignored by
-        the reference engine, which never runs inside a shard fan-out).
+        Optional cross-shard threshold cell — anything with a monotone
+        ``value`` and an ``offer`` method, such as the shared-memory slot
+        of :mod:`repro.serve.procpool` — polled at block boundaries by
+        the shard scans of a process fan-out (ignored by the reference
+        engine, which never runs inside one).
     span:
         Optional :class:`repro.obs.Span`.  When present, the engines
         record block/threshold/deadline events on it; when ``None`` (the

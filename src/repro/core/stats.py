@@ -41,18 +41,17 @@ class PruningStats:
     - ``shards_skipped``: whole length-band shards eliminated before their
       scan even started, because the cross-shard best-so-far threshold
       already exceeded ``||q|| * max ||p||`` of the shard (the
-      Cauchy–Schwarz test applied at shard granularity by
-      :class:`repro.core.sharded.ShardedFexiproIndex`).  Always 0 for a
-      single-shard scan.
+      Cauchy–Schwarz test applied at shard granularity by the process
+      fan-out of :class:`repro.core.sharded.ShardedFexiproIndex`).
+      Always 0 for a single scan.
     - ``deadline_hit``: 1 if the scan was truncated by an expired
-      :class:`~repro.serve.resilience.Deadline` (per shard for the sharded
-      scan, so merged records count affected shards).  The scan visits
+      :class:`~repro.serve.resilience.Deadline` (per shard for a process
+      fan-out, so merged records count affected shards).  The scan visits
       items in descending-length order, so a truncated result is still the
       *exact* top-k of the ``scanned`` prefix — but not necessarily of the
       whole index; :attr:`RetrievalResult.complete` exposes the flag.
     - ``budget_exhausted``: 1 if the scan was truncated by a spent
-      :class:`~repro.core.budget.FlopBudget` (per shard for the sharded
-      scan, like ``deadline_hit``).  Same exact-prefix degradation
+      :class:`~repro.core.budget.FlopBudget`.  Same exact-prefix degradation
       contract, with a certified band on the unseen tail attached to the
       result (:attr:`RetrievalResult.bounds`).
     - ``delta_items`` / ``delta_scanned``: alive delta-tier rows

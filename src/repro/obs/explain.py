@@ -112,11 +112,10 @@ class QueryExplanation:
     wall time (the :class:`~repro.core.stats.StageTimings` taxonomy);
     ``thresholds`` is the trajectory of the live threshold at each block
     boundary poll (blocked engine) or admitted raise (reference engine,
-    capped); ``shards`` carries one dict per shard for the sharded path;
-    ``planner`` records the cost-based engine decision (chosen engine,
-    per-engine predicted costs, calibration age) when the index is
-    configured with ``engine="auto"``, else ``None``; ``spans`` are the
-    exported trace spans backing all of the above.
+    capped); ``planner`` records the cost-based engine decision (chosen
+    engine, per-engine predicted costs, calibration age) when the index
+    is configured with ``engine="auto"``, else ``None``; ``spans`` are
+    the exported trace spans backing all of the above.
     """
 
     k: int
@@ -129,7 +128,6 @@ class QueryExplanation:
     thresholds: List[Dict[str, Any]]
     provenance: str = "cold"
     initial_threshold: float = -math.inf
-    shards: Optional[List[Dict[str, Any]]] = None
     planner: Optional[Dict[str, Any]] = None
     spans: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -202,7 +200,6 @@ class QueryExplanation:
             "counters": self.counters,
             "rule_seconds": dict(self.rule_seconds),
             "thresholds": list(self.thresholds),
-            "shards": None if self.shards is None else list(self.shards),
             "planner": None if self.planner is None else dict(self.planner),
             "bounds": (None if self.result.bounds is None
                        else self.result.bounds.as_dict()),
@@ -254,10 +251,6 @@ class QueryExplanation:
             lines.append(
                 f"planner: chose {self.planner['engine']}"
                 + (f" ({predicted})" if predicted else ""))
-        if self.shards:
-            lines.append(f"shards: {len(self.shards)} "
-                         f"({sum(1 for s in self.shards if s['skipped'])} "
-                         f"skipped)")
         return "\n".join(lines)
 
 
@@ -265,7 +258,6 @@ def _threshold_trajectory(spans: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Pull the threshold-at-poll series out of exported span events."""
     trajectory: List[Dict[str, Any]] = []
     for span in spans:
-        shard = span["attributes"].get("shard")
         for event in span["events"]:
             if event["name"] == "block":
                 point = {"position": event["start"],
@@ -275,8 +267,6 @@ def _threshold_trajectory(spans: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
                          "threshold": event["value"]}
             else:
                 continue
-            if shard is not None:
-                point["shard"] = shard
             trajectory.append(point)
     return trajectory
 
@@ -288,17 +278,17 @@ def explain_query(index, query, k: int = 10, *,
                   snapshot=None) -> QueryExplanation:
     """Run one query fully instrumented and account for every rule.
 
-    Works for both the plain :class:`~repro.core.index.FexiproIndex`
-    (either engine) and the sharded path
-    (:class:`~repro.core.sharded.ShardedFexiproIndex`) — dispatch is on
-    the presence of ``_scan_sharded``.  ``options`` carries warm-start
-    seeds / deadlines to reproduce a serving configuration; ``tracer``
-    defaults to a fresh always-sampling one whose spans end up in
-    ``explanation.spans``.  ``snapshot`` pins the live-catalog snapshot
-    to explain against (the serving layer passes the one its cache seed
-    was computed on); by default the current snapshot is captured once
-    and used throughout, so the account stays consistent even when
-    writers or a compaction race the explanation.
+    ``index`` is a :class:`~repro.core.index.FexiproIndex` (any engine);
+    :meth:`ShardedFexiproIndex.explain
+    <repro.core.sharded.ShardedFexiproIndex.explain>` passes its inner
+    index, whose single scan is what runs in one process.  ``options``
+    carries warm-start seeds / deadlines to reproduce a serving
+    configuration; ``tracer`` defaults to a fresh always-sampling one
+    whose spans end up in ``explanation.spans``.  ``snapshot`` pins the
+    live-catalog snapshot to explain against (the serving layer passes
+    the one its cache seed was computed on); by default the current
+    snapshot is captured once and used throughout, so the account stays
+    consistent even when writers or a compaction race the explanation.
 
     The returned explanation is :meth:`~QueryExplanation.verify`-ed before
     it is handed back: the per-rule candidate counts provably sum to the
@@ -309,9 +299,7 @@ def explain_query(index, query, k: int = 10, *,
     """
     from .._validation import as_query_vector, check_k
 
-    sharded = hasattr(index, "_scan_sharded")
-    inner = index.index if sharded else index
-    snap = inner._live if snapshot is None else snapshot
+    snap = index._live if snapshot is None else snapshot
     q = as_query_vector(query, snap.d)
     k = check_k(k, snap.visible_count)
     if tracer is None:
@@ -323,9 +311,9 @@ def explain_query(index, query, k: int = 10, *,
         result = RetrievalResult()
         explanation = QueryExplanation(
             k=0,
-            variant=inner.variant.name,
-            engine=inner.engine,
-            mode="sharded" if sharded else "single",
+            variant=index.variant.name,
+            engine=index.engine,
+            mode="single",
             result=result,
             stages=stage_accounts(result.stats),
             rule_seconds=StageTimings().as_dict(),
@@ -341,86 +329,51 @@ def explain_query(index, query, k: int = 10, *,
     # the predictions behind the choice.
     planner: Optional[Dict[str, Any]] = None
     engine_override: Optional[str] = None
-    if inner.engine == "auto":
-        from ..core.sharded import SPAN_ENGINES
-
-        engine_override, predictions = inner.plan_engine(
-            SPAN_ENGINES if sharded else None)
+    if index.engine == "auto":
+        engine_override, predictions = index.plan_engine()
         planner = {
             "engine": engine_override,
             "predictions": predictions,
-            "calibration_age_seconds": inner.cost_model.age_seconds(),
-            "observations": inner.cost_model.observations,
+            "calibration_age_seconds": index.cost_model.age_seconds(),
+            "observations": index.cost_model.observations,
         }
 
-    root = tracer.start("explain", k=k, variant=inner.variant.name)
+    root = tracer.start("explain", k=k, variant=index.variant.name)
     started = perf_counter()
     timings = StageTimings()
 
     prep_span = root.child("prepare") if root is not None else None
     tick = perf_counter()
-    qs = inner._prepare_query(q, snapshot=snap)
+    qs = index._prepare_query(q, snapshot=snap)
     timings.prepare = perf_counter() - tick
     if prep_span is not None:
         prep_span.end()
 
-    shard_dicts: Optional[List[Dict[str, Any]]] = None
-    if sharded:
-        scan_span = root.child("scan.sharded") if root is not None else None
-        buffer, stats, reports, scan_timings = index._scan_sharded(
-            qs, k, collect_timings=True,
-            options=opts.replace(timings=None, span=scan_span),
-            engine=engine_override, snapshot=snap,
-        )
-        if scan_timings is not None:
-            timings.merge(scan_timings)
-        shard_dicts = [
-            {
-                "shard": i,
-                "span": list(report.span),
-                "delta": report.span[0] >= snap.n,
-                "seeded_threshold": report.seeded_threshold,
-                "skipped": report.skipped,
-                "deadline_hit": bool(report.stats.deadline_hit),
-                "budget_exhausted": bool(report.stats.budget_exhausted),
-                "counters": report.stats.as_dict(),
-                "stages": [a.as_dict()
-                           for a in stage_accounts(report.stats)],
-            }
-            for i, report in enumerate(reports)
-        ]
-        engine = engine_override or inner.engine
-        mode = "sharded"
-    else:
-        scan_span = root.child("scan") if root is not None else None
-        buffer, stats = inner._scan(
-            qs, k, options=opts.replace(timings=timings, span=scan_span),
-            engine=engine_override, snapshot=snap)
-        engine = engine_override or inner.engine
-        mode = "single"
+    scan_span = root.child("scan") if root is not None else None
+    buffer, stats = index._scan(
+        qs, k, options=opts.replace(timings=timings, span=scan_span),
+        engine=engine_override, snapshot=snap)
     if scan_span is not None:
         scan_span.end()
     elapsed = perf_counter() - started
     if root is not None:
-        root.set(mode=mode, scanned=stats.scanned).end()
+        root.set(mode="single", scanned=stats.scanned).end()
 
     result = catalog_result(snap, qs.q_norm, *buffer.items_and_scores(),
-                            stats, elapsed, budgeted=opts.budget is not None,
-                            reports=reports if sharded else None)
+                            stats, elapsed, budgeted=opts.budget is not None)
     span_dicts = [s.as_dict() for s in tracer.spans
                   if root is not None and s.trace_id == root.trace_id]
     explanation = QueryExplanation(
         k=k,
-        variant=inner.variant.name,
-        engine=engine,
-        mode=mode,
+        variant=index.variant.name,
+        engine=engine_override or index.engine,
+        mode="single",
         result=result,
         stages=stage_accounts(stats),
         rule_seconds=timings.as_dict(),
         thresholds=_threshold_trajectory(span_dicts),
         provenance=provenance,
         initial_threshold=float(opts.initial_threshold),
-        shards=shard_dicts,
         planner=planner,
         spans=span_dicts,
     )

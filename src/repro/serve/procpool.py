@@ -9,12 +9,12 @@ was removed.  This module runs the shard/chunk tasks on real cores:
   replica in ``/dev/shm`` (:mod:`repro.core.replica`) and every worker
   process attaches it zero-copy via ``mmap`` — no per-task pickling of
   the item matrix, no copies, O(meta) cold start;
-- the cross-shard best-so-far threshold becomes a slot in a shared
+- the cross-shard best-so-far threshold is a slot in a shared
   ``RawArray`` of doubles guarded by a process lock
-  (:class:`_SlotThreshold` duck-types
-  :class:`~repro.core.sharded.SharedThreshold`), polled lock-free at the
-  same block boundaries as before — a stale read only weakens pruning,
-  never mis-prunes, so results stay bitwise identical;
+  (:class:`_SlotThreshold`), polled lock-free at block boundaries and
+  raised only to thresholds achieved by k collected results — a stale
+  read only weakens pruning, never mis-prunes, so results stay bitwise
+  identical;
 - deadlines travel as an absolute ``time.monotonic`` expiry (the Linux
   monotonic clock is system-wide) and are re-polled in the worker at the
   same block/shard boundaries, so exact-prefix degradation keeps working;
@@ -28,7 +28,7 @@ Exactness is inherited: workers run the unchanged
 :func:`repro.core.sharded.scan_shard_span` /
 :meth:`~repro.core.index.FexiproIndex._scan` code paths over the same
 arrays (bit-for-bit, via the replica) with the same threshold semantics,
-so the merged answer equals the serial scan's — the property
+so the merged answer equals the single scan's — the property
 ``tests/test_mp.py`` pins across every variant and engine.
 """
 
@@ -110,11 +110,13 @@ _WORKER: dict = {}
 
 
 class _SlotThreshold:
-    """Cross-process threshold cell duck-typing ``SharedThreshold``.
+    """Cross-process monotone best-so-far threshold cell.
 
-    Reads are lock-free (a torn/stale read returns an older, smaller
-    value — weaker pruning, never mispruning); writes take the process
-    lock so the slot never moves backwards.
+    ``value`` is the best k-th score any shard of the query has achieved;
+    shards :meth:`offer` their own when they finish.  Reads are lock-free
+    (a torn/stale read returns an older, smaller value — weaker pruning,
+    never mispruning); writes take the process lock so the slot never
+    moves backwards.
     """
 
     __slots__ = ("_cells", "_lock", "_slot")

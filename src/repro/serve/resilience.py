@@ -4,14 +4,14 @@ Three small, independently testable pieces that
 :class:`repro.serve.RetrievalService` threads through the scan path:
 
 - :class:`Deadline` — a monotonic per-query time budget, polled by the
-  engines at the same block boundaries where the sharded scan already
-  polls :class:`~repro.core.sharded.SharedThreshold` (and at shard
-  boundaries in :class:`~repro.core.sharded.ShardedFexiproIndex`'s
-  fan-out).  Because FEXIPRO scans items in descending-length order, a
-  deadline-truncated scan returns the *exact* top-k of the prefix it
-  visited (see ``DESIGN.md`` §2.8) — graceful degradation with a
-  provable contract, per "To Index or Not to Index" (Abuzaid et al.) and
-  the budgeted-MIPS line of work (Yu et al.).
+  engines at every block boundary (and at shard boundaries in
+  :class:`~repro.core.sharded.ShardedFexiproIndex`'s process fan-out,
+  where it travels as an absolute monotonic expiry).  Because FEXIPRO
+  scans items in descending-length order, a deadline-truncated scan
+  returns the *exact* top-k of the prefix it visited (see ``DESIGN.md``
+  §2.8) — graceful degradation with a provable contract, per "To Index
+  or Not to Index" (Abuzaid et al.) and the budgeted-MIPS line of work
+  (Yu et al.).
 - :class:`RetryPolicy` — one bounded retry for faults marked transient,
   with injectable sleep for tests.
 - :class:`~repro.exceptions.QueryError` — the structured per-query failure

@@ -16,9 +16,9 @@ answered in two phases:
    scans: one query costs less to scan here than to ship, and threads
    would not help, since the GIL serializes the cascade's Python replay.
    A service over a :class:`~repro.core.sharded.ShardedFexiproIndex`
-   scans its inner index the same way; the shard fan-out is the sharded
-   index's own query API.  Whichever source ran a query, its raw outcome
-   ends in one attempt loop and one finish step, so retry, isolation,
+   scans its inner index the same way; the process shard fan-out is the
+   sharded index's own query API.  Whichever source ran a query, its raw
+   outcome ends in one attempt loop and one finish step, so retry, isolation,
    deadline/budget policy, span closing, certified bounds and result
    assembly exist once.
 

@@ -51,3 +51,64 @@ def small_queries():
 def medium_pair():
     """A medium (items, queries) pair for cross-method comparisons."""
     return make_mf_like(1200, 24, seed=5)
+
+
+def stepped_clock():
+    """A clock on which every poll burns 0.25 "seconds"."""
+    calls = {"n": 0}
+
+    def clock():
+        calls["n"] += 1
+        return float(calls["n"]) * 0.25
+
+    return clock
+
+
+def serial_shard_fanout(sharded, query, k: int, options=None):
+    """The process fan-out's one-worker schedule, run in this process.
+
+    A ``ProcessScanPool`` with one worker runs a query's shard tasks in
+    span order, each seeded from the shared slot its predecessors raised.
+    This oracle runs the same :func:`~repro.core.sharded.scan_shard_span`
+    calls in the same order against a query-local threshold cell and
+    merges them the same way, so a one-worker ``executor="process"``
+    query must equal it in ids, scores, counters and reports.  Returns
+    ``(result, reports)`` like ``ShardedFexiproIndex.query_detailed``.
+    """
+    import time
+
+    from repro._validation import as_query_vector
+    from repro.core.delta import catalog_result, effective_k
+    from repro.core.options import ScanOptions
+    from repro.core.sharded import _merge_shards, scan_shard_span
+    from repro.serve.procpool import _LocalThreshold
+
+    opts = ScanOptions() if options is None else options
+    snap = sharded.index._live
+    started = time.perf_counter()
+    qs = sharded.index._prepare_query(as_query_vector(query, snap.d),
+                                      snapshot=snap)
+    spans = sharded._catalog_spans(snap)
+    k_eff = effective_k(snap, k)
+    cell = _LocalThreshold(opts.initial_threshold)
+    outputs = []
+    for shard_id, (start, stop) in enumerate(spans):
+        seed = cell.value
+        buffer, stats, seen, outcome = scan_shard_span(
+            snap, qs, k_eff, shard_id, start, stop,
+            ScanOptions(initial_threshold=seed, shared=cell,
+                        deadline=opts.deadline))
+        outputs.append((buffer, stats, seen, None, outcome))
+    buffer, stats, reports = _merge_shards(snap, k, k_eff, spans, outputs,
+                                           None, None)
+    result = catalog_result(snap, qs.q_norm, *buffer.items_and_scores(),
+                            stats, time.perf_counter() - started,
+                            budgeted=False)
+    return result, reports
+
+
+def span_shape(span):
+    """A span's name, attributes and events, without timestamps."""
+    events = [{key: value for key, value in event.items() if key != "at"}
+              for event in span.events]
+    return span.name, dict(span.attributes), events

@@ -161,15 +161,17 @@ def test_infinite_budget_is_bitwise_identical_single(variant, engine):
 @pytest.mark.parametrize("engine", ("blocked", "gemm"))
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_infinite_budget_is_bitwise_identical_sharded(variant, engine):
+    # A budgeted query is never fanned out: it runs the single scan,
+    # which an infinite budget leaves bit for bit unchanged.
     sharded, queries = make_index(variant, engine=engine, sharded=True)
     for q in queries[:6]:
-        qs = sharded.index._prepare_query(q)
-        seed_buffer, seed_stats, _r, _t = sharded._scan_sharded(qs, K)
-        armed_buffer, armed_stats, _r, _t = sharded._scan_sharded(
-            qs, K, options=ScanOptions(budget=FlopBudget(math.inf)))
-        assert armed_buffer.items_and_scores() == \
-            seed_buffer.items_and_scores()
-        assert armed_stats.as_dict() == seed_stats.as_dict()
+        seed = sharded.index.query(q, K)
+        armed, reports = sharded.query_detailed(
+            q, K, options=ScanOptions(budget=FlopBudget(math.inf)))
+        assert reports == []
+        assert armed.ids == seed.ids
+        assert armed.scores == seed.scores
+        assert armed.stats.as_dict() == seed.stats.as_dict()
 
 
 @pytest.mark.parametrize("executor", ("serial", "process"))
@@ -344,14 +346,15 @@ def test_zero_budget_sharded_service_batch_never_raises():
     for q, result in zip(queries[:3], response.results):
         assert result.ids == []
         assert result.bounds is not None
-        # The fan-out stops every shard at its boundary poll, and its
-        # certified band covers one segment per shard.
-        fanned, reports = sharded.query_detailed(
+        # A budgeted sharded query is the single scan the service ran:
+        # stopped before its first block, with the same certified band.
+        direct, reports = sharded.query_detailed(
             q, K, options=ScanOptions(budget=FlopBudget(0.0)))
-        assert fanned.ids == []
-        assert fanned.bounds is not None
-        assert fanned.stats.budget_exhausted == len(reports) == 3
-        assert all(r.stats.scanned == 0 for r in reports)
+        assert reports == []
+        assert direct.ids == []
+        assert direct.stats.as_dict() == result.stats.as_dict()
+        assert direct.stats.budget_exhausted == 1
+        assert direct.bounds.as_dict() == result.bounds.as_dict()
 
 
 def test_instantly_expired_deadline_is_empty_prefix():
@@ -586,18 +589,6 @@ def test_explain_reports_budget_degradation():
     assert dumped["bounds"] is not None
     assert dumped["bounds"]["certified"]
     assert dumped["counters"]["budget_exhausted"] == 1
-
-
-def test_explain_sharded_reports_per_shard_budget_flags():
-    items, queries = make_mf_like(900, D, seed=23)
-    engine = Fexipro(items, variant="F-SIR", shards=3,
-                     block_size=BLOCK_SIZE)
-    explanation = engine.explain(
-        queries[0], k=K,
-        options=ScanOptions(budget=FlopBudget(60 * D)))
-    assert explanation.shards is not None
-    assert any(shard["budget_exhausted"] for shard in explanation.shards)
-    assert all("budget_exhausted" in shard for shard in explanation.shards)
 
 
 def test_budget_exhaustion_emits_trace_event():

@@ -21,10 +21,16 @@ from repro.serve import (
     QueryCache,
     RetrievalService,
     ServiceConfig,
+    process_executor_usable,
 )
 from repro.serve.cache import bucket_query_bytes, canonical_query_bytes
 
 from conftest import make_mf_like
+
+needs_processes = pytest.mark.skipif(
+    not process_executor_usable(),
+    reason="no multiprocessing start method available",
+)
 
 
 def _adversarial(n=240, d=12, seed=7):
@@ -67,21 +73,23 @@ def test_warm_start_bitwise_identical_all_variants(variant, engine):
         _assert_bitwise(truth, got)
 
 
+@needs_processes
 def test_warm_start_sharded_intra_mode_bitwise():
-    # The shard fan-out takes a warm seed the way the cache hands one
-    # out for a smaller k: the cached k-th score, one ulp down.
+    # The process shard fan-out takes a warm seed the way the cache
+    # hands one out for a smaller k: the cached k-th score, one ulp down.
     items, queries = make_mf_like(600, 16, seed=21)
-    sharded = ShardedFexiproIndex(items, shards=3, executor="serial")
-    for q in queries[:3]:
-        big = sharded.index.query(q, 8)
-        seed = math.nextafter(big.scores[2], -math.inf)
-        cold, __ = sharded.query_detailed(q, 3, options=ScanOptions())
-        warm, reports = sharded.query_detailed(
-            q, 3, options=ScanOptions(initial_threshold=seed))
-        _assert_bitwise(sharded.index.query(q, 3), cold)
-        _assert_bitwise(cold, warm)
-        assert reports[0].seeded_threshold == seed
-        assert warm.stats.scanned <= cold.stats.scanned
+    with ShardedFexiproIndex(items, shards=3, workers=1,
+                             executor="process") as sharded:
+        for q in queries[:3]:
+            big = sharded.index.query(q, 8)
+            seed = math.nextafter(big.scores[2], -math.inf)
+            cold, __ = sharded.query_detailed(q, 3, options=ScanOptions())
+            warm, reports = sharded.query_detailed(
+                q, 3, options=ScanOptions(initial_threshold=seed))
+            _assert_bitwise(sharded.index.query(q, 3), cold)
+            _assert_bitwise(cold, warm)
+            assert reports[0].seeded_threshold == seed
+            assert warm.stats.scanned <= cold.stats.scanned
 
 
 def test_warm_start_ties_exactly_at_boundary():
@@ -560,15 +568,17 @@ def test_exact_hits_survive_compaction_bitwise():
             _assert_bitwise(a, b)
 
 
+@needs_processes
 def test_exact_hits_survive_compaction_sharded_intra():
     items, queries = make_mf_like(500, 16, seed=83)
-    index = ShardedFexiproIndex(items, shards=3, variant="F-SIR")
+    index = ShardedFexiproIndex(items, shards=3, variant="F-SIR",
+                                executor="process")
     config = ServiceConfig(workers=2, cache_capacity=64)
-    with RetrievalService(index, config) as service:
+    with RetrievalService(index, config) as service, index:
         index.add_items(items[:6] * 0.7)
         warm = service.batch(queries[:4], k=5)
-        # The fan-out, delta pseudo-span included, agrees with the
-        # service's single scan on the dirty catalog.
+        # The process fan-out, delta pseudo-span included, agrees with
+        # the service's single scan on the dirty catalog.
         for q, got in zip(queries[:4], warm.results):
             fanned, reports = index.query_detailed(q, 5,
                                                    options=ScanOptions())

@@ -33,7 +33,7 @@ from repro.core.options import ScanOptions
 from repro.core.topk import TopKBuffer
 from repro.core.variants import VARIANTS
 
-from conftest import make_mf_like
+from conftest import make_mf_like, stepped_clock
 
 ALL_VARIANTS = sorted(VARIANTS)
 
@@ -141,14 +141,21 @@ def test_infinite_deadline_is_bitwise_identical_sharded(variant):
     from repro.serve.resilience import Deadline
 
     sharded, queries = make_index(variant, sharded=True)
-    for q in queries[:6]:
-        qs = sharded.index._prepare_query(q)
-        seed_buffer, seed_stats, _r, _t = sharded._scan_sharded(qs, K)
-        armed_buffer, armed_stats, _r, _t = sharded._scan_sharded(
-            qs, K, options=ScanOptions(deadline=Deadline(math.inf)))
-        assert armed_buffer.items_and_scores() == \
-            seed_buffer.items_and_scores()
-        assert armed_stats.as_dict() == seed_stats.as_dict()
+    # Both the single scan and a one-worker process fan-out (the
+    # deadline travels to the workers as an absolute expiry).
+    fanned = ShardedFexiproIndex.from_index(sharded.index, shards=3,
+                                            workers=1, executor="process")
+    with fanned:
+        for index in (sharded, fanned):
+            for q in queries[:6]:
+                seed, seed_reports = index.query_detailed(q, K)
+                armed, armed_reports = index.query_detailed(
+                    q, K, options=ScanOptions(deadline=Deadline(math.inf)))
+                assert armed.ids == seed.ids
+                assert armed.scores == seed.scores
+                assert armed.stats.as_dict() == seed.stats.as_dict()
+                assert [r.stats.as_dict() for r in armed_reports] == \
+                    [r.stats.as_dict() for r in seed_reports]
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -208,42 +215,28 @@ def test_degraded_sharded_scan_is_exact_topk_of_scanned_union(variant,
                                                               fire_after):
     from repro.serve.resilience import Deadline
 
+    # In one process a sharded index runs its inner single scan, so the
+    # scanned set is one length-sorted prefix of the whole catalog.
     sharded, queries = make_index(variant, sharded=True)
-    spans = sharded.spans
-
-    def span_of_shard(shard_id):
-        return spans[shard_id]
-
+    plain = sharded.index
     for q in queries[:4]:
-        qs = sharded.index._prepare_query(q)
+        qs = plain._prepare_query(q)
         deadline = Deadline(1.0, clock=PollClock(fire_after))
         probe = RecordingProbe()
         _faultsites.arm(probe)
         try:
-            buffer, stats, reports, _t = sharded._scan_sharded(
-                qs, K, options=ScanOptions(deadline=deadline))
+            result, reports = sharded.query_detailed(
+                q, K, options=ScanOptions(deadline=deadline))
         finally:
             _faultsites.disarm(probe)
-        positions = scanned_positions(probe.contexts, span_of_shard)
-        ids, scores = buffer.items_and_scores()
-        oracle_ids, oracle_scores = oracle_topk(sharded.index, qs, positions)
-        assert ids == oracle_ids
-        assert scores == oracle_scores
-        # Sanity: with a tiny budget at least one shard must be truncated
-        # unless the scan genuinely finished inside it.
-        if stats.deadline_hit == 0:
-            assert ids == sharded.index.query(q, k=K).ids
-
-
-def stepped_clock():
-    """A clock on which every poll burns 0.25 "seconds"."""
-    calls = {"n": 0}
-
-    def clock():
-        calls["n"] += 1
-        return float(calls["n"]) * 0.25
-
-    return clock
+        assert reports == []
+        positions = scanned_positions(probe.contexts, lambda _s: (0, plain.n))
+        oracle_ids, oracle_scores = oracle_topk(plain, qs, positions)
+        assert [plain.order[p] for p in oracle_ids] == list(result.ids)
+        assert oracle_scores == list(result.scores)
+        # Sanity: a deadline that never fired leaves the full answer.
+        if result.stats.deadline_hit == 0:
+            assert result.ids == plain.query(q, k=K).ids
 
 
 @pytest.mark.parametrize("sharded", [False, True])
@@ -282,12 +275,16 @@ def test_degraded_service_result_is_exact_prefix_topk(sharded):
 
 
 def test_degraded_sharded_query_is_exact_prefix_topk():
-    """The fan-out's degrade path, shard-boundary polls included."""
+    """A sharded query's degrade path is the single scan's.
+
+    The process fan-out's shard-boundary polls are pinned in
+    ``tests/test_mp.py``; in one process the deadline is polled only at
+    the single scan's block boundaries.
+    """
     from repro.serve.resilience import Deadline
 
     sharded, queries = make_index("F-SIR", sharded=True)
     plain = sharded.index
-    spans = sharded.spans
     clock = stepped_clock()
     probe = RecordingProbe()
     results = []
@@ -301,14 +298,13 @@ def test_degraded_sharded_query_is_exact_prefix_topk():
             results.append((result, reports))
     finally:
         _faultsites.disarm(probe)
-    # Four polls spend the deadline: later shards die at their boundary.
-    assert any(report.stats.deadline_hit and report.stats.scanned == 0
-               for __, reports in results for report in reports)
-    for qi, (result, __) in enumerate(results):
+    for qi, (result, reports) in enumerate(results):
+        assert reports == []
         assert not result.complete
+        assert result.stats.deadline_hit == 1
         contexts = [c.split(":", 1)[1] for c in probe.contexts
                     if c.startswith(f"q={qi}:")]
-        positions = scanned_positions(contexts, lambda s: spans[s])
+        positions = scanned_positions(contexts, lambda _s: (0, plain.n))
         qs = plain._prepare_query(queries[qi])
         oracle_ids, oracle_scores = oracle_topk(plain, qs, positions)
         assert [plain.order[p] for p in oracle_ids] == list(result.ids)

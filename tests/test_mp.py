@@ -1,13 +1,15 @@
 """Tests for the multi-process scan executor (PR 6).
 
 The contract under test is *bitwise identity*: a scan fanned over worker
-processes attached to a shared-memory replica returns the same ids,
-scores and pruning counters as the serial in-process scan — across every
-variant, both engines, both parallelism axes, warm-started thresholds
-and deadline-degraded prefixes.  On top of that sit the fork-safety and
-replica-staleness properties: per-worker fault injectors behave
-identically under ``fork`` and ``spawn``, and a worker can never attach
-bytes from a previous index epoch.
+processes attached to a shared-memory replica returns the same ids and
+scores as the in-process single scan — across every variant, both
+parallelism axes, warm-started thresholds and deadline-degraded
+prefixes.  A one-worker shard fan-out is serial-equivalent, so its
+counters and per-shard reports are pinned too, against the in-process
+oracle :func:`conftest.serial_shard_fanout`.  On top of that sit the
+fork-safety and replica-staleness properties: per-worker fault injectors
+behave identically under ``fork`` and ``spawn``, and a worker can never
+attach bytes from a previous index epoch.
 
 The module honours ``REPRO_MP_START`` (the CI start-method matrix knob),
 so the same tests run under fork and spawn legs.
@@ -47,7 +49,7 @@ from repro.serve import (
 )
 from repro.serve.resilience import Deadline
 
-from conftest import make_mf_like
+from conftest import make_mf_like, serial_shard_fanout
 
 ALL_VARIANTS = ["F-S", "F-I", "F-SI", "F-SR", "F-SIR"]
 
@@ -70,7 +72,7 @@ def assert_same_result(a, b):
     Only serial-equivalent schedules (one scan worker, or per-query
     independent scans) promise counter identity — concurrent shard
     fan-out races the shared threshold, so skip counts legitimately
-    vary there, exactly as in the thread path.
+    vary there.
     """
     assert_same_answer(a, b)
     assert a.stats.as_dict() == b.stats.as_dict()
@@ -130,18 +132,17 @@ def test_process_shard_scan_matches_serial(variant):
     # One scan worker: the process schedule is serial-equivalent, so the
     # identity is total — ids, scores and every pruning counter.
     items, queries = make_mf_like(600, 16, seed=90)
-    serial = ShardedFexiproIndex(items, shards=4, workers=1,
-                                 variant=variant)
     proc = ShardedFexiproIndex(items, shards=4, workers=1,
                                executor="process", variant=variant)
     try:
         for q in queries[:6]:
-            assert_same_result(serial.query(q, k=8), proc.query(q, k=8))
+            oracle, __ = serial_shard_fanout(proc, q, 8)
+            assert_same_result(oracle, proc.query(q, k=8))
+            assert_same_answer(proc.index.query(q, k=8), oracle)
         snap = proc._resolve_procpool().snapshot()
         assert snap["effective_workers"] >= 1
         assert snap["replicas"], "replica should be published"
     finally:
-        serial.close()
         proc.close()
 
 
@@ -149,81 +150,97 @@ def test_process_shard_scan_matches_serial(variant):
 @pytest.mark.parametrize("variant", ["F-S", "F-SIR"])
 def test_multiworker_process_scan_matches_serial_answer(variant):
     items, queries = make_mf_like(600, 16, seed=90)
-    serial = ShardedFexiproIndex(items, shards=4, workers=1,
-                                 variant=variant)
     proc = ShardedFexiproIndex(items, shards=4, workers=3,
                                executor="process", variant=variant)
     try:
         for q in queries[:6]:
-            assert_same_answer(serial.query(q, k=8), proc.query(q, k=8))
+            assert_same_answer(proc.index.query(q, k=8), proc.query(q, k=8))
         assert proc._resolve_procpool().snapshot()["effective_workers"] >= 1
     finally:
-        serial.close()
         proc.close()
 
 
 @needs_processes
 def test_process_shard_reports_match_serial():
     items, queries = make_mf_like(500, 12, seed=91)
-    serial = ShardedFexiproIndex(items, shards=3, workers=1)
     proc = ShardedFexiproIndex(items, shards=3, workers=1,
                                executor="process")
     try:
-        ra, reports_a = serial.query_detailed(queries[0], k=5)
+        ra, reports_a = serial_shard_fanout(proc, queries[0], 5)
         rb, reports_b = proc.query_detailed(queries[0], k=5)
         assert_same_result(ra, rb)
         assert len(reports_a) == len(reports_b) == 3
         for sa, sb in zip(reports_a, reports_b):
             assert sa.span == sb.span
             assert sa.skipped == sb.skipped
+            assert sa.seeded_threshold == sb.seeded_threshold
             assert sa.stats.as_dict() == sb.stats.as_dict()
     finally:
-        serial.close()
         proc.close()
 
 
 @needs_processes
 def test_process_warm_start_threshold_matches_serial():
     items, queries = make_mf_like(500, 12, seed=92)
-    serial = ShardedFexiproIndex(items, shards=4, workers=1)
     proc = ShardedFexiproIndex(items, shards=4, workers=1,
                                executor="process")
     try:
         q = queries[0]
-        cold = serial.query(q, k=6)
+        cold = proc.index.query(q, k=6)
         seed = float(np.nextafter(cold.scores[-1], -np.inf))
         options = ScanOptions(initial_threshold=seed)
-        a = serial.query(q, k=6, options=options)
-        b = proc.query(q, k=6, options=options)
+        a, reports_a = serial_shard_fanout(proc, q, 6, options)
+        b, reports_b = proc.query_detailed(q, k=6, options=options)
         assert_same_result(a, b)
         assert a.ids == cold.ids
+        assert reports_b[0].seeded_threshold == seed
+        assert [r.stats.as_dict() for r in reports_a] == \
+            [r.stats.as_dict() for r in reports_b]
     finally:
-        serial.close()
         proc.close()
 
 
 @needs_processes
 def test_process_expired_deadline_degrades_identically():
     items, queries = make_mf_like(500, 12, seed=93)
-    serial = ShardedFexiproIndex(items, shards=4, workers=1)
     proc = ShardedFexiproIndex(items, shards=4, workers=2,
                                executor="process")
     try:
         q = queries[0]
-
-        def degraded(index):
-            deadline = Deadline.after_ms(0.01)
-            while not deadline.expired():
-                time.sleep(0.001)
-            return index.query(q, k=6,
-                               options=ScanOptions(deadline=deadline))
-        a = degraded(serial)
-        b = degraded(proc)
+        deadline = Deadline.after_ms(0.01)
+        while not deadline.expired():
+            time.sleep(0.001)
+        options = ScanOptions(deadline=deadline)
+        a, __ = serial_shard_fanout(proc, q, 6, options)
+        b, reports = proc.query_detailed(q, k=6, options=options)
         assert_same_result(a, b)
+        # Every shard stops at its boundary poll, unscanned.
         assert a.stats.deadline_hit == 4
+        assert [r.stats.scanned for r in reports] == [0, 0, 0, 0]
         assert len(a.ids) == 0
     finally:
-        serial.close()
+        proc.close()
+
+
+@needs_processes
+def test_process_fanout_scans_the_delta_pseudo_span():
+    items, queries = make_mf_like(500, 12, seed=95)
+    proc = ShardedFexiproIndex(items, shards=3, workers=1,
+                               executor="process")
+    try:
+        new_ids = proc.add_items(items[:6] * 1.4)
+        proc.remove_items([new_ids[0], 3, 7])
+        for q in queries[:4]:
+            a, reports_a = serial_shard_fanout(proc, q, 5)
+            b, reports_b = proc.query_detailed(q, k=5)
+            assert_same_result(a, b)
+            assert_same_answer(proc.index.query(q, k=5), b)
+            # Three base bands plus the delta tier as one pseudo-span.
+            assert [r.span for r in reports_b] == proc.spans + [(500, 506)]
+            assert [r.stats.as_dict() for r in reports_a] == \
+                [r.stats.as_dict() for r in reports_b]
+            assert b.stats.delta_items == 5
+    finally:
         proc.close()
 
 

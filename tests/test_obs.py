@@ -2,9 +2,10 @@
 
 The load-bearing section is the EXPLAIN-vs-counters contract (the PR's
 acceptance criterion): for every paper variant, both engines and the
-sharded path, the per-rule candidate accounts of ``explain()`` must sum
-*exactly* to the ``pruning.*`` counters a ``MetricsRegistry`` would
-aggregate for the same scan — no drift allowed between the two views.
+sharded index (which explains its inner single scan), the per-rule
+candidate accounts of ``explain()`` must sum *exactly* to the
+``pruning.*`` counters a ``MetricsRegistry`` would aggregate for the
+same scan — no drift allowed between the two views.
 """
 
 import json
@@ -25,9 +26,14 @@ from repro import (
 from repro.core.variants import VARIANTS
 from repro.obs.explain import STAGES, stage_accounts
 from repro.obs.http import MetricsServer
-from repro.serve import MetricsRegistry, RetrievalService, ServiceConfig
+from repro.serve import (
+    MetricsRegistry,
+    RetrievalService,
+    ServiceConfig,
+    process_executor_usable,
+)
 
-from conftest import make_mf_like
+from conftest import make_mf_like, span_shape
 
 ALL_VARIANTS = sorted(VARIANTS)
 K = 7
@@ -180,17 +186,18 @@ def test_explain_counts_sum_to_counters_single(variant, engine):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_explain_counts_sum_to_counters_sharded(variant):
+    # A sharded index explains the single scan its inner index runs in
+    # this process: the same account, counter for counter.
     sharded, queries = make_index(variant, sharded=True)
     for q in queries[:4]:
         explanation = sharded.explain(q, K)
-        assert explanation.mode == "sharded"
+        assert explanation.mode == "single"
         assert_explain_matches_registry(explanation)
-        # Per-shard accounts sum to the merged account, counter by counter.
-        assert explanation.shards is not None
-        merged = explanation.counters
-        for key in ("scanned", "full_products", "pruned_incremental"):
-            assert sum(s["counters"][key] for s in explanation.shards) == \
-                merged[key]
+        inner = sharded.index.explain(q, K)
+        assert explanation.counters == inner.counters
+        assert explanation.counters == \
+            sharded.index.query(q, K).stats.as_dict()
+        assert explanation.result.ids == inner.result.ids
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -291,7 +298,6 @@ def test_sharded_service_explains_the_scan_it_serves():
         served = service.batch(queries[:1], K).results[0]
     assert explanation.provenance == "cold"
     assert explanation.mode == "single"
-    assert explanation.shards is None
     assert explanation.result.ids == served.ids
     assert explanation.result.scores == served.scores
     assert explanation.counters == served.stats.as_dict()
@@ -323,12 +329,17 @@ def test_service_batch_emits_span_tree():
     assert all(s.parent_id == root.span_id for s in scans)
 
 
+@pytest.mark.skipif(not process_executor_usable(),
+                    reason="no multiprocessing start method available")
 def test_sharded_query_traces_shard_children():
+    # The process fan-out rebuilds one ``scan.shard`` child per shard
+    # from the workers' outcomes.
     items, queries = make_mf_like(700, 16, seed=5)
-    sharded = ShardedFexiproIndex(items, shards=3, variant="F-SIR")
     tracer = Tracer(sample_rate=1.0)
     root = tracer.start("scan.sharded", query=0)
-    sharded.query_detailed(queries[0], K, options=ScanOptions(span=root))
+    with ShardedFexiproIndex(items, shards=3, variant="F-SIR",
+                             executor="process") as sharded:
+        sharded.query_detailed(queries[0], K, options=ScanOptions(span=root))
     root.end()
     spans = tracer.spans
     names = [s.name for s in spans]
@@ -339,6 +350,22 @@ def test_sharded_query_traces_shard_children():
     assert all(s.parent_id == fanout.span_id for s in shards)
     assert {s.attributes["outcome"] for s in shards} <= \
         {"scanned", "skipped", "empty", "deadline"}
+
+
+def test_in_process_sharded_query_traces_the_single_scan():
+    items, queries = make_mf_like(700, 16, seed=5)
+    sharded = ShardedFexiproIndex(items, shards=3, variant="F-SIR")
+    shapes = []
+    for index in (sharded, sharded.index):
+        tracer = Tracer(sample_rate=1.0)
+        root = tracer.start("scan", query=0)
+        index.query(queries[0], K, options=ScanOptions(span=root))
+        root.end()
+        shapes.append([span_shape(s) for s in tracer.spans])
+    # An armed span keeps "auto" in process: no shard children, the
+    # single scan's events.
+    assert shapes[0] == shapes[1]
+    assert [name for name, __, __ in shapes[0]] == ["scan"]
 
 
 def test_service_tracing_disabled_by_default():

@@ -35,7 +35,7 @@ from repro.core.blocked import scan_blocked
 from repro.core.gemm import scan_gemm, topk_select
 from repro.core.index import FexiproIndex
 from repro.core.scanner import scan_reference
-from repro.core.sharded import SHARD_ENGINES, ShardedFexiproIndex
+from repro.core.sharded import ShardedFexiproIndex
 from repro.core.variants import VARIANTS
 from repro.obs import render_prometheus
 from repro.serve.config import ServiceConfig
@@ -102,7 +102,7 @@ def test_index_engine_knob_matches_default(engine):
         assert model.observations >= 5  # every auto scan feeds the window
 
 
-@pytest.mark.parametrize("engine", sorted(SHARD_ENGINES))
+@pytest.mark.parametrize("engine", sorted(ENGINES + ("auto",)))
 def test_sharded_engines_bitwise_identical(engine):
     items, queries = make_data(800, 20, seed=8)
     single = FexiproIndex(items, variant="F-SIR")
@@ -114,12 +114,6 @@ def test_sharded_engines_bitwise_identical(engine):
             b = sharded.query(q, 7)
             assert a.ids == b.ids
             assert a.scores == b.scores
-
-
-def test_sharded_rejects_span_incapable_engine():
-    items, __ = make_data(200, 8)
-    with pytest.raises(ValidationError, match="span-capable"):
-        ShardedFexiproIndex(items, shards=2, engine="reference")
 
 
 def test_warm_start_threshold_identity_across_engines():

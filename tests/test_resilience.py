@@ -23,11 +23,13 @@ from repro.serve import (
     Deadline,
     FaultInjector,
     FaultRule,
+    ProcessScanPool,
     QueryError,
     RetrievalService,
     RetryPolicy,
     ServiceConfig,
     is_transient,
+    process_executor_usable,
 )
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
@@ -352,30 +354,42 @@ def test_single_query_failure_reraises(small_items, small_queries):
 # Sharded indexes: shard faults are loud, the service scans the inner index
 # ----------------------------------------------------------------------
 
+def _faulty_fanout(items, rules):
+    """A process-executor sharded index whose workers arm ``rules``."""
+    sharded = ShardedFexiproIndex(items, shards=3, workers=1,
+                                  variant="F-SIR", executor="process")
+    sharded._procpool = ProcessScanPool(1, fault_rules=rules,
+                                        fault_seed=FAULT_SEED)
+    return sharded
+
+
+@pytest.mark.skipif(not process_executor_usable(),
+                    reason="no multiprocessing start method available")
 def test_shard_scan_fault_on_sharded_query_raises(small_items,
                                                   small_queries):
-    sharded = ShardedFexiproIndex(small_items, shards=3, workers=1,
-                                  variant="F-SIR", executor="serial")
-    truth = [sharded.index.query(q, k=4) for q in small_queries]
-    # One failing shard fails the whole query: no partial merge.
-    with FaultInjector([FaultRule(site="scan", kind="raise",
-                                  match="shard=0")], seed=FAULT_SEED):
+    # Shard faults fire inside the fan-out's worker processes and
+    # surface from ShardedFexiproIndex.query in the caller.
+    with _faulty_fanout(small_items, [
+            FaultRule(site="scan", kind="raise", match="shard=0")]) as sharded:
+        truth = [sharded.index.query(q, k=4) for q in small_queries]
+        # One failing shard fails the whole query: no partial merge.
         with pytest.raises(InjectedFault):
             sharded.query(small_queries[0], k=4)
     # Under seeded random shard faults every query either raises or is
     # exact; none comes back wrong.
-    injector = FaultInjector(
-        [FaultRule(site="scan", kind="raise", match="shard=",
-                   probability=0.3)],
-        seed=FAULT_SEED)
-    with injector:
+    raised = 0
+    with _faulty_fanout(small_items, [
+            FaultRule(site="scan", kind="raise", match="shard=",
+                      probability=0.3)]) as sharded:
         for q, want in zip(small_queries, truth):
             try:
                 got = sharded.query(q, k=4)
             except InjectedFault:
+                raised += 1
                 continue
             assert got.ids == want.ids
             assert got.scores == want.scores
+    assert 0 < raised < len(small_queries)
 
 
 def test_sharded_service_serves_the_inner_single_scan(small_items,

@@ -1,12 +1,16 @@
-"""Tests for the sharded intra-query parallel scan (repro.core.sharded).
+"""Tests for the sharded index (repro.core.sharded).
 
-The load-bearing property is *bitwise* identity: for every variant, every
-shard count (including adversarial ones) and every query (including
-degenerate ones), ``ShardedFexiproIndex`` must return exactly the ids and
-scores of the single sequential scan.  ``workers=1`` runs the shards
-inline in band order, which makes the property deterministic; the
-thread-pool path is exercised separately (scheduling may reorder shard
-completions, but the merged answer may not change).
+Two load-bearing properties:
+
+- In one process a sharded index *is* its inner index's single scan:
+  every result equals ``sharded.index.query`` in ids, score bits, every
+  pruning counter, bounds, errors and spans, for every engine.
+- The process fan-out (``executor="process"``) returns exactly the ids
+  and scores of the single scan for every variant, every shard count
+  (including adversarial ones) and every query (including degenerate
+  ones).  With one worker process its schedule is serial-equivalent, so
+  its counters and per-shard reports are pinned too, against the
+  in-process oracle :func:`conftest.serial_shard_fanout`.
 """
 
 import math
@@ -15,14 +19,30 @@ import numpy as np
 import pytest
 
 from repro import FexiproIndex, ShardedFexiproIndex
-from repro.core.sharded import SharedThreshold, default_shards, shard_spans
+from repro.core.budget import FlopBudget
+from repro.core.options import ScanOptions
+from repro.core.sharded import default_shards, shard_spans
 from repro.core.stats import aggregate_stats
 from repro.exceptions import ValidationError
+from repro.obs import Tracer
+from repro.serve import process_executor_usable
+from repro.serve.resilience import Deadline
 
-from conftest import make_mf_like
+from conftest import (
+    make_mf_like,
+    serial_shard_fanout,
+    span_shape,
+    stepped_clock,
+)
 
 ALL_VARIANTS = ["F-S", "F-I", "F-SI", "F-SR", "F-SIR"]
+ENGINES = ["reference", "blocked", "gemm", "auto"]
 N, D, K = 600, 16, 7
+
+needs_processes = pytest.mark.skipif(
+    not process_executor_usable(),
+    reason="no multiprocessing start method available",
+)
 
 
 def _adversarial_queries(queries):
@@ -33,36 +53,130 @@ def _adversarial_queries(queries):
 
 
 # ----------------------------------------------------------------------
-# The exactness property
+# In one process: the inner single scan, field for field
 # ----------------------------------------------------------------------
 
+def _assert_same_scan(sharded, q, k, options_for, engine=None):
+    """Sharded ``query_detailed`` vs the inner ``query``, everything.
+
+    ``options_for(span)`` builds a fresh options bundle per run around
+    that run's root trace span.
+    """
+    runs = []
+    for run in ("sharded", "inner"):
+        tracer = Tracer(sample_rate=1.0)
+        root = tracer.start("scan")
+        options = options_for(root)
+        if run == "sharded":
+            result, reports = sharded.query_detailed(
+                q, k, options=options, engine=engine)
+            assert reports == []
+        else:
+            result = sharded.index.query(q, k, options=options,
+                                         engine=engine)
+        root.end()
+        runs.append((result, [span_shape(s) for s in tracer.spans]))
+    (mine, mine_spans), (truth, truth_spans) = runs
+    assert mine.ids == truth.ids
+    assert [s.hex() for s in mine.scores] == \
+        [s.hex() for s in truth.scores]
+    assert mine.stats.as_dict() == truth.stats.as_dict()
+    assert mine.complete == truth.complete
+    if truth.bounds is None:
+        assert mine.bounds is None
+    else:
+        assert mine.bounds.as_dict() == truth.bounds.as_dict()
+    assert mine_spans == truth_spans
+    return mine
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_in_process_query_is_the_inner_single_scan(engine):
+    items, queries = make_mf_like(N, D, seed=89)
+    sharded = ShardedFexiproIndex(items, shards=5, executor="serial",
+                                  variant="F-SIR", engine=engine,
+                                  block_size=64)
+    inner = sharded.index
+    if engine == "auto":
+        # Pin the planner's choice so both runs scan with one engine.
+        inner.calibrate()
+        inner.cost_model.rates = {
+            name: (1e-15 if name == "blocked" else 1.0)
+            for name in inner.cost_model.rates}
+    for q in _adversarial_queries(queries)[:4]:
+        cold = _assert_same_scan(sharded, q, K,
+                                 lambda span: ScanOptions(span=span))
+        seed = math.nextafter(inner.query(q, 2 * K).scores[K - 1],
+                              -math.inf) if len(cold.ids) == K else -math.inf
+        _assert_same_scan(
+            sharded, q, K,
+            lambda span: ScanOptions(initial_threshold=seed, span=span))
+        degraded = _assert_same_scan(
+            sharded, q, K,
+            lambda span: ScanOptions(
+                deadline=Deadline(1.0, clock=stepped_clock()), span=span))
+        assert degraded.stats.deadline_hit == 1
+        budgeted = _assert_same_scan(
+            sharded, q, K,
+            lambda span: ScanOptions(budget=FlopBudget(120 * D),
+                                     span=span))
+        assert budgeted.bounds is not None
+        # The per-call engine override takes the same path.
+        _assert_same_scan(sharded, q, K, lambda span: ScanOptions(),
+                          engine="blocked")
+    # A mutated catalog: delta rows and tombstones, then after compaction.
+    sharded.add_items(items[:9] * 1.3)
+    sharded.remove_items([0, 5, 601])
+    for q in queries[:3]:
+        _assert_same_scan(sharded, q, K, lambda span: ScanOptions(span=span))
+        _assert_same_scan(
+            sharded, q, K,
+            lambda span: ScanOptions(budget=FlopBudget(90 * D), span=span))
+    assert sharded.compact()
+    _assert_same_scan(sharded, queries[0], K,
+                      lambda span: ScanOptions(span=span))
+    # Errors are the inner scan's errors.
+    with pytest.raises(ValidationError, match="engine"):
+        sharded.query(queries[0], K, engine="bogus")
+    with pytest.raises(ValidationError, match="engine"):
+        inner.query(queries[0], K, engine="bogus")
+
+
+# ----------------------------------------------------------------------
+# The process fan-out: exact answers, pinned reports
+# ----------------------------------------------------------------------
+
+@needs_processes
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 @pytest.mark.parametrize("shards", [1, 7, N, N + 13])
 def test_sharded_bitwise_identical_to_single_scan(variant, shards):
     items, queries = make_mf_like(N, D, seed=90)
-    sharded = ShardedFexiproIndex(items, shards=shards, workers=1,
-                                  variant=variant)
-    for q in _adversarial_queries(queries):
-        mine, reports = sharded.query_detailed(q, K)
-        truth = sharded.index.query(q, K)
-        assert mine.ids == truth.ids
-        assert mine.scores == truth.scores  # bitwise, not approx
-        # The response's counters are the exact sum of the shard reports.
-        total = aggregate_stats(r.stats for r in reports)
-        assert mine.stats.as_dict() == total.as_dict()
-        assert len(reports) == shards
+    with ShardedFexiproIndex(items, shards=shards, workers=1,
+                             executor="process", variant=variant) as sharded:
+        for q in _adversarial_queries(queries):
+            mine, reports = sharded.query_detailed(q, K)
+            truth = sharded.index.query(q, K)
+            assert mine.ids == truth.ids
+            assert mine.scores == truth.scores  # bitwise, not approx
+            # The response's counters are the exact sum of the shard
+            # reports.
+            total = aggregate_stats(r.stats for r in reports)
+            assert mine.stats.as_dict() == total.as_dict()
+            assert len(reports) == shards
 
 
+@needs_processes
 def test_single_shard_counters_equal_single_scan():
     items, queries = make_mf_like(N, D, seed=91)
-    sharded = ShardedFexiproIndex(items, shards=1, workers=1,
-                                  variant="F-SIR")
-    for q in queries[:5]:
-        mine = sharded.query(q, K)
-        truth = sharded.index.query(q, K)
-        # With one shard the sharded scan IS the single scan — every
-        # pruning counter must match, not just the answer.
-        assert mine.stats.as_dict() == truth.stats.as_dict()
+    with ShardedFexiproIndex(items, shards=1, workers=1, executor="process",
+                             variant="F-SIR") as sharded:
+        for q in queries[:5]:
+            mine, reports = sharded.query_detailed(q, K)
+            truth = sharded.index.query(q, K)
+            assert len(reports) == 1
+            # One shard over the whole catalog IS the single scan — every
+            # pruning counter must match, not just the answer.
+            assert mine.stats.as_dict() == truth.stats.as_dict()
 
 
 def test_pooled_scan_matches_inline_scan():
@@ -78,12 +192,19 @@ def test_pooled_scan_matches_inline_scan():
             assert a.scores == b.scores
 
 
+@needs_processes
 def test_shard_skips_fire_and_are_reported():
     items, queries = make_mf_like(2_000, D, seed=93)
-    sharded = ShardedFexiproIndex(items, shards=8, workers=1,
-                                  variant="F-SIR")
-    result, reports = sharded.query_detailed(queries[0], 5)
+    with ShardedFexiproIndex(items, shards=8, workers=1, executor="process",
+                             variant="F-SIR") as sharded:
+        result, reports = sharded.query_detailed(queries[0], 5)
+        oracle, oracle_reports = serial_shard_fanout(sharded, queries[0], 5)
     assert result.stats.shards_skipped > 0
+    assert result.stats.as_dict() == oracle.stats.as_dict()
+    assert [(r.span, r.seeded_threshold, r.stats.as_dict())
+            for r in reports] == \
+        [(r.span, r.seeded_threshold, r.stats.as_dict())
+         for r in oracle_reports]
     skipped = [r for r in reports if r.skipped]
     assert len(skipped) == result.stats.shards_skipped
     for r in skipped:
@@ -126,7 +247,7 @@ def test_add_and_remove_items_delegate_and_respan():
 
 
 # ----------------------------------------------------------------------
-# shard_spans / SharedThreshold units
+# shard_spans units
 # ----------------------------------------------------------------------
 
 def test_shard_spans_partition_exactly():
@@ -155,30 +276,45 @@ def test_default_shards_bounds():
     assert 2 <= default_shards() <= 16
 
 
-def test_shared_threshold_is_monotone():
-    cell = SharedThreshold()
-    assert cell.value == -math.inf
-    assert not cell.offer(-math.inf)  # unfilled buffers never move it
-    assert cell.offer(1.5)
-    assert not cell.offer(1.0)  # never backwards
-    assert not cell.offer(1.5)  # ties are not improvements
-    assert cell.offer(2.0)
-    assert cell.value == 2.0
-
-
 # ----------------------------------------------------------------------
 # Construction and validation
 # ----------------------------------------------------------------------
 
-def test_requires_blocked_engine():
-    items, __ = make_mf_like(100, 8, seed=96)
-    with pytest.raises(ValidationError):
-        ShardedFexiproIndex(items, engine="reference")
-    reference = FexiproIndex(items, engine="reference")
-    with pytest.raises(ValidationError):
-        ShardedFexiproIndex.from_index(reference)
+def test_any_engine_builds_a_sharded_index():
+    items, queries = make_mf_like(100, 8, seed=96)
+    reference = ShardedFexiproIndex(items, shards=2, engine="reference")
+    assert reference.index.engine == "reference"
+    wrapped = ShardedFexiproIndex.from_index(
+        FexiproIndex(items, engine="reference"), shards=2)
+    assert wrapped.query(queries[0], 5).ids == \
+        reference.query(queries[0], 5).ids
     with pytest.raises(ValidationError):
         ShardedFexiproIndex.from_index("not an index")
+
+
+def test_resolved_workers_is_the_fanout_pool_size():
+    items, __ = make_mf_like(100, 8, seed=96)
+    index = FexiproIndex(items)
+    for executor in ("auto", "process"):
+        eight = ShardedFexiproIndex.from_index(index, shards=8,
+                                               executor=executor)
+        assert eight.resolved_workers == 8  # one process per shard
+        assert ShardedFexiproIndex.from_index(
+            index, shards=8, workers=3,
+            executor=executor).resolved_workers == 3
+        assert ShardedFexiproIndex.from_index(
+            index, shards=2, workers=6,
+            executor=executor).resolved_workers == 2
+    assert ShardedFexiproIndex.from_index(
+        index, shards=8, executor="serial").resolved_workers == 1
+
+
+@needs_processes
+def test_resolved_workers_matches_the_started_pool():
+    items, queries = make_mf_like(300, 8, seed=96)
+    with ShardedFexiproIndex(items, shards=3, executor="process") as sharded:
+        sharded.query(queries[0], 5)
+        assert sharded._procpool.workers == sharded.resolved_workers == 3
 
 
 def test_validates_shards_and_workers():
