@@ -148,8 +148,9 @@ class CostModel:
     Built by :func:`calibrate_cost_model` (a short measurement pass) and
     attached to the index as ``index.cost_model`` — pickled with it, so a
     saved index keeps its calibration.  Binds to the index identity
-    ``(uid, epoch)``: any rebuild (``add_items`` / ``remove_items``)
-    invalidates the model structurally via :meth:`matches`.
+    ``(uid, epoch)``: a compaction (a new SVD basis) invalidates the
+    model structurally via :meth:`matches`; writes to the delta tier do
+    not.
 
     Two kinds of state are fitted:
 
@@ -310,6 +311,9 @@ def calibrate_cost_model(index, *, k: int = 10,
     The pass is deliberately cheap — a handful of deadline-capped scans —
     so it can run at build/load time or lazily on the first ``auto``
     query.  The model keeps improving online via :meth:`CostModel.observe`.
+    ``index`` may be a :class:`~repro.core.index.FexiproIndex` or a
+    captured :class:`~repro.core.delta.LiveCatalog`; the pass measures
+    one snapshot's base tier, the extent every engine scans.
     """
     from time import perf_counter
 
@@ -320,6 +324,7 @@ def calibrate_cost_model(index, *, k: int = 10,
     from ..serve.resilience import Deadline
     from ..core.options import ScanOptions
 
+    index = getattr(index, "_live", index)
     samples = max(1, min(int(samples), index.n))
     positions = [int(i * (index.n - 1) / max(1, samples - 1))
                  for i in range(samples)] if samples > 1 else [0]

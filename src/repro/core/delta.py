@@ -86,33 +86,31 @@ class LiveCatalog:
 
     Engines receive a snapshot wherever they used to receive the index —
     it exposes the same scan-facing attributes (``n``, ``order``,
-    ``items_bar``, ``norms_sorted``, ``bar_tail_norms``, ``w``,
-    ``scaled``, ``reduction``, ``block_size``, ``epoch``, ``uid``) with
-    ``n`` meaning the *base* extent, so the preprocessed scan code needs
-    no changes.  Delta and tombstone state ride alongside:
+    ``items_bar``, ``norms_sorted``, ``bar_norms``, ``bar_tail_norms``,
+    ``w``, ``scaled``, ``reduction``, ``block_size``, ``epoch``, ``uid``)
+    with ``n`` meaning the *base* extent, so the preprocessed scan code
+    needs no changes.  Delta and tombstone state ride alongside:
 
     - ``delta_items``/``delta_ids``/``delta_norms``: appended raw rows.
     - ``delta_dead``/``base_dead``: positional tombstone masks.
+    - ``state_version`` bumps on every swap of any kind (add, remove,
+      compaction).  Everything derived from a snapshot — cached answers,
+      warm seeds, reverse thresholds, process-pool replicas — is either
+      a field of the snapshot itself or keyed by :attr:`token`, the
+      ``(uid, state_version)`` pair.
     - ``epoch`` bumps only when the preprocessed basis changes (build or
-      compaction) — warm-start positions and cached GEMM row norms bind
-      to it.
-    - ``catalog_version`` bumps on every visible-content change (add or
-      remove) and is *preserved* by compaction — the query cache binds
-      exact hits to it, which is what lets a warm entry survive an epoch
-      swap bitwise-intact.
-    - ``state_version`` bumps on every swap of any kind — process-pool
-      replicas bind to it.
+      compaction); only the engine cost model keys on it.
 
     Snapshots are cheap: mutators share the base arrays and copy only
     the small delta/mask arrays.
     """
 
     def __init__(self, *, uid: str, variant: str, block_size: int,
-                 epoch: int, catalog_version: int, state_version: int,
+                 epoch: int, state_version: int,
                  order: np.ndarray, items_sorted: np.ndarray,
                  norms_sorted: np.ndarray, transform, w: int,
-                 items_bar: np.ndarray, bar_tail_norms: np.ndarray,
-                 scaled, reduction,
+                 items_bar: np.ndarray, bar_norms: np.ndarray,
+                 bar_tail_norms: np.ndarray, scaled, reduction,
                  delta_items: Optional[np.ndarray] = None,
                  delta_ids: Optional[np.ndarray] = None,
                  delta_norms: Optional[np.ndarray] = None,
@@ -122,7 +120,6 @@ class LiveCatalog:
         self.variant = variant
         self.block_size = block_size
         self.epoch = epoch
-        self.catalog_version = catalog_version
         self.state_version = state_version
         self.order = order
         self.items_sorted = items_sorted
@@ -130,6 +127,7 @@ class LiveCatalog:
         self.transform = transform
         self.w = w
         self.items_bar = items_bar
+        self.bar_norms = bar_norms
         self.bar_tail_norms = bar_tail_norms
         self.scaled = scaled
         self.reduction = reduction
@@ -171,6 +169,11 @@ class LiveCatalog:
     # -- bookkeeping ---------------------------------------------------
 
     @property
+    def token(self) -> Tuple[str, int]:
+        """``(uid, state_version)``: the identity derived state keys on."""
+        return (self.uid, self.state_version)
+
+    @property
     def clean(self) -> bool:
         """Whether base alone is the whole catalog (nothing to compact)."""
         return self.delta_count == 0 and self.base_dead_count == 0
@@ -192,14 +195,6 @@ class LiveCatalog:
 
     # -- snapshot algebra (mutators build new snapshots) ---------------
 
-    def _carry_gemm_cache(self, other: "LiveCatalog") -> None:
-        # The GEMM engine caches per-epoch transformed row norms on the
-        # snapshot; a delta-only mutation keeps base/epoch intact, so
-        # the cache stays valid and is carried to avoid a recompute.
-        cached = getattr(self, "_gemm_bar_norms", None)
-        if cached is not None:
-            other._gemm_bar_norms = cached
-
     def with_appended(self, rows: np.ndarray,
                       ids: np.ndarray) -> "LiveCatalog":
         """A new snapshot with ``rows`` appended to the delta tier."""
@@ -208,14 +203,12 @@ class LiveCatalog:
                 f"appended rows have {rows.shape[1]} dimensions; "
                 f"index has {self.d}"
             )
-        out = LiveCatalog(
+        return LiveCatalog(
             uid=self.uid, variant=self.variant, block_size=self.block_size,
-            epoch=self.epoch,
-            catalog_version=self.catalog_version + 1,
-            state_version=self.state_version + 1,
+            epoch=self.epoch, state_version=self.state_version + 1,
             order=self.order, items_sorted=self.items_sorted,
             norms_sorted=self.norms_sorted, transform=self.transform,
-            w=self.w, items_bar=self.items_bar,
+            w=self.w, items_bar=self.items_bar, bar_norms=self.bar_norms,
             bar_tail_norms=self.bar_tail_norms, scaled=self.scaled,
             reduction=self.reduction,
             delta_items=np.concatenate([self.delta_items, rows]),
@@ -227,8 +220,6 @@ class LiveCatalog:
                 [self.delta_dead, np.zeros(rows.shape[0], dtype=bool)]),
             base_dead=self.base_dead,
         )
-        self._carry_gemm_cache(out)
-        return out
 
     def with_tombstones(self, ids) -> Tuple["LiveCatalog", int]:
         """A new snapshot with ``ids`` masked out of both tiers.
@@ -245,12 +236,10 @@ class LiveCatalog:
             return self, 0
         out = LiveCatalog(
             uid=self.uid, variant=self.variant, block_size=self.block_size,
-            epoch=self.epoch,
-            catalog_version=self.catalog_version + 1,
-            state_version=self.state_version + 1,
+            epoch=self.epoch, state_version=self.state_version + 1,
             order=self.order, items_sorted=self.items_sorted,
             norms_sorted=self.norms_sorted, transform=self.transform,
-            w=self.w, items_bar=self.items_bar,
+            w=self.w, items_bar=self.items_bar, bar_norms=self.bar_norms,
             bar_tail_norms=self.bar_tail_norms, scaled=self.scaled,
             reduction=self.reduction,
             delta_items=self.delta_items, delta_ids=self.delta_ids,
@@ -258,7 +247,6 @@ class LiveCatalog:
             delta_dead=self.delta_dead | delta_hit,
             base_dead=self.base_dead | base_hit,
         )
-        self._carry_gemm_cache(out)
         return out, removed
 
     def visible_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,9 +285,10 @@ def compacted_live(live0: LiveCatalog, live1: LiveCatalog, built: dict,
     therefore cannot cross-contaminate, which an id-set diff would get
     wrong.
 
-    ``epoch`` bumps (new basis), ``catalog_version`` is preserved (the
-    visible catalog is unchanged by construction), ``state_version``
-    bumps (new object graph for replicas).
+    ``epoch`` bumps (new basis) and so does ``state_version``: the
+    visible catalog is unchanged, but every score is now computed in the
+    new basis, so no answer or threshold derived from ``live1`` carries
+    over.
     """
     n0, m0 = live0.n, live0.delta_count
     fed_dead = np.empty(sources.size, dtype=bool)
@@ -308,12 +297,11 @@ def compacted_live(live0: LiveCatalog, live1: LiveCatalog, built: dict,
     fed_dead[~is_base] = live1.delta_dead[sources[~is_base] - n0]
     return LiveCatalog(
         uid=live1.uid, variant=live1.variant, block_size=live1.block_size,
-        epoch=live1.epoch + 1,
-        catalog_version=live1.catalog_version,
-        state_version=live1.state_version + 1,
+        epoch=live1.epoch + 1, state_version=live1.state_version + 1,
         order=built["order"], items_sorted=built["items_sorted"],
         norms_sorted=built["norms_sorted"], transform=built["transform"],
         w=built["w"], items_bar=built["items_bar"],
+        bar_norms=built["bar_norms"],
         bar_tail_norms=built["bar_tail_norms"], scaled=built["scaled"],
         reduction=built["reduction"],
         delta_items=live1.delta_items[m0:],

@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from .._validation import safe_norm, safe_row_norms
+from .._validation import safe_norm
 from .blocked import block_schedule
 from .driver import BlockCursor
 from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
@@ -111,23 +111,6 @@ def dot_error_margin(row_norms: np.ndarray, q_norm: float,
     """
     return (_C_SAFETY * d * _EPS) * (q_norm * row_norms) \
         + (_C_SAFETY * d) * _ETA
-
-
-def _bar_row_norms(index: "FexiproIndex") -> np.ndarray:
-    """Row norms of ``items_bar``, lazily cached per preprocessing epoch.
-
-    The index precomputes only the *tail* norms (incremental pruning needs
-    nothing else), so the full transformed-row norms used by the selection
-    margin are derived here on first use and invalidated by epoch bumps —
-    indexes pickled before this engine existed pick the cache up
-    transparently.
-    """
-    cached = getattr(index, "_gemm_bar_norms", None)
-    if cached is not None and cached[0] == index.epoch:
-        return cached[1]
-    norms = safe_row_norms(index.items_bar)
-    index._gemm_bar_norms = (index.epoch, norms)
-    return norms
 
 
 def topk_select(scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -220,7 +203,7 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
 
     items_bar = index.items_bar
     norms = index.norms_sorted
-    bar_norms = _bar_row_norms(index)
+    bar_norms = index.bar_norms
     w = index.w
     d = index.d
     q_bar = qs.q_bar

@@ -214,11 +214,11 @@ class FexiproIndex:
         self._live = LiveCatalog(
             uid=self.uid, variant=self.variant.name,
             block_size=self.block_size,
-            epoch=0, catalog_version=0, state_version=0,
+            epoch=0, state_version=0,
             order=built["order"], items_sorted=built["items_sorted"],
             norms_sorted=built["norms_sorted"],
             transform=built["transform"], w=built["w"],
-            items_bar=built["items_bar"],
+            items_bar=built["items_bar"], bar_norms=built["bar_norms"],
             bar_tail_norms=built["bar_tail_norms"],
             scaled=built["scaled"], reduction=built["reduction"],
         )
@@ -255,7 +255,9 @@ class FexiproIndex:
         w = transform.w
         items_bar = transform.items
 
-        # Residual norms ||p_bar_h|| for incremental pruning (Eq. 1).
+        # Full transformed-row norms for the GEMM selection margin, and
+        # residual norms ||p_bar_h|| for incremental pruning (Eq. 1).
+        bar_norms = safe_row_norms(items_bar)
         bar_tail_norms = safe_row_norms(items_bar[:, w:]) \
             if w < d else np.zeros(n)
 
@@ -281,6 +283,7 @@ class FexiproIndex:
             "transform": transform,
             "w": w,
             "items_bar": items_bar,
+            "bar_norms": bar_norms,
             "bar_tail_norms": bar_tail_norms,
             "scaled": scaled,
             "reduction": reduction,
@@ -316,16 +319,6 @@ class FexiproIndex:
         return self._live.epoch
 
     @property
-    def catalog_version(self) -> int:
-        """Bumps on every visible-content change; preserved by compaction."""
-        return self._live.catalog_version
-
-    @property
-    def state_version(self) -> int:
-        """Bumps on every snapshot swap of any kind (replica identity)."""
-        return self._live.state_version
-
-    @property
     def order(self) -> np.ndarray:
         return self._live.order
 
@@ -348,6 +341,10 @@ class FexiproIndex:
     @property
     def items_bar(self) -> np.ndarray:
         return self._live.items_bar
+
+    @property
+    def bar_norms(self) -> np.ndarray:
+        return self._live.bar_norms
 
     @property
     def bar_tail_norms(self) -> np.ndarray:
@@ -499,9 +496,10 @@ class FexiproIndex:
         replaying, positionally, any adds/removes that raced the rebuild
         into the fresh delta tier.  Queries in flight keep their old
         snapshot; new queries see the compacted catalog.  The visible
-        catalog is unchanged by construction, so ``catalog_version`` is
-        preserved (cached results stay servable) while ``epoch`` bumps
-        (warm-start positions bound to the old basis are dropped).
+        catalog is unchanged by construction, but the new SVD basis
+        rounds scores differently, so ``state_version`` bumps like on any
+        write: no cached answer or threshold crosses the fold.  ``epoch``
+        bumps too (the cost model recalibrates).
 
         Returns ``True`` if a compaction ran, ``False`` if there was
         nothing to compact (clean catalog, or every item tombstoned —
@@ -672,32 +670,13 @@ class FexiproIndex:
         return state
 
     def __setstate__(self, state):
-        live = state.pop("_live", None)
-        if live is None:
-            # Legacy pickle (pre-live-catalog flat layout): lift the base
-            # arrays into a clean snapshot.  The flat names are popped so
-            # they do not linger in ``__dict__`` underneath the
-            # read-only properties that replaced them.
-            live = LiveCatalog(
-                uid=state.get("uid") or uuid.uuid4().hex,
-                variant=getattr(state.get("variant"), "name", "?"),
-                block_size=state.get("block_size", DEFAULT_BLOCK_SIZE),
-                epoch=state.pop("epoch", 0),
-                catalog_version=0, state_version=0,
-                order=state.pop("order"),
-                items_sorted=state.pop("items_sorted"),
-                norms_sorted=state.pop("norms_sorted"),
-                transform=state.pop("transform"),
-                w=state.pop("w"),
-                items_bar=state.pop("items_bar"),
-                bar_tail_norms=state.pop("bar_tail_norms"),
-                scaled=state.pop("scaled", None),
-                reduction=state.pop("reduction", None),
+        if not hasattr(state.get("_live"), "bar_norms"):
+            raise ValidationError(
+                "this saved index predates the current snapshot layout "
+                "(no stored GEMM row norms); rebuild it from the item "
+                "matrix and save it again"
             )
-            state.pop("n", None)
-            state.pop("d", None)
         self.__dict__.update(state)
-        self._live = live
         self._mutate_lock = threading.Lock()
         self._compact_lock = threading.Lock()
 

@@ -28,8 +28,8 @@ that externalizes every large array buffer, leaving a small *meta* pickle
 (object graph, dtypes, shapes, scalars) plus a table of raw, page-aligned
 buffer segments::
 
-    pickle(header)          # format, kind, (uid, epoch) token, digests,
-                            # meta_nbytes, buffer table
+    pickle(header)          # format, kind, (uid, state_version) token,
+                            # digests, meta_nbytes, buffer table
     <meta pickle bytes>
     <zero padding to the next 4096-byte boundary>
     <buffer 0 bytes> <pad> <buffer 1 bytes> <pad> ...
@@ -41,9 +41,9 @@ cost.  :func:`attach_mmap` is the O(meta) path: it verifies only the meta
 digest, maps the file read-only, and hands the unpickler zero-copy
 ``memoryview`` slices of the mapping — the arrays alias the page cache,
 are shared across attaching processes, and come back with
-``writeable=False``.  The header also records the index's ``(uid, epoch)``
-identity token so replica machinery can reject stale attaches after an
-``add_items``/rebuild epoch bump (:mod:`repro.core.replica`).
+``writeable=False``.  The header also records the index's ``(uid,
+state_version)`` identity token so replica machinery can reject stale
+attaches after any catalog write or compaction (:mod:`repro.core.replica`).
 
 The serialized payload (format 2) or meta pickle (format 3) passes
 through the ``io`` fault site (:mod:`repro._faultsites`) *after* the
@@ -76,28 +76,19 @@ PAGE = 4096
 
 
 def identity_token(obj):
-    """The ``(uid, state_version)`` identity of a saveable index, or ``None``.
+    """The snapshot token ``(uid, state_version)`` of an index, or ``None``.
 
-    A :class:`~repro.core.index.FexiproIndex` carries both directly; a
+    A :class:`~repro.core.index.FexiproIndex` reports its current
+    :attr:`~repro.core.delta.LiveCatalog.token`; a
     :class:`~repro.core.sharded.ShardedFexiproIndex` inherits its inner
-    index's identity.  ``state_version`` bumps on *every* catalog state
-    swap — appends, tombstones and compactions alike — so a replica
-    attached to an older save is recognized as stale even when the SVD
-    basis (``epoch``) has not changed.  Pre-live-catalog objects without
-    a ``state_version`` fall back to ``epoch`` (their only version
-    counter); objects with neither (foreign types in tests) save with a
-    ``None`` token and simply cannot participate in staleness checks.
+    index's.  ``state_version`` bumps on *every* catalog state swap —
+    appends, tombstones and compactions alike — so a replica attached to
+    an older save is recognized as stale.  Objects without a live
+    catalog (foreign types in tests) save with a ``None`` token and
+    simply cannot participate in staleness checks.
     """
-    target = obj if getattr(obj, "uid", None) is not None \
-        else getattr(obj, "index", None)
-    uid = getattr(target, "uid", None)
-    version = getattr(target, "state_version", None)
-    if version is None:
-        version = getattr(target, "epoch", None)
-    if isinstance(uid, str) and isinstance(version, int) \
-            and not isinstance(version, bool):
-        return (uid, version)
-    return None
+    live = getattr(getattr(obj, "index", obj), "_live", None)
+    return None if live is None else live.token
 
 
 def _align(offset: int) -> int:
@@ -209,6 +200,8 @@ def load_checksummed(path, kind: str, cls):
     with handle:               # not corruption: FileNotFoundError stands
         try:
             head = pickle.load(handle)
+        except ValidationError:
+            raise  # a format-1 object that rejected its own state
         except Exception as error:
             raise IndexIntegrityError(
                 path, f"unreadable header ({type(error).__name__}: {error})"
@@ -350,6 +343,8 @@ def _load_mmap_verified(handle, path, head):
         )
     try:
         return pickle.loads(meta, buffers=buffers)
+    except ValidationError:
+        raise  # a decodable object that rejected its own state
     except Exception as error:
         raise IndexIntegrityError(
             path, f"meta pickle failed to decode ({type(error).__name__}: "
@@ -362,9 +357,10 @@ class MmapAttachment:
 
     ``obj`` is the reconstructed index whose array buffers alias the
     mapping (``writeable=False``); ``token`` is the file's ``(uid,
-    epoch)`` identity.  Keep the attachment alive as long as the index is
-    in use — :meth:`close` drops the object reference *before* unmapping
-    so a live index can never dangle.  Context-manager friendly.
+    state_version)`` identity.  Keep the attachment alive as long as the
+    index is in use — :meth:`close` drops the object reference *before*
+    unmapping so a live index can never dangle.  Context-manager
+    friendly.
     """
 
     def __init__(self, obj, token, path, mapping, handle):

@@ -8,10 +8,11 @@ pool: the parent preprocesses the index once, publishes it, and every
 scan worker attaches zero-copy in O(meta) time.
 
 Staleness is structural, not advisory.  A replica's filename and header
-both carry the index's ``(uid, epoch)`` identity token; ``add_items`` /
-``remove_items`` / a rebuild bump ``epoch`` in the parent, the publisher
-then writes a *new* file for the new token, and :func:`attach_replica`
-refuses a handle whose token no longer matches the file — a worker
+both carry the index's ``(uid, state_version)`` snapshot token;
+``add_items`` / ``remove_items`` / ``compact`` bump ``state_version`` in
+the parent, the publisher then writes a *new* file for the new token,
+and :func:`attach_replica` refuses a handle whose token no longer
+matches the file — a worker
 holding yesterday's replica cannot silently serve yesterday's answers
 (:class:`~repro.exceptions.IndexIntegrityError`).
 """
@@ -67,18 +68,19 @@ class ReplicaHandle:
 def publish_replica(index, directory: Optional[str] = None) -> ReplicaHandle:
     """Write ``index`` as a format-3 replica file; returns its handle.
 
-    The filename embeds the ``(uid, epoch)`` token plus the publishing
-    pid and a random suffix, so concurrent publishers (two services over
-    one index) never collide and a stale file is recognizable on sight.
+    The filename embeds the ``(uid, state_version)`` token plus the
+    publishing pid and a random suffix, so concurrent publishers (two
+    services over one index) never collide and a stale file is
+    recognizable on sight.
     """
     token = identity_token(index)
     if token is None:
         raise ValidationError(
             f"cannot publish a replica of {type(index).__name__}: "
-            f"no (uid, epoch) identity"
+            f"no (uid, state_version) identity"
         )
     directory = directory if directory is not None else replica_dir()
-    name = (f"repro-replica-{token[0]}-e{token[1]}-"
+    name = (f"repro-replica-{token[0]}-v{token[1]}-"
             f"{os.getpid()}-{uuid.uuid4().hex[:8]}.fx3")
     path = os.path.join(directory, name)
     save_checksummed(path, type(index).__name__, index, format=3)
@@ -91,10 +93,10 @@ def attach_replica(handle: ReplicaHandle) -> MmapAttachment:
 
     The caller's ``handle.token`` is what the parent *believes* the index
     identity is; the file header records what was actually published.  A
-    mismatch means the parent's index moved on (epoch bump) while this
-    worker still points at the old bytes — serving from them would return
-    exact answers to a question nobody is asking anymore, so the attach
-    fails structurally with :class:`IndexIntegrityError`.
+    mismatch means the parent's index moved on (a write or compaction)
+    while this worker still points at the old bytes — serving from them
+    would return exact answers to a question nobody is asking anymore, so
+    the attach fails structurally with :class:`IndexIntegrityError`.
     """
     from .index import FexiproIndex
 
@@ -106,7 +108,7 @@ def attach_replica(handle: ReplicaHandle) -> MmapAttachment:
         raise IndexIntegrityError(
             handle.path,
             f"stale replica: file holds identity {stored!r}, caller "
-            f"expects {tuple(handle.token)!r} (index epoch moved on)",
+            f"expects {tuple(handle.token)!r} (index state moved on)",
         )
     return attachment
 

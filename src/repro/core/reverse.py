@@ -16,7 +16,7 @@ tiers:
 - **exact** thresholds — the k-th score of a previously computed forward
   result for ``q_u`` (from this index's own verifications, or from the
   serving layer's :class:`~repro.serve.cache.QueryCache`), bound to the
-  item catalog's ``(uid, catalog_version)`` token exactly like cache
+  item snapshot's ``(uid, state_version)`` token exactly like cache
   entries.  An exact threshold prunes *and* admits: ``q_u . p`` strictly
   above the true k-th score proves membership with no scan at all.
 - **length-sort** fallbacks — the smallest of ``u``'s scores against the
@@ -186,11 +186,12 @@ class ReverseResult:
     the exact k-th score that admitted each user — the forward engines'
     own float for that user's k-th best inner product (the *lowest*
     score when the visible catalog holds fewer than ``k`` items, in
-    which case every item is trivially in every top-k).  The catalog
-    version fields pin which snapshots the audience is exact against;
-    a consumer comparing them to the current index versions can tell a
-    fresh audience from one computed before a racing mutation landed —
-    a stale audience is therefore detectable, never silent.
+    which case every item is trivially in every top-k).  The
+    ``state_version`` fields pin which snapshots the audience is exact
+    against; a consumer comparing them to the current index versions can
+    tell a fresh audience from one computed before a racing mutation or
+    compaction landed — a stale audience is therefore detectable, never
+    silent.
     """
 
     item: int
@@ -198,8 +199,8 @@ class ReverseResult:
     kth_scores: List[float]
     stats: ReverseStats
     elapsed: float
-    item_catalog_version: int
-    user_catalog_version: int
+    item_state_version: int
+    user_state_version: int
 
     @property
     def audience_size(self) -> int:
@@ -263,12 +264,11 @@ class _BoundTable:
     """Exact k-th-score thresholds for one ``k``, token-bound.
 
     ``exact`` maps user external id -> the forward engines' k-th score
-    for that user, valid only while the item catalog's
-    ``(uid, catalog_version)`` token matches — the same binding the
-    query cache uses, which is what lets entries survive a compaction
-    (content-preserving, bitwise-stable) but never a visible-content
-    change (adds can raise the true k-th score's *row*, removes can
-    lower it, so neither direction is safe to keep).
+    for that user, valid only while the item snapshot's
+    ``(uid, state_version)`` token matches — the same binding the query
+    cache uses.  Adds can raise the true k-th score, removes can lower
+    it, and a compaction refits the basis the scores are rounded in, so
+    no entry survives any of them.
     """
 
     __slots__ = ("k", "token", "exact")
@@ -424,7 +424,7 @@ class ReverseIndex:
 
     def _user_rows(self, usnap: LiveCatalog):
         """Visible user rows, ids and norms — cached per snapshot."""
-        key = (usnap.uid, usnap.state_version)
+        key = usnap.token
         with self._lock:
             if self._rows_key == key:
                 return self._rows_val
@@ -454,8 +454,7 @@ class ReverseIndex:
         margin is subtracted here so downstream comparisons against
         engine-computed floats stay sound.
         """
-        key = (k, fsnap.uid, fsnap.catalog_version,
-               usnap.uid, usnap.state_version)
+        key = (k, fsnap.token, usnap.token)
         with self._lock:
             if self._length_key == key:
                 return self._length_val
@@ -547,10 +546,10 @@ class ReverseIndex:
             return ReverseResult(
                 item=item, user_ids=[], kth_scores=[], stats=stats,
                 elapsed=time.perf_counter() - started,
-                item_catalog_version=fsnap.catalog_version,
-                user_catalog_version=usnap.catalog_version)
+                item_state_version=fsnap.state_version,
+                user_state_version=usnap.state_version)
 
-        token = (fsnap.uid, fsnap.catalog_version)
+        token = fsnap.token
         with self._lock:
             table = self._tables.setdefault(k, _BoundTable(k))
             table.validate(token)
@@ -634,8 +633,8 @@ class ReverseIndex:
             kth_scores=[admitted_kth[i] for i in order],
             stats=stats,
             elapsed=time.perf_counter() - started,
-            item_catalog_version=fsnap.catalog_version,
-            user_catalog_version=usnap.catalog_version)
+            item_state_version=fsnap.state_version,
+            user_state_version=usnap.state_version)
         if span is not None:
             span.set(audience=result.audience_size,
                      verified=stats.verified)

@@ -504,7 +504,7 @@ class ShardedFexiproIndex:
         """
         trace_span = opts.span
         handle = procpool.ensure_replica(self.index)
-        if tuple(handle.token) != (snap.uid, snap.state_version):
+        if tuple(handle.token) != snap.token:
             return None
         spans = self._catalog_spans(snap)
         if trace_span is not None:

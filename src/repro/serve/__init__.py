@@ -23,7 +23,7 @@ layer:
   :class:`QueryError` entries (with a bounded :class:`RetryPolicy`), and
   a deterministic :class:`FaultInjector` for chaos testing;
 - :class:`QueryCache` (PR 4) — an exactness-preserving LRU result cache
-  with epoch-bound invalidation and a threshold warm-start path that
+  with snapshot-bound invalidation and a threshold warm-start path that
   seeds both engines' pruning from cached evidence (see
   :mod:`repro.serve.cache` for the exactness argument).
 

@@ -6,20 +6,19 @@ that skew into served work saved, without ever surrendering FEXIPRO's
 exactness guarantee.  Two mechanisms, in decreasing order of payoff:
 
 **Exact result reuse.**  A query whose canonical fingerprint, ``k`` and
-catalog content all match a cached entry is answered straight from the
+catalog snapshot all match a cached entry is answered straight from the
 cache — the returned :class:`~repro.core.stats.RetrievalResult` is a copy
 of the one the original scan produced, so ids and scores are bitwise
-identical by construction.  Safety comes from *catalog binding*: every
-entry records the ``(uid, catalog_version)`` of the catalog snapshot that
-produced it, and the live catalog (:mod:`repro.core.delta`) bumps
-``catalog_version`` on every ``add_items`` / ``remove_items`` — while a
-*compaction*, which only re-expresses the same visible items in a fresh
-SVD basis, preserves it.  An exact hit therefore **survives compaction**:
-the visible catalog is unchanged, the cached answer is still the exact
-top-k, and serving the old bitwise result is correct even though a fresh
-scan would now round differently at the ulp level.  A genuinely stale
-entry (content changed) is structurally unservable — it is dropped (and
-counted) at lookup, never returned.
+identical by construction.  Safety comes from *snapshot binding*: every
+entry records the :attr:`~repro.core.delta.LiveCatalog.token` —
+``(uid, state_version)`` — of the catalog snapshot that produced it, and
+the live catalog (:mod:`repro.core.delta`) bumps ``state_version`` on
+every ``add_items``, ``remove_items`` and ``compact``.  A compaction
+keeps the visible items but refits the SVD basis, so a fresh scan rounds
+their scores differently at the ulp level; binding to the snapshot means
+a cached answer is served only while it equals what a fresh scan would
+return, bit for bit.  A stale entry is structurally unservable — it is
+dropped (and counted) at lookup, never returned.
 
 **Threshold warm-start.**  A near-hit cannot reuse the cached *answer*,
 but it can reuse the cached *evidence*.  FEXIPRO's pruning cascade is
@@ -45,19 +44,15 @@ admission sequence over surviving items is untouched, so tie-breaking is
 bit-for-bit the cold scan's (property-tested across all variants, both
 engines and the sharded scan, including adversarial duplicates and ties).
 
-Warm starts bind *tighter* than exact hits: besides the catalog token
-they require the entry's ``epoch`` to match the live snapshot's.  A
-compaction refits the SVD basis, so both cached scores (the larger-``k``
+Warm starts follow the same one rule.  Cached scores (the larger-``k``
 bound) and cached scan positions (the bucket's coordinate system) are
-expressed in the *old* basis — a post-compaction scan rounds the same
-true products differently at the ulp level, and a seed one ulp below an
-old-basis score could land *above* the new-basis k-th value and misprune.
-Epoch binding closes that hole; exact hits are immune because they never
-feed a threshold into a new scan.
+expressed in the producing snapshot's basis; across a compaction a seed
+one ulp below an old-basis score could land *above* the new-basis k-th
+value and misprune, and the token mismatch refuses it.
 
 The cache itself is a thread-safe LRU with optional TTL.  It is index-
 agnostic: one cache may sit in front of several services, and entries from
-different indexes (or different catalog versions of the same index) can
+different indexes (or different snapshots of the same index) can
 coexist — the token keeps them from ever crossing.
 """
 
@@ -157,22 +152,18 @@ def _variant_name(snap) -> str:
 class CacheEntry:
     """One cached exact answer, bound to the catalog state that produced it.
 
-    ``token`` is the producing catalog's ``(uid, catalog_version)`` pair —
-    the exact-hit binding, preserved across compaction.  ``epoch`` records
-    the SVD basis the answer was computed in; warm-start reuse (which
-    feeds cached evidence into a *new* scan) additionally requires it to
-    match the live snapshot.  ``positions`` are the result items'
-    positions in that epoch's scan coordinates — base items in
-    length-sorted order, delta items at ``n_base + delta_index`` — kept so
-    bucket neighbours can re-score the items without an id → position
-    search.
+    ``token`` is the producing snapshot's ``(uid, state_version)`` pair;
+    hits and warm seeds are served only from an entry whose token matches
+    the live snapshot's.  ``positions`` are the result items' positions
+    in that snapshot's scan coordinates — base items in length-sorted
+    order, delta items at ``n_base + delta_index`` — kept so bucket
+    neighbours can re-score the items without an id → position search.
     """
 
     key: Tuple
     qkey: Tuple
     bkey: Optional[Tuple]
     token: Tuple[str, int]
-    epoch: int
     qbytes: bytes
     k: int
     result: RetrievalResult
@@ -289,13 +280,9 @@ class QueryCache:
         its clamped twin share an entry).  Stale (token-mismatched) and
         expired entries encountered along the way are dropped and counted
         — a poisoned entry is never served and never seeds anything.
-        Warm-start candidates must *additionally* match the snapshot's
-        ``epoch``: cached evidence is expressed in the basis that computed
-        it, and only an exact hit may cross a compaction.
         """
         index = _snap(index)
-        token = (index.uid, index.catalog_version)
-        epoch = index.epoch
+        token = index.token
         qbytes = canonical_query_bytes(q)
         qkey = (_variant_name(index), _digest(qbytes))
         with self._lock:
@@ -317,7 +304,6 @@ class QueryCache:
                         continue
                     entry = self._entries.get(ks.get(cached_k))
                     if entry is not None and self._usable(entry, token) \
-                            and entry.epoch == epoch \
                             and entry.qbytes == qbytes:
                         self.warm_hits += 1
                         bound = float(entry.result.scores[k - 1])
@@ -333,7 +319,7 @@ class QueryCache:
                 key = self._by_bucket.get(bkey)
                 entry = self._entries.get(key) if key is not None else None
                 if entry is not None and self._usable(entry, token) \
-                        and entry.epoch == epoch and entry.k >= k:
+                        and entry.k >= k:
                     self.warm_hits += 1
                     return CacheLookup("warm", entry=entry)
             return CacheLookup("miss")
@@ -349,13 +335,11 @@ class QueryCache:
         scan computes — so every value is a genuinely achievable score of
         a real item.  The k-th largest of those is a lower bound on the
         true k-th score; one ulp below it is a strict one.  Returns
-        ``-inf`` (cold scan) if the entry went stale, was computed in
-        another epoch's basis, or names fewer than ``k`` items.
+        ``-inf`` (cold scan) if the entry went stale or names fewer than
+        ``k`` items.
         """
         index = _snap(index)
-        if entry.token != (index.uid, index.catalog_version) \
-                or entry.epoch != index.epoch \
-                or len(entry.positions) < k:
+        if entry.token != index.token or len(entry.positions) < k:
             return -math.inf
         items_bar = index.items_bar
         n_base = items_bar.shape[0]
@@ -389,7 +373,6 @@ class QueryCache:
         if not result.complete or len(result.ids) != k:
             return False
         index = _snap(index)
-        token = (index.uid, index.catalog_version)
         qbytes = canonical_query_bytes(q)
         qkey = (_variant_name(index), _digest(qbytes))
         bkey = None
@@ -397,8 +380,8 @@ class QueryCache:
             bkey = (_variant_name(index),
                     _digest(bucket_query_bytes(q, self.bucket_decimals)))
         entry = CacheEntry(
-            key=(qkey, k), qkey=qkey, bkey=bkey, token=token,
-            epoch=index.epoch, qbytes=qbytes,
+            key=(qkey, k), qkey=qkey, bkey=bkey, token=index.token,
+            qbytes=qbytes,
             k=k, result=_copy_result(result), positions=tuple(positions),
             created=self._clock(),
         )

@@ -122,7 +122,8 @@ class ServiceConfig:
         service directly.
     cache_ttl_s:
         Optional time-to-live for cache entries in seconds (``None`` =
-        entries live until evicted or invalidated by an index epoch bump).
+        entries live until evicted or invalidated by a catalog write or
+        compaction).
     warm_start:
         Whether near-hits (same query at larger ``k``, or a similarity-
         bucket neighbour) may seed the scan threshold.  Results are

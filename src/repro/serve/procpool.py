@@ -412,20 +412,20 @@ class ProcessScanPool:
     # -- replicas ------------------------------------------------------
 
     def ensure_replica(self, index) -> ReplicaHandle:
-        """The current replica of ``index``, (re)published on epoch change.
+        """The current replica of ``index``, (re)published on state change.
 
-        Keyed by ``uid`` (stable across epochs of the same index): a
-        bump republishes under a fresh path and unlinks the old file, so
-        workers can only ever attach bytes that match the token their
-        task carries.
+        Keyed by ``uid`` (stable across states of the same index): a
+        ``state_version`` bump republishes under a fresh path and unlinks
+        the old file, so workers can only ever attach bytes that match
+        the token their task carries.
         """
         from ..core.persist import identity_token
 
         token = identity_token(index)
         if token is None:
             raise ValidationError(
-                f"cannot replicate {type(index).__name__}: no (uid, epoch) "
-                f"identity"
+                f"cannot replicate {type(index).__name__}: no "
+                f"(uid, state_version) identity"
             )
         with self._lock:
             if self._closed:
@@ -540,7 +540,7 @@ class ProcessScanPool:
                 "tasks_per_worker": {str(k): v for k, v
                                      in sorted(self.worker_tasks.items())},
                 "replicas": [
-                    {"path": h.path, "epoch": h.token[1],
+                    {"path": h.path, "state_version": h.token[1],
                      "nbytes": h.nbytes}
                     for h in self._replicas.values()
                 ],

@@ -229,8 +229,9 @@ class RetrievalService:
         creates its own, exposed as :attr:`metrics`.
     cache:
         An optional externally owned :class:`~repro.serve.cache.QueryCache`
-        (one cache may front several services over the same index — epoch
-        binding keeps entries from different indexes or epochs apart).  By
+        (one cache may front several services over the same index — each
+        entry is bound to its snapshot's ``(uid, state_version)`` token,
+        which keeps entries from different indexes or snapshots apart).  By
         default the service builds its own when
         ``config.cache_capacity > 0``, exposed as :attr:`cache` (``None``
         when caching is off).
@@ -895,8 +896,7 @@ class RetrievalService:
             return None
         try:
             handle = procpool.ensure_replica(self.index)
-            if tuple(handle.token) != (work.snap.uid,
-                                       work.snap.state_version):
+            if tuple(handle.token) != work.snap.token:
                 self.metrics.counter("policy.process_fallback").inc()
                 return None
             items = [(qi, pickle.dumps(state,

@@ -544,58 +544,53 @@ def test_warm_start_with_finite_budget_stays_exact_and_certified():
 
 
 # ----------------------------------------------------------------------
-# Live catalogs: exact hits survive compaction, warm seeds do not
+# Live catalogs: no cached answer or seed crosses a compaction
 # ----------------------------------------------------------------------
 
-def test_exact_hits_survive_compaction_bitwise():
-    """Compaction preserves the visible catalog, so a warm cache entry
-    stays exactly servable across the epoch swap — same ids, same bits.
+@pytest.mark.parametrize("flavour", [
+    "single", pytest.param("sharded", marks=needs_processes)])
+def test_served_answers_equal_fresh_scans_after_compaction(flavour):
+    """A compaction keeps the visible items but refits the SVD basis, so
+    a fresh scan rounds their scores differently.  Every answer served
+    after the fold — hit or scan — must equal a fresh ``index.query`` in
+    ids and score bits, never a cached pre-fold answer.
     """
     items, queries = make_mf_like(400, 14, seed=81)
     extra, __ = make_mf_like(30, 14, seed=82)
-    index = FexiproIndex(items, variant="F-SIR")
-    with RetrievalService(
-            index, ServiceConfig(workers=1, cache_capacity=64)) as service:
+    if flavour == "single":
+        index = single = FexiproIndex(items, variant="F-SIR")
+    else:
+        index = ShardedFexiproIndex(items, shards=3, variant="F-SIR",
+                                    executor="process")
+        single = index.index
+    config = ServiceConfig(workers=2, cache_capacity=64)
+    with RetrievalService(index, config) as service:
         index.add_items(extra[:8])
         index.remove_items([3, 11])
-        warm = service.batch(queries, k=6)
-        assert all(p == "cold" for p in warm.provenance)
+        before = service.batch(queries, k=6)
+        assert all(p == "cold" for p in before.provenance)
+        assert service.batch(queries, k=6).cache_hits == len(queries)
         assert index.compact()
         after = service.batch(queries, k=6)
-        assert all(p == "hit" for p in after.provenance)
-        assert after.cache_hits == len(queries)
-        for a, b in zip(warm.results, after.results):
+        assert all(p == "cold" for p in after.provenance)
+        for q, got in zip(queries, after.results):
+            _assert_bitwise(single.query(q, 6), got)
+        # The fold really moved score bits, so a pre-fold hit would
+        # have been caught.
+        assert any(a.scores != b.scores
+                   for a, b in zip(before.results, after.results))
+        again = service.batch(queries, k=6)
+        assert again.cache_hits == len(queries)
+        for a, b in zip(after.results, again.results):
             _assert_bitwise(a, b)
 
 
-@needs_processes
-def test_exact_hits_survive_compaction_sharded_intra():
-    items, queries = make_mf_like(500, 16, seed=83)
-    index = ShardedFexiproIndex(items, shards=3, variant="F-SIR",
-                                executor="process")
-    config = ServiceConfig(workers=2, cache_capacity=64)
-    with RetrievalService(index, config) as service, index:
-        index.add_items(items[:6] * 0.7)
-        warm = service.batch(queries[:4], k=5)
-        # The process fan-out, delta pseudo-span included, agrees with
-        # the service's single scan on the dirty catalog.
-        for q, got in zip(queries[:4], warm.results):
-            fanned, reports = index.query_detailed(q, 5,
-                                                   options=ScanOptions())
-            assert len(reports) == 4
-            _assert_bitwise(fanned, got)
-        assert index.compact()
-        after = service.batch(queries[:4], k=5)
-        assert all(p == "hit" for p in after.provenance)
-        for a, b in zip(warm.results, after.results):
-            _assert_bitwise(a, b)
-
-
-def test_warm_seeds_are_epoch_bound_across_compaction():
-    """Larger-k and bucket warm starts carry *scores in the old SVD
-    basis*; a post-compaction scan runs in a new basis where those bits
-    could over-prune by an ulp, so warm paths must refuse to cross the
-    epoch swap — and the queries still come back exact, just cold.
+def test_hits_and_warm_seeds_are_snapshot_bound_across_compaction():
+    """Cached answers, larger-k scores and bucket positions are all
+    expressed in the producing snapshot's SVD basis; a post-compaction
+    scan runs in a new basis where those bits could differ by an ulp, so
+    no cached entry crosses the fold — the queries still come back
+    exact, just cold.
     """
     items, queries = make_mf_like(400, 14, seed=84)
     index = FexiproIndex(items, variant="F-SIR")
@@ -605,15 +600,27 @@ def test_warm_seeds_are_epoch_bound_across_compaction():
     q2 = q + 1e-9  # same bucket, different exact key
     with RetrievalService(index, ServiceConfig(workers=1),
                           cache=cache) as service:
-        service.batch(q.reshape(1, -1), k=9)
+        cached = service.batch(q.reshape(1, -1), k=9).results[0]
+        old = index._live
         assert index.compact()
         snap = index._live
-        # Exact hit at the cached k: still served (content unchanged).
-        assert cache.lookup(snap, q, 9).kind == "hit"
-        # Larger-k warm at smaller k: refused (old-basis scores).
-        assert cache.lookup(snap, q, 4).kind == "miss"
-        # Bucket warm from a neighbour: refused for the same reason.
-        assert cache.lookup(snap, q2, 9).kind == "miss"
+
+        def probe(target, query, k):
+            # A refused entry is dropped, so re-store the pre-fold
+            # answer before every probe.
+            cache.store(old, q, 9, cached, range(9))
+            return cache.lookup(target, query, k).kind
+
+        # Against the snapshot that produced it, the entry serves...
+        assert probe(old, q, 9) == "hit"
+        assert probe(old, q, 4) == "warm"
+        assert probe(old, q2, 9) == "warm"
+        # ...after the fold, the exact hit, the larger-k warm start and
+        # the bucket warm start are all refused (and dropped).
+        for query, k in ((q, 9), (q, 4), (q2, 9)):
+            dropped = cache.invalidations
+            assert probe(snap, query, k) == "miss"
+            assert cache.invalidations == dropped + 1
         smaller = service.batch(q.reshape(1, -1), k=4)
         assert smaller.provenance == ["cold"]
         _assert_bitwise(index.query(q, 4), smaller.results[0])

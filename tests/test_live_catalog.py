@@ -18,7 +18,6 @@ schedules below inject real scan faults while the catalog churns, and
 assert that every query either fails loudly or answers exactly.
 """
 
-import math
 import os
 import threading
 
@@ -26,6 +25,9 @@ import numpy as np
 import pytest
 
 from repro import FexiproIndex, ShardedFexiproIndex, ValidationError
+from repro._validation import safe_row_norms
+from repro.core.gemm import scan_gemm
+from repro.core.index import prepare_query_states
 from repro.core.variants import VARIANTS
 from repro.exceptions import InjectedFault
 from repro.serve import (
@@ -481,7 +483,7 @@ def test_service_without_compaction_config_has_no_compactor():
 
 
 # ----------------------------------------------------------------------
-# Version counters: the three identities move independently
+# Version counters: every swap moves the snapshot token, compaction the epoch
 # ----------------------------------------------------------------------
 
 
@@ -489,21 +491,53 @@ def test_version_counters_semantics():
     items, __ = make_mf_like(50, 8, seed=57)
     index = FexiproIndex(items)
     snap0 = index._live
+    assert snap0.token == (index.uid, 0)
     ids = index.add_items(items[:2])
     snap1 = index._live
     assert snap1.epoch == snap0.epoch  # mutation keeps the basis
-    assert snap1.catalog_version == snap0.catalog_version + 1
     assert snap1.state_version == snap0.state_version + 1
     index.remove_items(ids[:1])
     snap2 = index._live
-    assert snap2.catalog_version == snap1.catalog_version + 1
+    assert snap2.epoch == snap1.epoch
+    assert snap2.state_version == snap1.state_version + 1
+    assert index.remove_items(ids[:1]) == 0  # no-op: no new snapshot
+    assert index._live is snap2
     assert index.compact()
     snap3 = index._live
     assert snap3.epoch == snap2.epoch + 1  # new basis
-    # Compaction changes no visible content: the cache identity holds.
-    assert snap3.catalog_version == snap2.catalog_version
+    # Same visible content, new basis: the token moves like on a write.
     assert snap3.state_version == snap2.state_version + 1
+    assert snap3.token == (index.uid, snap3.state_version)
     assert snap3.clean
+
+
+def test_snapshot_bar_norms_are_exact_and_gemm_writes_nothing():
+    """GEMM's selection-margin norms are a field of every snapshot,
+    bitwise equal to ``safe_row_norms(items_bar)`` after every kind of
+    swap, and a GEMM scan reads them without caching anything on the
+    object it scans.
+    """
+    items, queries = make_mf_like(300, 10, seed=59)
+    index = FexiproIndex(items, variant="F-SIR")
+
+    def check():
+        snap = index._live
+        assert snap.bar_norms.tobytes() == \
+            safe_row_norms(snap.items_bar).tobytes()
+        assert index.bar_norms is snap.bar_norms
+        qs = prepare_query_states(snap, queries[:1])[0]
+        for target in (index, snap):
+            before = set(vars(target))
+            scan_gemm(target, qs, 5, stop=snap.n)
+            assert set(vars(target)) == before
+
+    check()
+    ids = index.add_items(items[:4] * 0.9)
+    check()
+    index.remove_items([ids[0], 7])
+    check()
+    assert index.compact()
+    check()
 
 
 def test_add_items_is_delta_time_not_rebuild_time():

@@ -395,7 +395,7 @@ def test_epoch_bump_republishes_and_workers_follow():
                            proc.query(queries[1], k=5))
         new = pool.snapshot()["replicas"]
         assert len(new) == 1
-        assert new[0]["epoch"] == identity_token(proc)[1]
+        assert new[0]["state_version"] == identity_token(proc)[1]
         assert new[0]["path"] != old[0]["path"]
     finally:
         serial.close()

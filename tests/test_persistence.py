@@ -53,6 +53,22 @@ def test_load_rejects_wrong_payload_type(tmp_path):
         FexiproIndex.load(path)
 
 
+@pytest.mark.parametrize("fmt", [1, 2, 3])
+def test_load_without_bar_norms_asks_for_a_rebuild(tmp_path, small_items,
+                                                   fmt):
+    """A snapshot saved before GEMM row norms were stored cannot load."""
+    index = FexiproIndex(small_items)
+    del index._live.bar_norms
+    path = tmp_path / "old.bin"
+    if fmt == 1:
+        with open(path, "wb") as handle:
+            pickle.dump({"format": 1, "index": index}, handle)
+    else:
+        index.save(path, format=fmt)
+    with pytest.raises(ValidationError, match="rebuild"):
+        FexiproIndex.load(path)
+
+
 # ----------------------------------------------------------------------
 # Sharded index persistence
 # ----------------------------------------------------------------------

@@ -223,6 +223,24 @@ def test_cost_model_observe_refits_and_epoch_invalidates():
     assert fresh is not model and fresh.matches(index)
 
 
+def test_calibration_on_a_dirty_catalog_measures_the_base_tier():
+    """With more delta rows than tombstones the visible count exceeds
+    the base extent; calibration samples and scans the snapshot's base
+    tier, so a first ``auto`` query on a freshly compacted-then-written
+    catalog plans (and answers exactly) instead of indexing past it.
+    """
+    items, queries = make_data(300, 12)
+    index = FexiproIndex(items, variant="F-SIR")
+    index.add_items(items[:8] * 0.9)
+    index.remove_items([4])
+    model = calibrate_cost_model(index, samples=4)
+    assert model.n == index.n_base and model.matches(index)
+    for q in queries[:4]:
+        want = index.query(q, 5, engine="blocked")
+        got = index.query(q, 5, engine="auto")
+        assert got.ids == want.ids and got.scores == want.scores
+
+
 def test_cost_model_persists_through_save_load(tmp_path):
     items, queries = make_data(250, 10)
     engine = Fexipro(items, variant="F-SIR", engine="auto")

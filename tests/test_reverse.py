@@ -450,18 +450,56 @@ def test_reverse_races_writers_on_both_corpora_bitwise():
             assert got.user_ids == want_ids
             assert got.kth_scores == want_kth
             # The stamps make staleness detectable, never silent.
-            assert got.item_catalog_version == fsnap.catalog_version
-            assert got.user_catalog_version == usnap.catalog_version
+            assert got.item_state_version == fsnap.state_version
+            assert got.user_state_version == usnap.state_version
     finally:
         stop.set()
         thread.join(timeout=30)
     assert not writer_error, writer_error
-    # The public path still answers exactly after the dust settles.
-    item = int(index._live.full_order[0])
+    # The public path still answers exactly after the dust settles.  The
+    # probe must be visible: ``full_order`` also lists tombstoned rows.
+    item = int(index._live.visible_rows()[1][0])
     got = rindex.reverse_query(item, 6)
     fsnap, usnap = rindex.pin()
     want_ids, want_kth = snapshot_oracle(rindex, fsnap, usnap, item, 6)
     assert got.user_ids == want_ids and got.kth_scores == want_kth
+
+
+def test_reverse_thresholds_do_not_cross_writes_or_compaction():
+    """Probe, write, probe, compact, probe: every audience and k-th
+    score equals the oracle pinned to the probe's own snapshot pair.
+
+    A compaction keeps the visible items but refits the SVD basis, so
+    the k-th scores of the next probe round differently; an exact
+    threshold recorded before the fold must not be read after it.
+    """
+    items, users = make_corpora(n=160, m=24, seed=35)
+    index = FexiproIndex(items, variant="F-SIR")
+    rindex = ReverseIndex(index, users)
+    rng = np.random.default_rng(36)
+    probe = pick_probe(index, users, 6)
+
+    def check():
+        fsnap, usnap = rindex.pin()
+        got = rindex.reverse_query(probe, 6)
+        want_ids, want_kth = snapshot_oracle(rindex, fsnap, usnap, probe, 6)
+        assert got.user_ids == want_ids
+        assert got.kth_scores == want_kth
+        assert got.item_state_version == fsnap.state_version
+        return got
+
+    before = check()
+    index.add_items(rng.normal(scale=0.4, size=(4, items.shape[1])))
+    index.remove_items([i for i in range(3) if i != probe])
+    dirty = check()
+    assert dirty.item_state_version > before.item_state_version
+    assert index.compact()
+    folded = check()
+    assert folded.item_state_version == dirty.item_state_version + 1
+    # Same visible catalog, same audience — but the fold must actually
+    # move score bits, or this test pins nothing.
+    assert folded.user_ids == dirty.user_ids
+    assert folded.kth_scores != dirty.kth_scores
 
 
 # ----------------------------------------------------------------------
