@@ -32,16 +32,22 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from ..core.stats import PruningStats
 
 #: Engines the calibrated model prices (and the planner chooses between).
-PLANNER_ENGINES = ("reference", "blocked", "gemm")
+#: The reference cascade is a fixed engine only: it does the blocked
+#: cascade's work at several times its per-coordinate rate, so the
+#: planner would never pick it, and timing it dominated calibration.
+PLANNER_ENGINES = ("blocked", "gemm")
 
-#: Wall-clock cap per calibration scan: the reference engine's Python
-#: loop is O(n) per query, so each measurement runs under a deadline —
-#: the *rate* (seconds per coordinate touched) is measured from whatever
-#: prefix fits, which is all the model needs.
-CALIBRATION_BUDGET_S = 0.02
+#: Each calibration sample runs the blocked cascade under a deadline of
+#: this multiple of the same sample's GEMM time: past it, blocked has
+#: already lost, so the rest of its scan would measure nothing useful.
+CALIBRATION_DEADLINE_FACTOR = 2.0
 
-#: Queries sampled per engine by :func:`calibrate_cost_model`.
+#: Sample queries :func:`calibrate_cost_model` times each engine on.
 CALIBRATION_SAMPLES = 4
+
+#: One observation moves an engine's rate by at most this factor, so a
+#: single stall (a page fault, a GC pause) cannot lock an engine out.
+RATE_STEP_LIMIT = 4.0
 
 
 @dataclass(frozen=True)
@@ -147,17 +153,19 @@ class CostModel:
 
     Built by :func:`calibrate_cost_model` (a short measurement pass) and
     attached to the index as ``index.cost_model`` — pickled with it, so a
-    saved index keeps its calibration.  Binds to the index identity
-    ``(uid, epoch)``: a compaction (a new SVD basis) invalidates the
-    model structurally via :meth:`matches`; writes to the delta tier do
-    not.
+    saved index keeps its calibration.  Binds to the index's ``uid``
+    only (:meth:`matches`): rates are properties of the machine and the
+    engines, and fractions of the workload, so neither writes to the
+    delta tier nor a compaction (a new SVD basis over the same rows)
+    invalidates them.  Callers price with the snapshot they will scan by
+    passing its extent as ``n``.
 
     Two kinds of state are fitted:
 
     - ``rates``: seconds per *coordinate touched* for each engine
       (:data:`PLANNER_ENGINES`).  Machine- and substrate-dependent — this
-      is where "a NumPy GEMM coordinate is ~100× cheaper than a Python
-      reference-loop coordinate" lives.
+      is where "a NumPy GEMM coordinate is much cheaper than a cascade
+      coordinate" lives.
     - ``fractions``: the observed pruning selectivity of the cascade on
       recent traffic (what fraction of items is scanned before the
       Cauchy–Schwarz cut, what fraction each bound stage removes), which
@@ -166,13 +174,13 @@ class CostModel:
     Both are refit from served batches through :meth:`observe` with an
     exponentially decaying window (``decay`` is the weight of the newest
     observation), so a drifting workload re-steers the planner without a
-    recalibration pass.  A mis-calibrated model can only mis-*rank*
-    engines — every engine returns bitwise-identical results, so planning
-    affects latency, never answers.
+    recalibration pass; one observation moves a rate by at most
+    :data:`RATE_STEP_LIMIT` either way.  A mis-calibrated model can only
+    mis-*rank* engines — every engine returns bitwise-identical results,
+    so planning affects latency, never answers.
     """
 
     uid: str
-    epoch: int
     n: int
     d: int
     w: int
@@ -259,8 +267,9 @@ class CostModel:
     def _ewma_rate(self, key: str, value: float) -> None:
         if not math.isfinite(value) or value <= 0:
             return
-        self.rates[key] = (1.0 - self.decay) * self.rates[key] \
-            + self.decay * value
+        old = self.rates[key]
+        value = min(max(value, old / RATE_STEP_LIMIT), old * RATE_STEP_LIMIT)
+        self.rates[key] = (1.0 - self.decay) * old + self.decay * value
 
     def _ewma_fraction(self, key: str, value: float) -> None:
         value = min(max(float(value), 0.0), 1.0)
@@ -270,9 +279,8 @@ class CostModel:
     # -- bookkeeping ---------------------------------------------------
 
     def matches(self, index) -> bool:
-        """Whether this model was calibrated for ``index`` as it is now."""
-        return self.uid == getattr(index, "uid", None) \
-            and self.epoch == getattr(index, "epoch", None)
+        """Whether this model was calibrated for ``index`` (any snapshot)."""
+        return self.uid == getattr(index, "uid", None)
 
     def age_seconds(self, now: Optional[float] = None) -> float:
         """Seconds since the calibration measurement pass ran."""
@@ -283,7 +291,6 @@ class CostModel:
         """JSON-ready summary (CLI / metrics / explain exposure)."""
         return {
             "uid": self.uid,
-            "epoch": self.epoch,
             "n": self.n,
             "d": self.d,
             "w": self.w,
@@ -297,30 +304,34 @@ class CostModel:
 
 def calibrate_cost_model(index, *, k: int = 10,
                          samples: int = CALIBRATION_SAMPLES,
-                         budget_s: float = CALIBRATION_BUDGET_S,
                          ) -> CostModel:
     """Short measurement pass: fit a :class:`CostModel` for ``index``.
 
     Samples item rows at evenly spaced positions of the length-sorted
     order as stand-in queries (the matrix-factorization setting queries
-    and items share a space), runs every :data:`PLANNER_ENGINES` engine
-    on each under a :data:`CALIBRATION_BUDGET_S` deadline, and fits each
-    engine's seconds-per-coordinate as the median observed rate.  The
-    cascade selectivity fractions come from the blocked runs.
+    and items share a space).  Each sample is scanned by GEMM first, then
+    by the blocked cascade under a deadline of
+    :data:`CALIBRATION_DEADLINE_FACTOR` times that GEMM time, and each
+    engine's seconds-per-coordinate is fitted as the median observed rate
+    over the coordinates each scan visited.  The cascade selectivity
+    fractions come from the blocked runs; a blocked scan the deadline cut
+    off counts as a full scan in ``fractions["scanned"]``: it has already
+    lost to GEMM, so it is priced pessimistically rather than from the
+    short, weakly pruned prefix it reached.
 
-    The pass is deliberately cheap — a handful of deadline-capped scans —
-    so it can run at build/load time or lazily on the first ``auto``
-    query.  The model keeps improving online via :meth:`CostModel.observe`.
-    ``index`` may be a :class:`~repro.core.index.FexiproIndex` or a
-    captured :class:`~repro.core.delta.LiveCatalog`; the pass measures
-    one snapshot's base tier, the extent every engine scans.
+    The pass is deliberately cheap — at most three GEMM times per
+    sample — so it can run at build/load time or lazily on the first
+    ``auto`` query.  The model keeps improving online via
+    :meth:`CostModel.observe`.  ``index`` may be a
+    :class:`~repro.core.index.FexiproIndex` or a captured
+    :class:`~repro.core.delta.LiveCatalog`; the pass measures one
+    snapshot's base tier, the extent every engine scans.
     """
     from time import perf_counter
 
     from ..core.blocked import scan_blocked
     from ..core.gemm import scan_gemm
     from ..core.index import prepare_query_states
-    from ..core.scanner import scan_reference
     from ..serve.resilience import Deadline
     from ..core.options import ScanOptions
 
@@ -332,33 +343,29 @@ def calibrate_cost_model(index, *, k: int = 10,
     states = prepare_query_states(index, queries)
     k = max(1, min(int(k), index.n))
 
-    runners = {
-        "reference": lambda qs, opts: scan_reference(index, qs, k,
-                                                     options=opts),
-        "blocked": lambda qs, opts: scan_blocked(index, qs, k,
-                                                 index.block_size,
-                                                 options=opts),
-        "gemm": lambda qs, opts: scan_gemm(index, qs, k, options=opts),
-    }
-    rates: Dict[str, float] = {}
+    rate_samples: Dict[str, list] = {engine: [] for engine in
+                                     PLANNER_ENGINES}
     blocked_stats = []
     gemm_stats = []
-    for engine in PLANNER_ENGINES:
-        rate_samples = []
-        for qs in states:
-            opts = ScanOptions(deadline=Deadline(budget_s))
-            tick = perf_counter()
-            __, stats = runners[engine](qs, opts)
-            elapsed = perf_counter() - tick
+    for qs in states:
+        tick = perf_counter()
+        __, g_stats = scan_gemm(index, qs, k)
+        g_elapsed = perf_counter() - tick
+        options = ScanOptions(deadline=Deadline(
+            g_elapsed * CALIBRATION_DEADLINE_FACTOR))
+        tick = perf_counter()
+        __, b_stats = scan_blocked(index, qs, k, index.block_size,
+                                   options=options)
+        b_elapsed = perf_counter() - tick
+        for engine, stats, elapsed in (("gemm", g_stats, g_elapsed),
+                                       ("blocked", b_stats, b_elapsed)):
             coords = observed_coordinates(stats, index.w, index.d)
             if elapsed > 0 and coords > 0:
-                rate_samples.append(elapsed / coords)
-            if engine == "blocked":
-                blocked_stats.append(stats)
-            elif engine == "gemm":
-                gemm_stats.append(stats)
-        rates[engine] = statistics.median(rate_samples) \
-            if rate_samples else 1e-9
+                rate_samples[engine].append(elapsed / coords)
+        gemm_stats.append(g_stats)
+        blocked_stats.append(b_stats)
+    rates = {engine: statistics.median(values) if values else 1e-9
+             for engine, values in rate_samples.items()}
 
     fractions: Dict[str, float] = {
         "scanned": 1.0,
@@ -370,7 +377,9 @@ def calibrate_cost_model(index, *, k: int = 10,
     scanned = sum(s.scanned for s in blocked_stats)
     visited = sum(s.n_items for s in blocked_stats)
     if scanned > 0 and visited > 0:
-        fractions["scanned"] = scanned / visited
+        priced = sum(s.n_items if s.deadline_hit else s.scanned
+                     for s in blocked_stats)
+        fractions["scanned"] = priced / visited
         fractions["pruned_integer_partial"] = \
             sum(s.pruned_integer_partial for s in blocked_stats) / scanned
         fractions["pruned_integer_full"] = \
@@ -383,17 +392,18 @@ def calibrate_cost_model(index, *, k: int = 10,
         fractions["gemm_scanned"] = g_scanned / g_visited
 
     return CostModel(
-        uid=index.uid, epoch=index.epoch, n=index.n, d=index.d, w=index.w,
+        uid=index.uid, n=index.n, d=index.d, w=index.w,
         use_integer=index.scaled is not None,
         rates=rates, fractions=fractions,
     )
 
 
 def ensure_cost_model(index, **calibrate_kwargs) -> CostModel:
-    """Return the index's current cost model, (re)calibrating if needed.
+    """Return the index's cost model, calibrating it if there is none.
 
-    Reuses ``index.cost_model`` when it matches the index's
-    ``(uid, epoch)`` identity; otherwise runs
+    Reuses ``index.cost_model`` when it was fitted for this index's
+    ``uid`` — across writes and compactions, which change neither the
+    machine's rates nor the workload's selectivity; otherwise runs
     :func:`calibrate_cost_model` and attaches the result.  This is the
     lazy path behind ``engine="auto"`` — the first planned query pays the
     measurement pass, later ones just consult (and refine) the model.

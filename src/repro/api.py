@@ -137,10 +137,12 @@ class Fexipro:
     Pass ``engine="auto"`` (an index option) to let the cost-based
     planner pick the scan engine per query: a short calibration pass
     fits a :class:`CostModel` on first use (or via :meth:`calibrate`),
-    and every query is routed to the engine — reference cascade,
-    blocked cascade, or GEMM — the model predicts cheapest.  Results
-    are bitwise identical across engines, so the knob only ever changes
-    latency.
+    and every query is routed to the engine — blocked cascade or GEMM —
+    the model predicts cheapest.  Results are bitwise identical across
+    engines, so the knob only ever changes latency.  The handle itself
+    defaults to the blocked cascade (the paper's engine, whose pruning
+    counters :meth:`explain` reports); :meth:`serve` plans by default
+    (``ServiceConfig.engine="auto"``).
 
     Pass ``users=`` (an ``(m, d)`` matrix of user factor vectors, or a
     prebuilt :class:`FexiproIndex` over one) to make the handle

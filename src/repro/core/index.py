@@ -148,8 +148,9 @@ class FexiproIndex:
         (literal per-vector Algorithm 4/5 — slower, used for
         verification), ``"gemm"`` (BLAS matmul candidate generation with
         exact rescoring — wins when pruning selectivity collapses), or
-        ``"auto"`` (per-query cost-based choice between the three via a
-        calibrated :class:`repro.analysis.cost_model.CostModel`).  Every
+        ``"auto"`` (per-query cost-based choice between the blocked
+        cascade and GEMM via a calibrated
+        :class:`repro.analysis.cost_model.CostModel`).  Every
         engine returns bitwise-identical ids and scores; only latency and
         pruning counters differ.
     block_size:
@@ -499,7 +500,8 @@ class FexiproIndex:
         catalog is unchanged by construction, but the new SVD basis
         rounds scores differently, so ``state_version`` bumps like on any
         write: no cached answer or threshold crosses the fold.  ``epoch``
-        bumps too (the cost model recalibrates).
+        bumps too.  The cost model survives: its rates and fractions do
+        not depend on the basis.
 
         Returns ``True`` if a compaction ran, ``False`` if there was
         nothing to compact (clean catalog, or every item tombstoned —
@@ -588,15 +590,15 @@ class FexiproIndex:
     def plan_engine(self, engines=None):
         """Cost-model choice of concrete engine (the ``"auto"`` resolver).
 
-        Ensures a calibrated model exists (lazy measurement pass on first
-        use, recalibration after an epoch bump) and returns
+        Ensures a calibrated model exists (a lazy measurement pass on
+        first use; writes and compactions keep it) and returns
         ``(engine, predictions)`` with the predicted per-query seconds
-        for every candidate engine.
+        over the current snapshot for every candidate engine.
         """
         from ..analysis.cost_model import ensure_cost_model
 
         model = ensure_cost_model(self)
-        return model.choose(engines)
+        return model.choose(engines, n=self._live.n)
 
     def _scan(self, qs: QueryState, k: int, *,
               options: Optional[ScanOptions] = None,

@@ -42,17 +42,20 @@ class ServiceConfig:
         metrics registry (a few clock calls per block — cheap for the
         blocked engine, expensive for the reference engine).
     engine:
-        Per-service scan-engine override: ``"reference"``, ``"blocked"``,
-        ``"gemm"`` or ``"auto"``.  ``None`` (the default) defers to the
-        index's own configured engine — exactly the historical behaviour.
-        ``"auto"`` turns the cost-based planner on at the serving layer:
-        each batch is routed to the engine the index's calibrated
-        :class:`~repro.analysis.cost_model.CostModel` predicts cheapest,
-        the decision and predicted/actual cost are exposed through
-        :attr:`BatchResponse.mode` / :attr:`BatchResponse.planner` and
-        the ``planner.*`` metrics, and observed scan costs are fed back
-        into the model.  All engines return bitwise-identical ids and
-        scores, so this knob can only ever change latency.
+        Per-service scan engine: ``"auto"`` (the default), ``"reference"``,
+        ``"blocked"`` or ``"gemm"``, or ``None`` to defer to the index's
+        own configured engine.  ``"auto"`` is the cost-based planner:
+        each batch is routed to the engine (blocked cascade or GEMM) the
+        index's calibrated :class:`~repro.analysis.cost_model.CostModel`
+        predicts cheapest, the decision and predicted/actual cost are
+        exposed through :attr:`BatchResponse.mode` (``"inter/gemm"``) /
+        :attr:`BatchResponse.planner` and the ``planner.*`` metrics, and
+        observed scan costs are fed back into the model.  The first
+        batch pays a short calibration pass.  All engines return
+        bitwise-identical ids and scores, so this knob can only ever
+        change latency — and the pruning counters, which are the
+        engine's own: GEMM reports ``scanned == full_products``.  Pin
+        ``"blocked"`` to serve the paper's cascade and its counters.
     executor:
         Where scans run.  ``"process"`` runs them in worker *processes*
         attached zero-copy to a shared-memory replica of the index
@@ -171,7 +174,7 @@ class ServiceConfig:
     chunk_size: Optional[int] = None
     default_k: int = 10
     collect_timings: bool = True
-    engine: Optional[str] = None
+    engine: Optional[str] = "auto"
     executor: str = "auto"
     mp_start_method: Optional[str] = None
     deadline_ms: Optional[float] = None

@@ -87,12 +87,13 @@ from .resilience import Deadline, RetryPolicy
 class BatchResponse:
     """Everything known about one served batch.
 
-    ``results`` are in request order and identical (ids, scores, pruning
-    counters) to what a serial ``[index.query(q, k) for q in queries]``
-    would produce; each result's ``elapsed`` covers its own scan.  ``stats``
+    ``results`` are in request order and identical (ids, scores) to what
+    a serial ``[index.query(q, k) for q in queries]`` would produce —
+    pruning counters too when the service scans the index's own engine;
+    each result's ``elapsed`` covers its own scan.  ``stats``
     is the exact sum of the per-query pruning counters.  ``mode`` is
-    ``"inter"``: whole queries are spread over the executor.  When the
-    service's ``config.engine`` knob is set, it is suffixed with the engine
+    ``"inter"``: whole queries are spread over the executor.  Unless the
+    service's ``config.engine`` is ``None``, it is suffixed with the engine
     that ran the scans (``"inter/gemm"``) and ``planner`` carries the
     decision record: the chosen engine, the cost model's per-engine
     predictions, predicted vs. actual scan seconds and the resulting
@@ -438,7 +439,7 @@ class RetrievalService:
         if collect:
             timings = StageTimings(prepare=prepare_time)
 
-        engine, planner_info = self._plan_batch(len(states), root)
+        engine, planner_info = self._plan_batch(snap, len(states), root)
         if root is not None:
             root.set(mode="inter")
         work = _Pending(snap=snap, k=k, states=states, indices=pending,
@@ -756,21 +757,26 @@ class RetrievalService:
     # Planning
     # ------------------------------------------------------------------
 
-    def _plan_batch(self, pending: int,
+    def _plan_batch(self, snap: LiveCatalog, pending: int,
                     root: Optional[Span]) -> Tuple[Optional[str],
                                                    Optional[dict]]:
         """The planner's ``plan()`` step: pick this batch's scan engine.
 
-        With ``config.engine`` unset this is a no-op (``(None, None)``) —
-        scans run on the index's own engine, exactly as before the knob
-        existed.  A fixed engine is passed through with a minimal
-        decision record.  ``"auto"`` consults the index's calibrated
+        With ``config.engine=None`` this is a no-op (``(None, None)``) —
+        scans run on the index's own engine.  A fixed engine is passed
+        through with a minimal decision record.  ``"auto"`` (the default)
+        consults the index's calibrated
         :class:`~repro.analysis.cost_model.CostModel` (calibrating it on
         first use) and picks the engine with the lowest predicted batch
-        cost.  The decision is counted per engine
-        (``planner.decisions.<engine>``), gauged (calibration age) and
-        traced (a ``plan`` event on the batch's root span); the actual
-        cost is reconciled by :meth:`_finish_plan` after the scans.
+        cost over ``snap``, the snapshot the batch scans.  A calibration
+        pass that raises (its scans pass the same fault sites as served
+        scans) does not fail the batch: it is counted
+        (``planner.calibration_errors``), recorded as the decision's
+        ``calibration_error``, and the batch runs the blocked cascade;
+        the next batch calibrates again.  The decision is counted per
+        engine (``planner.decisions.<engine>``), gauged (calibration age)
+        and traced (a ``plan`` event on the batch's root span); the
+        actual cost is reconciled by :meth:`_finish_plan` after the scans.
         """
         configured = self.config.engine
         if configured is None or pending == 0:
@@ -782,19 +788,26 @@ class RetrievalService:
         if configured == "auto":
             from ..analysis.cost_model import ensure_cost_model
 
-            model = ensure_cost_model(self.index)
-            engine, predictions = model.choose()
-            info.update(
-                engine=engine,
-                predictions=predictions,
-                predicted_seconds=predictions[engine] * pending,
-                calibration_age_seconds=model.age_seconds(),
-                observations=model.observations,
-            )
-            self.metrics.gauge("planner.calibration_age_seconds").set(
-                model.age_seconds())
-            self.metrics.gauge("planner.observations").set(
-                model.observations)
+            try:
+                model = ensure_cost_model(self.index)
+            except Exception as error:
+                self.metrics.counter("planner.calibration_errors").inc()
+                engine = "blocked"
+                info.update(engine=engine, calibration_error=(
+                    f"{type(error).__name__}: {error}"))
+            else:
+                engine, predictions = model.choose(n=snap.n)
+                info.update(
+                    engine=engine,
+                    predictions=predictions,
+                    predicted_seconds=predictions[engine] * pending,
+                    calibration_age_seconds=model.age_seconds(),
+                    observations=model.observations,
+                )
+                self.metrics.gauge("planner.calibration_age_seconds").set(
+                    model.age_seconds())
+                self.metrics.gauge("planner.observations").set(
+                    model.observations)
         else:
             engine = configured
         self.metrics.counter(f"planner.decisions.{engine}").inc()
@@ -1046,19 +1059,23 @@ class RetrievalService:
         """Per-query coordinate estimate for admission control.
 
         Uses the index's calibrated
-        :class:`~repro.analysis.cost_model.CostModel` (the PR-7 planner's
-        selectivity fractions) when one can be built; falls back to the
-        un-pruned worst case ``n * d``.  The estimate only steers
-        admission — it can never change any served result.
+        :class:`~repro.analysis.cost_model.CostModel` (the planner's
+        selectivity fractions) when one can be built, priced for the
+        engine that will run: a planned (``"auto"``) service is priced as
+        the engine the model currently picks, so budgets are sized for
+        it.  Falls back to the un-pruned worst case ``n * d``.  The
+        estimate only steers admission — it can never change any served
+        result.
         """
         engine = self.config.engine or self.index.engine
-        if engine in (None, "auto"):
-            engine = "blocked"
         try:
             from ..analysis.cost_model import ensure_cost_model
 
             model = ensure_cost_model(self.index)
-            estimate = float(model.expected_coordinates(engine))
+            n = self.index._live.n
+            if engine == "auto":
+                engine, __ = model.choose(n=n)
+            estimate = float(model.expected_coordinates(engine, n))
         except Exception:
             estimate = float(self.index.n * self.index.d)
         if not math.isfinite(estimate) or estimate <= 0:

@@ -184,7 +184,7 @@ def test_infinite_service_budget_matches_unbudgeted(executor):
     serial = [index.query(q, k=K) for q in queries[:6]]
     config = ServiceConfig(workers=2, executor=executor,
                            deadline_policy="budget",
-                           budget_flops=math.inf)
+                           budget_flops=math.inf, engine="blocked")
     with RetrievalService(index, config) as service:
         response = service.batch(queries[:6], k=K)
     assert response.complete
@@ -338,7 +338,7 @@ def test_zero_budget_service_batch_never_raises(executor):
 def test_zero_budget_sharded_service_batch_never_raises():
     sharded, queries = make_index("F-SIR", sharded=True)
     config = ServiceConfig(workers=2, deadline_policy="budget",
-                           budget_flops=0.0)
+                           budget_flops=0.0, engine="blocked")
     with RetrievalService(sharded, config) as service:
         response = service.batch(queries[:3], k=K)
     assert not response.errors

@@ -165,7 +165,8 @@ def test_unconfigured_service_deadline_matches_seed_results(variant):
 
     index, queries = make_index(variant)
     serial = [index.query(q, k=K) for q in queries[:6]]
-    with RetrievalService(index, ServiceConfig(workers=1)) as service:
+    with RetrievalService(index, ServiceConfig(workers=1,
+                                               engine="blocked")) as service:
         response = service.batch(queries[:6], k=K)
     assert response.complete
     for result, truth in zip(response.results, serial):
@@ -251,7 +252,8 @@ def test_degraded_service_result_is_exact_prefix_topk(sharded):
     index, queries = make_index("F-SIR", sharded=sharded)
     plain = index.index if sharded else index
 
-    config = ServiceConfig(workers=1, deadline_ms=1_000.0)
+    # The oracle re-derives the blocked engine's BLOCK_SIZE schedule.
+    config = ServiceConfig(workers=1, deadline_ms=1_000.0, engine="blocked")
     probe = RecordingProbe()
     service = RetrievalService(index, config, clock=stepped_clock())
     with service:

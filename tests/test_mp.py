@@ -255,7 +255,7 @@ def test_service_inter_process_matches_serial(variant, engine):
     items, queries = make_mf_like(400, 12, seed=94)
     index = FexiproIndex(items, variant=variant, engine=engine)
     config = ServiceConfig(workers=2, executor="process",
-                           collect_timings=False)
+                           collect_timings=False, engine=None)
     with RetrievalService(index, config) as service:
         assert service.metrics_snapshot()["executor"]["mode"] == "process"
         response = service.batch(queries[:8], k=6)
@@ -279,7 +279,7 @@ def test_service_replays_worker_errors_in_process(monkeypatch):
     monkeypatch.setattr(ProcessScanPool, "run_query_chunks",
                         second_query_fails)
     config = ServiceConfig(workers=2, executor="process",
-                           trace_sample_rate=1.0)
+                           trace_sample_rate=1.0, engine="blocked")
     with RetrievalService(index, config) as service:
         response = service.batch(queries[:4], k=5)
         spans = [s for s in service.tracer.spans if s.name == "scan"]
@@ -295,7 +295,7 @@ def test_service_replays_worker_errors_in_process(monkeypatch):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
 def test_auto_sends_only_multi_row_blocked_batches_to_processes():
     items, queries = make_mf_like(400, 12, seed=103)
-    config = ServiceConfig(workers=2)
+    config = ServiceConfig(workers=2, engine=None)
 
     def pool(index, batch, **overrides):
         with RetrievalService(index, replace(config, **overrides)) \
@@ -319,7 +319,7 @@ def test_service_process_pool_snapshot_counts_workers():
     items, queries = make_mf_like(400, 12, seed=96)
     index = FexiproIndex(items)
     config = ServiceConfig(workers=2, executor="process",
-                           collect_timings=True)
+                           collect_timings=True, engine="blocked")
     with RetrievalService(index, config) as service:
         response = service.batch(queries[:10], k=5)
         assert response.errors == []

@@ -292,7 +292,8 @@ def test_sharded_service_explains_the_scan_it_serves():
     # accounts for that same single scan.
     items, queries = make_mf_like(700, 16, seed=5)
     sharded = ShardedFexiproIndex(items, shards=3, variant="F-SIR")
-    config = ServiceConfig(workers=1, collect_timings=False)
+    config = ServiceConfig(workers=1, collect_timings=False,
+                           engine="blocked")
     with RetrievalService(sharded, config) as service:
         explanation = service.explain(queries[0], K)
         served = service.batch(queries[:1], K).results[0]
@@ -380,9 +381,11 @@ def test_service_tracing_disabled_by_default():
 def test_traced_results_identical_to_untraced():
     items, queries = make_mf_like(700, 16, seed=5)
     index = FexiproIndex(items, variant="F-SIR")
-    with RetrievalService(index, ServiceConfig(workers=1)) as plain:
+    with RetrievalService(index, ServiceConfig(workers=1,
+                                               engine="blocked")) as plain:
         base = plain.batch(queries, K)
-    traced_config = ServiceConfig(workers=1, trace_sample_rate=1.0)
+    traced_config = ServiceConfig(workers=1, trace_sample_rate=1.0,
+                                  engine="blocked")
     with RetrievalService(index, traced_config) as traced:
         shadow = traced.batch(queries, K)
     for a, b in zip(base.results, shadow.results):

@@ -24,7 +24,10 @@ import numpy as np
 import pytest
 
 from repro import Fexipro, ScanOptions, ValidationError
+from repro.analysis import cost_model as cost_model_module
 from repro.analysis.cost_model import (
+    PLANNER_ENGINES,
+    RATE_STEP_LIMIT,
     CostModel,
     calibrate_cost_model,
     ensure_cost_model,
@@ -37,6 +40,7 @@ from repro.core.index import FexiproIndex
 from repro.core.scanner import scan_reference
 from repro.core.sharded import ShardedFexiproIndex
 from repro.core.variants import VARIANTS
+from repro.datasets.zoo import load as load_zoo
 from repro.obs import render_prometheus
 from repro.serve.config import ServiceConfig
 from repro.serve.metrics import Gauge, MetricsRegistry
@@ -158,13 +162,13 @@ def test_miscalibrated_model_changes_engine_never_results():
     baseline = FexiproIndex(items, variant="F-SIR")
     model = index.calibrate()
     expected = [baseline.query(q, 7) for q in queries[:3]]
-    for forced in ENGINES:
+    for forced in PLANNER_ENGINES:
         # Make every engine except `forced` look absurdly expensive.
         for engine in model.rates:
             model.rates[engine] = 1e-12 if engine == forced else 1e3
         chosen, predictions = index.plan_engine()
         assert chosen == forced
-        assert set(predictions) == set(ENGINES)
+        assert set(predictions) == set(PLANNER_ENGINES)
         for q, want in zip(queries[:3], expected):
             got = index.query(q, 7)
             assert got.ids == want.ids
@@ -179,8 +183,8 @@ def test_cost_model_predict_choose_and_validation():
     items, __ = make_data(300, 12)
     index = FexiproIndex(items, variant="F-SIR")
     model = calibrate_cost_model(index, samples=2)
-    assert set(model.rates) == set(ENGINES)
-    for engine in ENGINES:
+    assert set(model.rates) == set(PLANNER_ENGINES) == {"blocked", "gemm"}
+    for engine in PLANNER_ENGINES:
         assert model.predict(engine) > 0
     engine, predictions = model.choose()
     assert predictions[engine] == min(predictions.values())
@@ -189,12 +193,14 @@ def test_cost_model_predict_choose_and_validation():
     assert restricted in ("blocked", "gemm")
     with pytest.raises(ValueError, match="engine"):
         model.predict("warp-drive")
+    with pytest.raises(ValueError, match="engine"):
+        model.predict("reference")  # a fixed engine, never planned
     summary = model.as_dict()
     assert summary["uid"] == index.uid
-    assert set(summary["predictions"]) == set(ENGINES)
+    assert set(summary["predictions"]) == set(PLANNER_ENGINES)
 
 
-def test_cost_model_observe_refits_and_epoch_invalidates():
+def test_cost_model_observe_refits_and_survives_compaction():
     items, queries = make_data(300, 12)
     index = FexiproIndex(items, variant="F-SIR")
     model = ensure_cost_model(index)
@@ -203,24 +209,25 @@ def test_cost_model_observe_refits_and_epoch_invalidates():
     qs = index._prepare_query(queries[0])
     __, stats = scan_blocked(index, qs, 5, index.block_size)
     model.observe("blocked", stats, 10.0)  # absurdly slow observation
-    assert model.rates["blocked"] > before
+    # The observation counts, but moves the rate by one clamped step.
+    assert before < model.rates["blocked"] <= before * (
+        1.0 - model.decay + model.decay * RATE_STEP_LIMIT) * (1 + 1e-12)
     assert model.observations == 1
     # Degenerate observations are ignored.
     model.observe("blocked", stats, 0.0)
     model.observe("nope", stats, 1.0)
     assert model.observations == 1
-    # Delta-tier churn keeps the epoch: the calibrated per-coordinate
-    # rates describe the preprocessed base scan, which mutation does not
-    # touch, so the model stays valid while writes accumulate.
+    # Rates are machine properties and fractions workload properties:
+    # neither delta-tier churn nor a compaction (a new SVD basis over the
+    # same rows) invalidates them, so the model binds to the uid alone.
     index.add_items(items[:3])
     assert model.matches(index)
     assert ensure_cost_model(index) is model
-    # Compaction re-runs preprocessing (epoch bump): the basis the rates
-    # were measured in is gone, so the lazy path fits a fresh model.
     assert index.compact()
-    assert not model.matches(index)
-    fresh = ensure_cost_model(index)
-    assert fresh is not model and fresh.matches(index)
+    assert model.matches(index)
+    assert ensure_cost_model(index) is model
+    other = FexiproIndex(items, variant="F-SIR")
+    assert not model.matches(other)
 
 
 def test_calibration_on_a_dirty_catalog_measures_the_base_tier():
@@ -306,8 +313,8 @@ def test_blas_baselines_delegate_exactly(baseline_cls):
 
 
 def test_service_config_engine_validation():
-    assert ServiceConfig(engine="auto").engine == "auto"
-    assert ServiceConfig().engine is None
+    assert ServiceConfig().engine == "auto"  # served traffic is planned
+    assert ServiceConfig(engine=None).engine is None
     with pytest.raises(ValidationError, match="engine"):
         ServiceConfig(engine="warp-drive")
 
@@ -394,6 +401,118 @@ def test_service_engine_knob_over_sharded_index():
         assert response.results[0].scores == expected.scores
 
 
+# ----------------------------------------------------------------------
+# The default serving path: a cheap, stable planner
+# ----------------------------------------------------------------------
+
+
+def yahoo_like(seed=0):
+    """A CI-sized Yahoo-like zoo catalog (20k x 50): GEMM beats the
+    cascade on it, as on every zoo catalog on this substrate."""
+    data = load_zoo("yahoo", seed=seed, scale=0.8)
+    return data.items, data.queries
+
+
+def test_default_service_plans_gemm_on_a_yahoo_like_catalog():
+    items, queries = yahoo_like()
+    fx = Fexipro(items)
+    predicted = actual = 0.0
+    with fx.serve(ServiceConfig(workers=2)) as service:
+        for i in range(50):
+            response = service.batch(queries[i:i + 1], 10)
+            assert response.mode == "inter/gemm"
+            assert response.planner["configured"] == "auto"
+            predicted += response.planner["predicted_seconds"]
+            actual += response.planner["actual_seconds"]
+        gauges = service.metrics_snapshot()["gauges"]
+    assert gauges["planner.mispredict_ratio"] > 0
+    # The model's prediction stays within 2x of what the scans cost
+    # (summed over the 50 batches, so one host stall cannot decide it).
+    assert 0.5 <= actual / predicted <= 2.0
+    # The handle itself keeps the paper's cascade.
+    assert fx.index.engine == "blocked"
+
+
+def test_one_slow_observation_does_not_flip_the_plan():
+    items, queries = yahoo_like(seed=1)
+    fx = Fexipro(items)
+    with fx.serve(ServiceConfig(workers=2)) as service:
+        first = service.batch(queries[:1], 10)
+        assert first.mode == "inter/gemm"
+        model = fx.cost_model
+        rate = model.rates["gemm"]
+        # One observation 100x slower than the scan it reports (a stall).
+        model.observe("gemm", first.stats,
+                      100.0 * first.planner["actual_seconds"])
+        assert model.rates["gemm"] <= rate * (
+            1.0 - model.decay + model.decay * RATE_STEP_LIMIT) * (1 + 1e-12)
+        assert model.choose()[0] == "gemm"
+        assert service.batch(queries[1:2], 10).mode == "inter/gemm"
+
+
+def test_planner_model_survives_compaction_without_recalibrating(
+        monkeypatch):
+    calls = []
+    calibrate = cost_model_module.calibrate_cost_model
+
+    def counting(index, **kwargs):
+        calls.append(index)
+        return calibrate(index, **kwargs)
+
+    monkeypatch.setattr(cost_model_module, "calibrate_cost_model", counting)
+    items, queries = make_data(600, 16, seed=12)
+    fx = Fexipro(items)
+    with fx.serve(ServiceConfig(workers=1)) as service:
+        service.batch(queries[:2], 5)
+        model = fx.cost_model
+        assert model is not None and len(calls) == 1
+        fx.add_items(items[:40] * 0.5)
+        assert fx.compact()
+        n = fx.index._live.n
+        assert n == 640 != model.n
+        # Priced with the snapshot the batch scans, not the calibrated n.
+        expected = {e: model.predict(e, n=n) for e in PLANNER_ENGINES}
+        after = service.batch(queries[:2], 5)
+    assert fx.cost_model is model
+    assert len(calls) == 1
+    assert after.planner["predictions"] == expected
+    for q, got in zip(queries[:2], after.results):
+        want = fx.query(q, 5)
+        assert got.ids == want.ids and got.scores == want.scores
+
+
+def test_cut_calibration_samples_price_blocked_as_a_full_scan(monkeypatch):
+    """A blocked sample the calibration deadline cuts off counts as a full
+    scan: the model never reports a lower scanned fraction than complete
+    scans of the same samples do (the cut prefix is the weakly pruned
+    head of the length-sorted order)."""
+    from repro.serve import resilience
+
+    class AfterPolls(resilience.Deadline):
+        """Expires after ``polls`` polls, whatever the clock says."""
+
+        polls = None
+
+        def __init__(self, seconds, **kwargs):
+            super().__init__(seconds, **kwargs)
+            self.left = self.polls
+
+        def expired(self):
+            if self.left is None:
+                return False
+            self.left -= 1
+            return self.left < 0
+
+    monkeypatch.setattr(resilience, "Deadline", AfterPolls)
+    items, __ = make_data(3000, 16, seed=13)
+    index = FexiproIndex(items, variant="F-SIR", block_size=64)
+    complete = calibrate_cost_model(index, samples=4)
+    AfterPolls.polls = 2  # each blocked sample scans two blocks at most
+    cut = calibrate_cost_model(index, samples=4)
+    assert complete.fractions["scanned"] < 1.0
+    assert cut.fractions["scanned"] >= complete.fractions["scanned"]
+
+
 def test_gauge_and_registry_round_trip():
     gauge = Gauge()
     assert gauge.value == 0.0
@@ -423,8 +542,8 @@ def test_explain_exposes_planner_decision():
     explanation = engine.explain(queries[0], 5)
     explanation.verify()
     assert explanation.planner is not None
-    assert explanation.planner["engine"] in ENGINES
-    assert set(explanation.planner["predictions"]) == set(ENGINES)
+    assert explanation.planner["engine"] in PLANNER_ENGINES
+    assert set(explanation.planner["predictions"]) == set(PLANNER_ENGINES)
     assert "planner: chose" in explanation.format()
     assert explanation.to_dict()["planner"] == explanation.planner
     plain = Fexipro(items, variant="F-SIR").explain(queries[0], 5)

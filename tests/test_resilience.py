@@ -396,7 +396,7 @@ def test_sharded_service_serves_the_inner_single_scan(small_items,
                                                       small_queries):
     sharded = ShardedFexiproIndex(small_items, shards=3, workers=1,
                                   variant="F-SIR")
-    config = ServiceConfig(workers=2, executor="serial")
+    config = ServiceConfig(workers=2, executor="serial", engine=None)
     responses = {}
     for name, index in (("sharded", sharded), ("inner", sharded.index)):
         with RetrievalService(index, config) as service:

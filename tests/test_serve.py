@@ -29,7 +29,8 @@ def test_pooled_batch_identical_to_serial_loop(engine):
     items, queries = make_mf_like(500, 16, seed=80)
     index = FexiproIndex(items, variant="F-SIR", engine=engine)
     serial = [index.query(q, k=5) for q in queries]
-    with RetrievalService(index, ServiceConfig(workers=4)) as service:
+    with RetrievalService(index, ServiceConfig(workers=4,
+                                               engine=None)) as service:
         response = service.batch(queries, k=5)
     assert len(response) == len(serial)
     for a, b in zip(serial, response.results):
@@ -116,7 +117,8 @@ def test_service_validates_queries():
 def test_service_feeds_metrics_registry():
     items, queries = make_mf_like(300, 10, seed=87)
     index = FexiproIndex(items, variant="F-SIR")
-    with RetrievalService(index, ServiceConfig(workers=2)) as service:
+    with RetrievalService(index, ServiceConfig(workers=2,
+                                               engine="blocked")) as service:
         service.batch(queries[:10], k=4)
         service.batch(queries[:5], k=4)
         snapshot = service.metrics_snapshot()
@@ -291,7 +293,8 @@ def test_service_config_resilience_validation():
 def test_plain_index_never_routes_intra():
     items, queries = make_mf_like(300, 10, seed=90)
     index = FexiproIndex(items)
-    with RetrievalService(index, ServiceConfig(workers=2)) as service:
+    with RetrievalService(index, ServiceConfig(workers=2,
+                                               engine=None)) as service:
         response = service.batch(queries[:1], k=3)
         snapshot = service.metrics_snapshot()
     assert response.mode == "inter"
