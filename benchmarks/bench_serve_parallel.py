@@ -61,10 +61,11 @@ def test_serve_parallel_vs_serial(benchmark, sink):
                 index, ServiceConfig(workers=WORKERS,
                                      engine="blocked")) as service:
             response = service.batch(queries, k=K)
-        return serial, serial_time, response
+            workers = service.metrics_snapshot()["workers"]
+        return serial, serial_time, response, workers
 
-    serial, serial_time, response = benchmark.pedantic(run, rounds=1,
-                                                       iterations=1)
+    serial, serial_time, response, workers = benchmark.pedantic(
+        run, rounds=1, iterations=1)
 
     with sink.section("serve_parallel") as out:
         report.print_header(
@@ -93,8 +94,8 @@ def test_serve_parallel_vs_serial(benchmark, sink):
         "bench": "serve_parallel",
         "quick": QUICK,
         "host_cores": os.cpu_count() or 1,
-        "workers": {"requested": WORKERS,
-                    "resolved": min(WORKERS, os.cpu_count() or 1)},
+        "workers": {"requested": workers["requested"],
+                    "resolved": workers["resolved"]},
         "workload": {"n_items": N_ITEMS, "n_queries": N_QUERIES,
                      "d": D, "k": K},
         "serial_seconds": serial_time,

@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 
 #: Site names used by the call sites below.
 SCAN = "scan"       # repro.core.blocked / repro.core.scanner, per block/item batch
-WORKER = "worker"   # repro.serve.executor.map_in_order, per task
+WORKER = "worker"   # repro.serve.procpool chunk tasks, per task
 IO = "io"           # repro.core.persist, on the serialized payload
 
 #: The armed injector (anything with ``fire(site, context)`` and

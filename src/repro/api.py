@@ -387,9 +387,9 @@ class Fexipro:
         One consistent snapshot pair serves every probe, failures are
         isolated per probe (``isolate=False`` re-raises instead), and
         the per-call kwargs mirror :meth:`query` — a ``deadline`` or
-        ``budget`` here spans the whole campaign.  For chunked parallel
-        execution with metrics and traces, serve the handle and call
-        :meth:`RetrievalService.campaign`.
+        ``budget`` here spans the whole campaign.  For metrics, traces
+        and a fresh per-probe deadline, serve the handle and call
+        :meth:`RetrievalService.campaign`, which runs the same loop.
         """
         rindex = self._require_reverse()
         options = self._call_options(options, budget, deadline)

@@ -568,7 +568,7 @@ def _serve_sharded_section(args, workload, index, serial,
     report.print_table(
         ["deployment", "value"],
         [["workers requested", snapshot["workers"]["requested"]],
-         ["workers resolved", snapshot["workers"]["resolved"]],
+         ["worker processes (resolved)", snapshot["workers"]["resolved"]],
          ["host cores", snapshot["workers"]["host_cores"]],
          ["shards", snapshot["shards"]]],
     )

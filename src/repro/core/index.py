@@ -548,8 +548,9 @@ class FexiproIndex:
 
         Verifies the embedded checksum first and raises
         :class:`~repro.exceptions.IndexIntegrityError` (naming the path)
-        for truncated, bit-flipped or undecodable files; format-1 files
-        from older versions load through a compatibility path.
+        for truncated, bit-flipped or undecodable files, and
+        :class:`~repro.exceptions.ValidationError` for a file that is not
+        a saved index or holds one too old to load (rebuild it).
         """
         from .persist import load_checksummed
 

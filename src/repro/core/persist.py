@@ -2,7 +2,10 @@
 
 Format-1 files (PRs 1–2) were a single pickled ``{"format": 1, "index":
 obj}`` dict: corruption surfaced as a raw ``UnpicklingError`` (or worse,
-loaded silently).  Format 2 splits the file into a small pickled *header*
+loaded silently).  They no longer load: every one of them pickles an
+index without the snapshot's ``bar_norms``, which refuses to unpickle
+and asks for a rebuild (:class:`~repro.exceptions.ValidationError`).
+Format 2 splits the file into a small pickled *header*
 followed by the pickled *payload bytes*, with the payload's SHA-256 and
 length recorded in the header::
 
@@ -13,10 +16,8 @@ length recorded in the header::
 ``load_checksummed`` verifies length and digest *before* unpickling the
 payload, so a bit-flipped or truncated file fails loudly with
 :class:`~repro.exceptions.IndexIntegrityError` naming the path — it never
-reaches the unpickler.  Format-1 files still load through a compatibility
-path (no checksum to verify), and undecodable files of either vintage are
-wrapped in the same error instead of leaking ``EOFError`` /
-``UnpicklingError``.
+reaches the unpickler.  Undecodable files are wrapped in the same error
+instead of leaking ``EOFError`` / ``UnpicklingError``.
 
 ``kind`` keeps the plain and sharded formats rejecting each other, as
 before — a *well-formed* file of the wrong kind is a caller mistake
@@ -35,7 +36,7 @@ buffer segments::
     <buffer 0 bytes> <pad> <buffer 1 bytes> <pad> ...
 
 Two readers exist.  :func:`load_checksummed` accepts format 3 alongside
-formats 1/2 and verifies the full SHA-256 (meta + every buffer, in table
+format 2 and verifies the full SHA-256 (meta + every buffer, in table
 order) before reconstructing — same guarantees as format 2, at full-read
 cost.  :func:`attach_mmap` is the O(meta) path: it verifies only the meta
 digest, maps the file read-only, and hands the unpickler zero-copy
@@ -191,7 +192,7 @@ def _save_mmap(path, kind: str, obj) -> None:
 def load_checksummed(path, kind: str, cls):
     """Load and verify an index saved by :func:`save_checksummed`.
 
-    Accepts format-2 (verified) and legacy format-1 (unverified) files.
+    Accepts format-2 and format-3 files, both checksum-verified.
     Raises :class:`IndexIntegrityError` for unreadable, truncated or
     corrupted files, and :class:`ValidationError` for well-formed files
     that are simply not a saved ``cls``.
@@ -201,14 +202,11 @@ def load_checksummed(path, kind: str, cls):
         try:
             head = pickle.load(handle)
         except ValidationError:
-            raise  # a format-1 object that rejected its own state
+            raise  # an old pickled index that asks for a rebuild
         except Exception as error:
             raise IndexIntegrityError(
                 path, f"unreadable header ({type(error).__name__}: {error})"
             ) from error
-        if isinstance(head, dict) and head.get("format") == 1:
-            # Legacy single-pickle layout: the header *is* the payload.
-            return _check_kind(path, cls, head.get("index"))
         if isinstance(head, dict) and head.get("format") == MMAP_FORMAT:
             if head.get("kind") != kind:
                 raise ValidationError(
@@ -396,7 +394,7 @@ def attach_mmap(path, kind: str, cls) -> MmapAttachment:
     are never read eagerly; they fault in from the page cache as the scan
     touches them, and every attaching process shares the same physical
     pages.  Only format-3 files attach (:class:`ValidationError`
-    otherwise — use :func:`load_checksummed` for formats 1/2); truncated
+    otherwise — use :func:`load_checksummed` for format 2); truncated
     or corrupted files raise :class:`IndexIntegrityError`.
     """
     handle = open(path, "rb")

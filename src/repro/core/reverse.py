@@ -50,16 +50,16 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .. import _faultsites
 from .._validation import check_k, safe_norm, safe_row_norms
 from ..exceptions import (
     BudgetExhaustedError,
     DeadlineExceededError,
     QueryError,
-    ReproError,
     ValidationError,
 )
 from .delta import LiveCatalog
@@ -665,49 +665,59 @@ class ReverseIndex:
 
 
 def campaign_scan(rindex: ReverseIndex, items, k: int = 10, *,
-                  options: Optional[ScanOptions] = None,
+                  options: Union[ScanOptions,
+                                 Callable[[], ScanOptions], None] = None,
                   engine: Optional[str] = None,
                   isolate: bool = True,
-                  span=None,
-                  on_result=None) -> CampaignResponse:
+                  span=None) -> CampaignResponse:
     """Audience-build a batch of probe items over one snapshot pair.
 
-    The snapshot pair is pinned once, so every probe's audience is exact
+    The one campaign loop: :meth:`repro.api.Fexipro.campaign` and
+    :meth:`repro.serve.RetrievalService.campaign` both run it.  The
+    snapshot pair is pinned once, so every probe's audience is exact
     against the same catalog state no matter what racing mutations land
-    mid-campaign.  Failures are isolated per probe when ``isolate`` is
-    true (a ``None`` result slot plus a structured
-    :class:`~repro.exceptions.QueryError`); ``on_result`` is an optional
-    ``(index, result_or_none, error_or_none)`` callback for the serving
-    layer's metrics.
+    mid-campaign.  Each probe runs under the ``q=<i>`` fault tag and,
+    when ``span`` (the caller's root span) is given, in a
+    ``reverse.scan`` child span.  ``options`` is either one
+    :class:`ScanOptions` shared by every probe (a deadline or budget in
+    it then spans the whole campaign) or a zero-argument callable that
+    builds each probe's options afresh (the service arms a new deadline
+    per probe this way).  When ``isolate`` is true, a probe that raises
+    any ``Exception`` gets a ``None`` result slot and a structured
+    :class:`~repro.exceptions.QueryError`; otherwise the error
+    propagates.
     """
     wall_started = time.perf_counter()
     snapshots = rindex.pin()
     probe_ids = [int(i) for i in np.asarray(items).reshape(-1)]
+    probe_options = options if callable(options) else (lambda: options)
     results: List[Optional[ReverseResult]] = []
     errors: List[QueryError] = []
     provenance: List[str] = []
     agg = ReverseStats()
     for i, item in enumerate(probe_ids):
+        probe_span = span.child("reverse.scan", query=i, item=item) \
+            if span is not None else None
         try:
-            result = rindex.reverse_query(
-                item, k, options=options, engine=engine, span=span,
-                snapshots=snapshots)
-        except ReproError as exc:
+            with _faultsites.tagged(f"q={i}"):
+                result = rindex.reverse_query(
+                    item, k, options=probe_options(), engine=engine,
+                    span=probe_span, snapshots=snapshots)
+        except Exception as exc:
+            if probe_span is not None:
+                probe_span.set(error=type(exc).__name__).end()
             if not isolate:
                 raise
-            error = QueryError(index=i, error=exc)
-            errors.append(error)
+            errors.append(QueryError(index=i, error=exc))
             results.append(None)
             provenance.append("error")
-            if on_result is not None:
-                on_result(i, None, error)
             continue
+        if probe_span is not None:
+            probe_span.end()
         results.append(result)
         provenance.append(
             "warm" if result.stats.bounds_exact else "cold")
         agg.merge(result.stats)
-        if on_result is not None:
-            on_result(i, result, None)
     mode = "reverse/inter" if engine is None else f"reverse/inter/{engine}"
     return CampaignResponse(
         results=results, stats=agg,

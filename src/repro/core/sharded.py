@@ -611,7 +611,8 @@ class ShardedFexiproIndex:
 
         Checksum-verified; corrupted or truncated files raise
         :class:`~repro.exceptions.IndexIntegrityError` naming the path,
-        and legacy format-1 files load through a compatibility path.
+        and a file that is not a saved sharded index, or holds one too
+        old to load, raises :class:`~repro.exceptions.ValidationError`.
         """
         from .persist import load_checksummed
 

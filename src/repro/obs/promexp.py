@@ -20,7 +20,9 @@ Mapping rules:
   (cumulative, with the mandatory ``+Inf`` bucket), ``..._sum``,
   ``..._count``
 - stage times → ``repro_stage_seconds_total{stage="integer"}``
-- deployment-shape sections → gauges (``repro_workers{kind="resolved"}``,
+- deployment-shape sections → gauges (``repro_workers{kind="resolved"}``
+  counts the worker processes the resolved executor starts, 1 when
+  serving in-process;
   ``repro_shards``, and a generic numeric spill of the cache/tracer
   sections).
 """

@@ -4,20 +4,21 @@ The paper's conclusion names LEMP-style batch workloads as the natural
 extension of single-query FEXIPRO; this package is that extension's serving
 layer:
 
-- :class:`RetrievalService` — answers query batches in chunks, in order
-  or on worker processes, with per-query latency capture and
-  pruning-counter rollups.  Every query gets one single scan; over a
+- :class:`RetrievalService` — answers query batches one query after
+  another in this process, or in chunks on worker processes, with
+  per-query latency capture and pruning-counter rollups.  Every query
+  gets one single scan; over a
   :class:`~repro.core.sharded.ShardedFexiproIndex` the service scans
   the inner index;
 - :class:`ServiceConfig` — worker/chunking/instrumentation/resilience
-  tunables;
+  tunables (chunking splits only worker-process tasks);
 - :class:`MetricsRegistry`, :class:`Counter`, :class:`Histogram` — a
   dependency-free metrics substrate the engines feed;
-- chunking helpers — the execution layer;
 - :class:`ProcessScanPool` (PR 6) — a multi-process executor that runs
   scans on real cores over a shared-memory (mmap) replica of the index,
   selected via ``ServiceConfig.executor`` (``"auto"`` sends it only
-  multi-query batches of blocked scans; results stay bitwise identical);
+  multi-query batches of blocked scans; results stay bitwise identical),
+  with :func:`resolve_chunk_size` sizing its chunk tasks;
 - a failure model (PR 3): per-query :class:`Deadline` budgets with
   exact-prefix degradation, per-query fault isolation surfacing
   :class:`QueryError` entries (with a bounded :class:`RetryPolicy`), and
@@ -47,7 +48,6 @@ Quickstart::
 from .cache import CacheEntry, CacheLookup, QueryCache
 from .compactor import Compactor
 from .config import ServiceConfig, default_workers
-from .executor import chunk_spans, resolve_chunk_size
 from .faults import FaultInjector, FaultRule
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -60,6 +60,7 @@ from ..exceptions import QueryError
 from .procpool import (
     ProcessScanPool,
     process_executor_usable,
+    resolve_chunk_size,
     resolve_start_method,
 )
 from .service import BatchResponse, RetrievalService
@@ -82,7 +83,6 @@ __all__ = [
     "RetrievalService",
     "RetryPolicy",
     "ServiceConfig",
-    "chunk_spans",
     "default_workers",
     "is_transient",
     "process_executor_usable",

@@ -27,14 +27,16 @@ class ServiceConfig:
     Parameters
     ----------
     workers:
-        Size of the process pool (not clamped to the host's cores).
-        Clamped to the cores, it also sets the default chunking.  ``1``
+        Size of the process pool (not clamped to the host's cores); it
+        also sets the default chunking of worker-process tasks.  ``1``
         never starts worker processes under ``"auto"``.
     chunk_size:
-        Queries per pool task.  ``None`` picks ``ceil(m / (4 * workers))``
-        so each worker sees about four chunks per batch: large enough that
-        task overhead is negligible, small enough that an unlucky chunk of
-        slow queries cannot straggle the whole batch.
+        Queries per worker-process task; the in-process loop scans one
+        query after another and is not chunked.  ``None`` picks
+        ``ceil(m / (4 * workers))`` so each worker sees about four chunks
+        per batch: large enough that task overhead is negligible, small
+        enough that an unlucky chunk of slow queries cannot straggle the
+        whole batch.
     default_k:
         Result-list size used when a request does not specify ``k``.
     collect_timings:
@@ -60,7 +62,7 @@ class ServiceConfig:
         Where scans run.  ``"process"`` runs them in worker *processes*
         attached zero-copy to a shared-memory replica of the index
         (:mod:`repro.serve.procpool`) — real cores for the Python-heavy
-        pruning cascade; ``"serial"`` runs everything in one ordered loop
+        pruning cascade; ``"serial"`` runs every query, one after another,
         in the serving process; ``"auto"`` (default) sends to processes
         only multi-query batches of blocked scans, when processes can win
         (multiple workers and cores, a real monotonic clock, no armed

@@ -10,8 +10,11 @@ injector is armed):
   tagged per query by the serving layer and per shard by the sharded
   fan-out), so a rule here raises or stalls *inside* a scan exactly as a
   bad memory page or a stolen CPU would;
-- ``worker`` — fired by :func:`repro.serve.executor.map_in_order` before
-  each chunk or shard task, modelling executor-level failures;
+- ``worker`` — fired at the start of each worker-process chunk task
+  (:mod:`repro.serve.procpool`), modelling a task that dies before its
+  per-query guards engage; armed through
+  ``ProcessScanPool(fault_rules=...)``, since a parent-side injector
+  keeps serving in-process;
 - ``io``     — a byte-level transform applied to the serialized index
   payload in :mod:`repro.core.persist`, modelling bit rot and torn writes.
 

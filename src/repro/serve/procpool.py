@@ -61,6 +61,7 @@ from ..exceptions import ServiceClosedError, ValidationError
 __all__ = [
     "ProcessScanPool",
     "process_executor_usable",
+    "resolve_chunk_size",
     "resolve_start_method",
 ]
 
@@ -69,6 +70,34 @@ __all__ = [
 #: degrades to a query-local threshold — exact, just less cross-shard
 #: pruning for that query.
 THRESHOLD_SLOTS = 64
+
+#: Target number of chunk tasks handed to each worker process per batch.
+#: More chunks mean better load balance when per-query cost is skewed
+#: (Figure 9 of the paper shows it is); fewer mean less task overhead.
+#: Four is a standard compromise.
+CHUNKS_PER_WORKER = 4
+
+
+def resolve_chunk_size(total: int, workers: int,
+                       chunk_size: Optional[int] = None) -> int:
+    """Pick the number of queries per worker-process task.
+
+    An explicit ``chunk_size`` wins; otherwise the batch is split into
+    about :data:`CHUNKS_PER_WORKER` chunks per worker.
+    """
+    if total < 0:
+        raise ValidationError(f"total must be non-negative; got {total}")
+    if workers < 1:
+        raise ValidationError(f"workers must be positive; got {workers}")
+    if chunk_size is not None:
+        if chunk_size < 1:
+            raise ValidationError(
+                f"chunk_size must be positive; got {chunk_size}"
+            )
+        return chunk_size
+    if total == 0:
+        return 1
+    return max(1, math.ceil(total / (CHUNKS_PER_WORKER * workers)))
 
 
 def resolve_start_method(method: Optional[str] = None) -> str:
@@ -250,10 +279,13 @@ def _shard_task(payload):
 def _chunk_task(payload):
     """A chunk of whole queries (the inter-query axis) in a worker.
 
-    Per-query outcomes are structured (``"ok"``/``"err"`` tuples) rather
-    than raised: one poisoned query must not take its chunk-mates down,
-    and the parent re-runs ``"err"`` queries through its own retry/
-    isolation machinery with the real exception semantics.
+    The chunk first passes the ``worker`` fault site: a task that dies
+    there fails the whole ``pool.map``, and the parent then scans the
+    batch in-process.  Per-query outcomes are structured
+    (``"ok"``/``"err"`` tuples) rather than raised: one poisoned query
+    must not take its chunk-mates down, and the parent re-runs ``"err"``
+    queries through its own retry/isolation machinery with the real
+    exception semantics.
     """
     path, token, items, k, deadline_ms, budget_flops, collect = payload
     index = _attach(path, token)
@@ -483,19 +515,20 @@ class ProcessScanPool:
     def run_query_chunks(self, handle: ReplicaHandle, items, k: int, *,
                          deadline_ms=None, budget_flops=None,
                          collect: bool = False,
-                         chunk_size: int = 1):
+                         chunk_size: Optional[int] = None):
         """Spread whole queries over the processes (the inter-query axis).
 
-        ``items`` are ``(qi, pickled_query_state, seed)`` triples; the
-        return value is one structured outcome per item, in order — see
-        :func:`_chunk_task` for the ``"ok"``/``"err"`` shapes.
+        ``items`` are ``(qi, pickled_query_state, seed)`` triples, sent
+        ``chunk_size`` to a task (``None``: :func:`resolve_chunk_size`);
+        the return value is one structured outcome per item, in order —
+        see :func:`_chunk_task` for the ``"ok"``/``"err"`` shapes.
         ``budget_flops`` arms a fresh per-query
         :class:`~repro.core.budget.FlopBudget` inside each worker —
         budgets are per query, so the inter-query axis needs no shared
         accounting cell.
         """
         pool = self._ensure_pool()
-        chunk_size = max(1, int(chunk_size))
+        chunk_size = resolve_chunk_size(len(items), self.workers, chunk_size)
         chunks = [items[i:i + chunk_size]
                   for i in range(0, len(items), chunk_size)]
         payloads = [(handle.path, tuple(handle.token), chunk, k,

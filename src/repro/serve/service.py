@@ -9,9 +9,10 @@ answered in two phases:
    implementation the one-off :meth:`FexiproIndex.query` path uses.  Results
    are therefore bit-identical to a serial loop, pool or no pool.
 2. **Scan** — every state gets FEXIPRO's one length-sorted cascade scan
-   (Algorithm 5), in chunks of whole queries: on worker processes
+   (Algorithm 5): in chunks of whole queries on worker processes
    attached to a shared-memory replica of the index
-   (:mod:`repro.serve.procpool`), or in one ordered loop in this process.
+   (:mod:`repro.serve.procpool`), or one query after another in this
+   process.
    Worker processes pay off only for a batch of two or more blocked
    scans: one query costs less to scan here than to ship, and threads
    would not help, since the GIL serializes the cascade's Python replay.
@@ -57,12 +58,7 @@ import numpy as np
 from .. import _faultsites
 from .._validation import as_query_matrix, as_query_vector, check_k
 from ..core.index import FexiproIndex, prepare_query_states
-from ..core.reverse import (
-    CampaignResponse,
-    ReverseIndex,
-    ReverseResult,
-    ReverseStats,
-)
+from ..core.reverse import CampaignResponse, ReverseIndex, campaign_scan
 from ..core.sharded import ShardedFexiproIndex
 from ..core.stats import (
     PruningStats,
@@ -78,7 +74,6 @@ from ..exceptions import BudgetExhaustedError, DeadlineExceededError, \
 from ..obs.trace import Span, Tracer
 from .cache import CacheLookup, QueryCache
 from .config import ServiceConfig
-from .executor import chunk_spans, map_in_order, resolve_chunk_size
 from .metrics import MetricsRegistry
 from .resilience import Deadline, RetryPolicy
 
@@ -314,11 +309,8 @@ class RetrievalService:
         self.metrics_server = None
         self._clock = clock
         self._executor_mode = self._resolve_executor()
-        # The worker count the chunking plans for: the configured one
-        # (1 under "serial") clamped to the cores.
         self._requested = 1 if self.config.executor == "serial" \
             else self.config.workers
-        self._workers = max(1, min(self._requested, os.cpu_count() or 1))
         self._closed = False
         self._procpool = None
         self._retry = RetryPolicy(
@@ -513,17 +505,18 @@ class RetrievalService:
 
         For each catalog item id in ``items``, computes the exact
         audience — every user whose forward top-k would contain it — via
-        the attached :class:`~repro.core.reverse.ReverseIndex`.  Probes
-        run in chunks, in order, in this process; one snapshot pair
-        pinned before the first probe serves them all, and
-        failures are isolated per probe exactly like :meth:`batch`: a
-        failed probe's slot is ``None`` with a structured
-        :class:`~repro.exceptions.QueryError` in ``errors``.  The
-        service's per-query deadline (``config.deadline_ms``) arms each
-        probe's verification scans; a deadline that expires mid-probe
-        fails *that probe* (an audience is exact or absent, never
-        partial).  ``engine`` overrides the configured scan engine for
-        the verification scans.
+        the attached :class:`~repro.core.reverse.ReverseIndex`, through
+        :func:`~repro.core.reverse.campaign_scan`: probes run one after
+        another in this process, one snapshot pair pinned before the
+        first probe serves them all, and failures are isolated per probe
+        exactly like :meth:`batch`: a failed probe's slot is ``None``
+        with a structured :class:`~repro.exceptions.QueryError` in
+        ``errors``.  The service's per-query deadline
+        (``config.deadline_ms``) is armed afresh for each probe's
+        verification scans; a deadline that expires mid-probe fails
+        *that probe* (an audience is exact or absent, never partial).
+        ``engine`` overrides the configured scan engine for the
+        verification scans.
 
         Every probe feeds the ``reverse.*`` metrics family and the
         ``latency.reverse_seconds`` histogram; sampled campaigns get a
@@ -540,79 +533,22 @@ class RetrievalService:
                 "no reverse index attached: pass reverse= to the service "
                 "(or users= to Fexipro) before calling campaign()"
             )
-        wall_started = time.perf_counter()
-        snapshots = rindex.pin()
-        fsnap = snapshots[0]
         probe_ids = [int(i) for i in np.asarray(items).reshape(-1)]
-        m = len(probe_ids)
         k = check_k(self.config.default_k if k is None else k,
-                    fsnap.visible_count)
+                    self.index._live.visible_count)
         if engine is None:
             engine = self.config.engine
+        m = len(probe_ids)
         root = self.tracer.start("serve.campaign", probes=m, k=k) \
             if self.tracer is not None else None
-
-        results: List[Optional[ReverseResult]] = [None] * m
-        provenance: List[str] = ["error"] * m
-        errors: List[QueryError] = []
-        chunk_size = resolve_chunk_size(m, self._workers,
-                                        self.config.chunk_size)
-        spans = chunk_spans(m, chunk_size)
-
-        def run_chunk(span: Tuple[int, int]):
-            chunk_out = []
-            for i in range(span[0], span[1]):
-                probe_span = root.child("reverse.scan", query=i,
-                                        item=probe_ids[i]) \
-                    if root is not None else None
-                options = ScanOptions(deadline=self._new_deadline())
-                try:
-                    with _faultsites.tagged(f"q={i}"):
-                        result = rindex.reverse_query(
-                            probe_ids[i], k, options=options,
-                            engine=engine, span=probe_span,
-                            snapshots=snapshots)
-                except Exception as error:
-                    if probe_span is not None:
-                        probe_span.set(error=type(error).__name__).end()
-                    chunk_out.append((i, None, error))
-                    continue
-                if probe_span is not None:
-                    probe_span.end()
-                chunk_out.append((i, result, None))
-            return chunk_out
-
-        agg = ReverseStats()
-        outputs = map_in_order(run_chunk, spans, return_exceptions=True)
-        for span, output in zip(spans, outputs):
-            if isinstance(output, Exception):
-                # The chunk died before its per-probe guards engaged
-                # (a worker-site fault): every probe in it is marked
-                # failed, the rest of the campaign is untouched.
-                output = [(i, None, output)
-                          for i in range(span[0], span[1])]
-            for i, result, error in output:
-                if error is not None:
-                    self.metrics.counter("errors.queries").inc()
-                    self.metrics.counter("reverse.errors").inc()
-                    errors.append(QueryError(index=i, error=error))
-                    continue
-                results[i] = result
-                provenance[i] = "warm" if result.stats.bounds_exact \
-                    else "cold"
-                agg.merge(result.stats)
-
-        mode = "reverse/inter" if engine is None \
-            else f"reverse/inter/{engine}"
-        response = CampaignResponse(
-            results=results, stats=agg,
-            elapsed=time.perf_counter() - wall_started,
-            mode=mode, errors=sorted(errors, key=lambda e: e.index),
-            provenance=provenance)
+        response = campaign_scan(
+            rindex, probe_ids, k,
+            options=lambda: ScanOptions(deadline=self._new_deadline()),
+            engine=engine, span=root)
         if root is not None:
             root.set(errors=len(response.errors),
-                     audience=agg.audience,
-                     verified=agg.verified).end()
+                     audience=response.stats.audience,
+                     verified=response.stats.verified).end()
         self._observe_campaign(response)
         return response
 
@@ -621,6 +557,9 @@ class RetrievalService:
         metrics = self.metrics
         metrics.counter("reverse.campaigns").inc()
         metrics.counter("reverse.probes").inc(len(response.results))
+        if response.errors:
+            metrics.counter("errors.queries").inc(len(response.errors))
+            metrics.counter("reverse.errors").inc(len(response.errors))
         stats = response.stats
         metrics.counter("reverse.users_swept").inc(stats.n_users)
         metrics.counter("reverse.pruned.cauchy_schwarz").inc(
@@ -845,17 +784,14 @@ class RetrievalService:
     # ------------------------------------------------------------------
 
     def _scan_inter_query(self, work: _Pending) -> None:
-        """Scan whole queries, chunk by chunk.
+        """Scan whole queries: on worker processes or one by one here.
 
         When :meth:`_wants_processes` says so, worker processes scan the
         batch (:meth:`_map_inter_process`); their ``"ok"`` outcomes are
         finished here and their ``"err"`` outcomes replayed in-process.
         Otherwise, or when the process pool cannot serve this batch, the
-        chunks run in order in this process, every query in its own
-        :meth:`_attempt` loop.  A chunk that dies before its queries start
-        (a ``worker``-site fault) is retried inline once if transient,
-        else all its queries are marked failed — the rest of the batch is
-        untouched either way.
+        queries run in order in this process, each in its own
+        :meth:`_attempt` loop.
         """
         if self._wants_processes(work):
             outputs = self._map_inter_process(work)
@@ -872,25 +808,8 @@ class RetrievalService:
                     else:
                         self._attempt(replay, j)
                 return
-        chunk_size = resolve_chunk_size(len(work.states), self._workers,
-                                        self.config.chunk_size)
-        spans = chunk_spans(len(work.states), chunk_size)
-
-        def run_chunk(span: Tuple[int, int]) -> None:
-            for j in range(*span):
-                self._attempt(work, j)
-
-        outputs = map_in_order(run_chunk, spans, return_exceptions=True)
-        for span, output in zip(spans, outputs):
-            if not isinstance(output, Exception):
-                continue
-            retried = self._retry.should_retry(output, attempt=0)
-            output = self._retry_chunk(run_chunk, span, output)
-            if isinstance(output, Exception):
-                self.metrics.counter("errors.queries").inc(span[1] - span[0])
-                for j in range(*span):
-                    work.errors[j] = QueryError(index=work.indices[j],
-                                                error=output, retried=retried)
+        for j in range(len(work.states)):
+            self._attempt(work, j)
 
     def _map_inter_process(self, work: _Pending):
         """Scan the batch's query states on worker processes, or ``None``.
@@ -917,29 +836,15 @@ class RetrievalService:
                       float(seed))
                      for qi, state, seed in zip(work.indices, work.states,
                                                 work.seeds)]
-            chunk_size = resolve_chunk_size(len(items), procpool.workers,
-                                            self.config.chunk_size)
             return procpool.run_query_chunks(
                 handle, items, work.k,
                 deadline_ms=self.config.deadline_ms,
                 budget_flops=work.budget_flops,
                 collect=work.collect,
-                chunk_size=chunk_size)
+                chunk_size=self.config.chunk_size)
         except Exception:
             self.metrics.counter("policy.process_fallback").inc()
             return None
-
-    def _retry_chunk(self, run_chunk, span: Tuple[int, int],
-                     error: Exception):
-        """One inline re-execution of a worker-level chunk failure."""
-        if not self._retry.should_retry(error, attempt=0):
-            return error
-        self.metrics.counter("retries").inc()
-        self._retry.backoff()
-        try:
-            return run_chunk(span)
-        except Exception as retry_error:
-            return retry_error
 
     def _attempt(self, work: _Pending, j: int, outcome=None) -> None:
         """The one attempt loop every scanned query ends in; never raises.
@@ -1189,12 +1094,12 @@ class RetrievalService:
         """A JSON-serializable snapshot of the service's metrics.
 
         Besides the registry contents this reports the deployment shape:
-        ``workers`` (requested vs. core-clamped resolved worker count —
-        both 1 under ``"serial"`` — and the host core count), ``shards``
-        (the wrapped index's shard count, or ``None`` for a plain
-        index), ``executor`` (the
-        configured and resolved scan backend — ``"process"`` or
-        ``"serial"`` — plus the live process
+        ``workers`` (the requested count; the resolved count, which is
+        the worker processes the resolved executor starts, or 1 for the
+        in-process loop of ``"serial"``; and the host core count),
+        ``shards`` (the wrapped index's shard count, or ``None`` for a
+        plain index), ``executor`` (the configured and resolved scan
+        backend — ``"process"`` or ``"serial"`` — plus the live process
         pool's start method, per-worker task counts and replicas when one
         exists) and ``cache`` (the query cache's counters, or ``None``
         when caching is off).
@@ -1202,7 +1107,8 @@ class RetrievalService:
         snapshot = self.metrics.snapshot()
         snapshot["workers"] = {
             "requested": self._requested,
-            "resolved": self._workers,
+            "resolved": (self.config.workers
+                         if self._executor_mode == "process" else 1),
             "host_cores": os.cpu_count() or 1,
         }
         snapshot["shards"] = (self.sharded_index.n_shards

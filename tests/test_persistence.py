@@ -181,17 +181,6 @@ def test_missing_file_is_not_corruption(tmp_path):
         FexiproIndex.load(tmp_path / "never-saved.pkl")
 
 
-def test_legacy_format_1_files_still_load(tmp_path, small_items,
-                                          small_queries):
-    index = FexiproIndex(small_items, variant="F-SI")
-    path = tmp_path / "legacy.pkl"
-    with open(path, "wb") as handle:  # the PR-1/PR-2 single-pickle layout
-        pickle.dump({"format": 1, "index": index}, handle)
-    loaded = FexiproIndex.load(path)
-    for q in small_queries[:3]:
-        assert loaded.query(q, k=4).ids == index.query(q, k=4).ids
-
-
 def test_format_2_header_records_kind_and_checksum(tmp_path, small_items):
     from repro.core.persist import FORMAT_VERSION
 

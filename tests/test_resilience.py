@@ -305,39 +305,29 @@ def test_transient_fault_beyond_retry_budget_fails_structured(small_items,
     assert response.results[1] is not None
 
 
-def test_worker_level_fault_fails_chunk_not_batch(small_items,
-                                                  small_queries):
+@pytest.mark.skipif(not process_executor_usable(),
+                    reason="no multiprocessing start method available")
+def test_worker_fault_in_process_task_falls_back_in_process(small_items,
+                                                           small_queries):
+    # The worker site fires in each worker-process chunk task; a task that
+    # dies there sends the whole batch back to the in-process loop.
     index = FexiproIndex(small_items, variant="F-SIR")
     queries = small_queries[:6]
-    serial = [index.query(q, k=3) for q in queries]
-    # chunk_size=2 -> spans (0,2) (2,4) (4,6); the first worker task dies
-    # before its per-query guards engage.
-    injector = FaultInjector(
-        [FaultRule(site="worker", kind="raise", limit=1)],
-        seed=FAULT_SEED)
-    with _service(index, chunk_size=2) as service, injector:
-        response = service.batch(queries, k=3)
-    assert sorted(e.index for e in response.errors) == [0, 1]
-    assert response.results[0] is None and response.results[1] is None
-    for i in range(2, 6):
-        assert response.results[i].ids == serial[i].ids
-
-
-def test_transient_worker_fault_retries_the_chunk(small_items,
-                                                  small_queries):
-    index = FexiproIndex(small_items, variant="F-SIR")
-    queries = small_queries[:6]
-    serial = [index.query(q, k=3) for q in queries]
-    injector = FaultInjector(
-        [FaultRule(site="worker", kind="raise", limit=1, transient=True)],
-        seed=FAULT_SEED)
-    with _service(index, chunk_size=2) as service, injector:
-        response = service.batch(queries, k=3)
-        snapshot = service.metrics_snapshot()
+    serial = [index.query(q, k=4) for q in queries]
+    config = ServiceConfig(workers=2, executor="process", engine="blocked")
+    with RetrievalService(index, config) as service:
+        service._procpool = ProcessScanPool(
+            2, fault_rules=[FaultRule("worker", "raise")],
+            fault_seed=FAULT_SEED)
+        response = service.batch(queries, k=4)
+        counters = service.metrics_snapshot()["counters"]
+    assert counters["policy.process_fallback"] == 1
     assert not response.errors
-    for result, truth in zip(response.results, serial):
-        assert result.ids == truth.ids
-    assert snapshot["counters"]["retries"] == 1
+    for got, want in zip(response.results, serial):
+        assert got.ids == want.ids
+        assert [s.hex() for s in got.scores] == \
+            [s.hex() for s in want.scores]
+        assert got.stats.as_dict() == want.stats.as_dict()
 
 
 def test_single_query_failure_reraises(small_items, small_queries):
@@ -431,10 +421,9 @@ def test_service_survives_mixed_chaos(small_items, small_queries):
     serial = [index.query(q, k=4) for q in queries]
     injector = FaultInjector(
         [FaultRule(site="scan", kind="raise", probability=0.2,
-                   transient=True),
-         FaultRule(site="worker", kind="raise", probability=0.1)],
+                   transient=True)],
         seed=FAULT_SEED)
-    with _service(index, chunk_size=2) as service, injector:
+    with _service(index) as service, injector:
         response = service.batch(queries, k=4)
     assert len(response.results) == len(queries)
     failed = {error.index for error in response.errors}

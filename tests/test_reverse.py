@@ -21,6 +21,7 @@ from repro import (
     Fexipro,
     FexiproIndex,
     FlopBudget,
+    RetrievalService,
     ReverseIndex,
     ScanOptions,
     ServiceConfig,
@@ -30,6 +31,7 @@ from repro import (
     campaign_scan,
 )
 from repro.core.index import prepare_query_states
+from repro.serve import FaultInjector, FaultRule
 from repro.serve.resilience import Deadline
 
 from conftest import make_mf_like
@@ -553,6 +555,113 @@ def test_service_campaign_isolates_failures_and_counts_them():
     for pos, item in ((0, 2), (2, 4)):
         want_ids, __ = oracle_audience(index, users, item, 5)
         assert response.results[pos].user_ids == want_ids
+
+
+class SteppedClock:
+    """A fake monotonic clock that moves only when stepped."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def step_after_each_probe(rindex, clock, seconds, seen):
+    """Record each probe's deadline, then step ``clock`` past the probe.
+
+    Wraps ``rindex.reverse_query`` on the instance: every probe logs its
+    deadline object and the time it had left when the probe began.
+    """
+    inner = rindex.reverse_query
+
+    def probe(item, k=10, **kwargs):
+        deadline = kwargs["options"].deadline
+        seen.append((deadline, deadline.remaining()))
+        try:
+            return inner(item, k, **kwargs)
+        finally:
+            clock.now += seconds
+
+    rindex.reverse_query = probe
+
+
+def test_service_campaign_arms_a_fresh_deadline_per_probe():
+    items, users = make_corpora(n=80, m=10)
+    fx = Fexipro(items, variant="F-SIR", users=users)
+    clock = SteppedClock()
+    seen = []
+    step_after_each_probe(fx.reverse, clock, 10.0, seen)
+    config = ServiceConfig(workers=1, deadline_ms=5_000.0,
+                           collect_timings=False)
+    with RetrievalService(fx.index, config, reverse=fx.reverse,
+                          clock=clock) as svc:
+        response = svc.campaign([2, 0, 4], k=5)
+    # Each probe starts with the whole 5 s, though the clock moved 10 s
+    # per probe: a campaign-wide deadline would have run out.
+    assert [left for __, left in seen] == [5.0, 5.0, 5.0]
+    assert len({id(deadline) for deadline, __ in seen}) == 3
+    assert response.complete
+
+
+def test_facade_campaign_deadline_spans_the_whole_campaign():
+    items, users = make_corpora(n=80, m=10)
+    fx = Fexipro(items, variant="F-SIR", users=users)
+    clock = SteppedClock()
+    seen = []
+    step_after_each_probe(fx.reverse, clock, 10.0, seen)
+    fx.campaign([2, 0, 4], 5, deadline=Deadline(25.0, clock=clock))
+    assert [left for __, left in seen] == [25.0, 15.0, 5.0]
+    assert len({id(deadline) for deadline, __ in seen}) == 1
+
+
+def test_service_campaign_traces_one_reverse_scan_per_probe():
+    items, users = make_corpora(n=80, m=10)
+    fx = Fexipro(items, variant="F-SIR", users=users)
+    probes = [2, 99_999, 4]
+    config = ServiceConfig(workers=1, trace_sample_rate=1.0,
+                           collect_timings=False)
+    with fx.serve(config) as svc:
+        response = svc.campaign(probes, k=5)
+        tracer = svc.tracer
+    [root] = tracer.find("serve.campaign")
+    assert root.attributes["probes"] == 3
+    assert root.attributes["errors"] == 1
+    children = [s for s in tracer.spans if s.parent_id == root.span_id]
+    assert [s.name for s in children] == ["reverse.scan"] * 3
+    assert [(s.attributes["query"], s.attributes["item"])
+            for s in children] == list(enumerate(probes))
+    assert children[1].attributes["error"] == "ValidationError"
+    assert children[0].attributes["audience"] == \
+        response.results[0].audience_size
+    assert all(s.trace_id == root.trace_id for s in children)
+
+
+def test_service_campaign_scan_fault_fails_only_its_probe():
+    items, users = make_corpora(n=80, m=10)
+    fx = Fexipro(items, variant="F-SIR", users=users)
+    index = FexiproIndex(items, variant="F-SIR")
+    probes = [0, 4, 2]   # probe 1 verifies a user: its scan passes the site
+    injector = FaultInjector(
+        [FaultRule(site="scan", kind="raise", match="q=1")], seed=0)
+    config = ServiceConfig(workers=1, engine="blocked",
+                           collect_timings=False)
+    with fx.serve(config) as svc, injector:
+        response = svc.campaign(probes, k=5)
+        counters = svc.metrics_snapshot()["counters"]
+    assert [e.index for e in response.errors] == [1]
+    assert response.errors[0].error_type == "InjectedFault"
+    assert response.results[1] is None
+    assert response.provenance[1] == "error"
+    for pos in (0, 2):
+        want_ids, want_kth = oracle_audience(index, users, probes[pos], 5)
+        assert response.results[pos].user_ids == want_ids
+        assert response.results[pos].kth_scores == want_kth
+    assert counters["errors.queries"] == 1
+    assert counters["reverse.errors"] == 1
+    assert counters["reverse.probes"] == 3
+    assert counters["reverse.audience"] == sum(
+        r.audience_size for r in response.results if r is not None)
 
 
 def test_service_without_reverse_index_refuses_campaigns():

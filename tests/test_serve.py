@@ -12,10 +12,9 @@ from repro.serve import (
     MetricsRegistry,
     RetrievalService,
     ServiceConfig,
-    chunk_spans,
+    process_executor_usable,
     resolve_chunk_size,
 )
-from repro.serve.executor import map_in_order
 
 from conftest import make_mf_like
 
@@ -41,18 +40,26 @@ def test_pooled_batch_identical_to_serial_loop(engine):
     assert response.stats.as_dict() == total.as_dict()
 
 
+@pytest.mark.skipif(not process_executor_usable(),
+                    reason="no multiprocessing start method available")
 def test_chunking_choices_do_not_change_results():
+    # Chunking splits only worker-process tasks, so pin the process
+    # executor and the engine the workers run.
     items, queries = make_mf_like(400, 12, seed=81)
     index = FexiproIndex(items, variant="F-SIR")
-    baseline = None
+    serial = [index.query(q, k=4) for q in queries]
     for workers, chunk in ((1, None), (3, 1), (2, 7), (4, 100)):
-        with RetrievalService(
-                index, ServiceConfig(workers=workers,
-                                     chunk_size=chunk)) as service:
-            ids = [tuple(r.ids) for r in service.batch(queries, k=4).results]
-        if baseline is None:
-            baseline = ids
-        assert ids == baseline
+        config = ServiceConfig(workers=workers, chunk_size=chunk,
+                               executor="process", engine="blocked")
+        with RetrievalService(index, config) as service:
+            results = service.batch(queries, k=4).results
+            pool = service.metrics_snapshot()["executor"]["pool"]
+        size = resolve_chunk_size(len(queries), workers, chunk)
+        assert sum(pool["tasks_per_worker"].values()) == \
+            -(-len(queries) // size)
+        for got, want in zip(results, serial):
+            assert got.ids == want.ids
+            assert got.scores == want.scores
 
 
 def test_service_single_query_and_default_k():
@@ -149,7 +156,7 @@ def test_closed_service_refuses_work():
 
 
 # ----------------------------------------------------------------------
-# Executor
+# Process-task chunking
 # ----------------------------------------------------------------------
 
 def test_resolve_chunk_size_defaults_and_overrides():
@@ -161,27 +168,6 @@ def test_resolve_chunk_size_defaults_and_overrides():
         resolve_chunk_size(10, 4, chunk_size=0)
     with pytest.raises(ValidationError):
         resolve_chunk_size(10, 0)
-
-
-def test_chunk_spans_cover_range_exactly():
-    spans = chunk_spans(10, 3)
-    assert spans == [(0, 3), (3, 6), (6, 9), (9, 10)]
-    assert chunk_spans(0, 5) == []
-    with pytest.raises(ValidationError):
-        chunk_spans(10, 0)
-
-
-def test_map_in_order_preserves_order_and_isolates_errors():
-    def square(x):
-        if x == 3:
-            raise RuntimeError("boom")
-        return x * x
-
-    out = map_in_order(square, list(range(6)), return_exceptions=True)
-    assert out[:3] == [0, 1, 4] and out[4:] == [16, 25]
-    assert isinstance(out[3], RuntimeError)
-    with pytest.raises(RuntimeError):
-        map_in_order(square, list(range(6)))
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +301,15 @@ def test_metrics_snapshot_reports_deployment_shape():
         snapshot = service.metrics_snapshot()
     workers = snapshot["workers"]
     assert workers["requested"] == 3
-    assert workers["resolved"] == min(3, os.cpu_count() or 1)
+    # "resolved" counts the worker processes the resolved executor
+    # starts; the in-process loop is one worker.
+    process = snapshot["executor"]["mode"] == "process"
+    assert workers["resolved"] == (3 if process else 1)
     assert workers["host_cores"] == (os.cpu_count() or 1)
+    config = ServiceConfig(workers=3, executor="process")
+    with RetrievalService(index, config) as service:
+        workers = service.metrics_snapshot()["workers"]
+    assert (workers["requested"], workers["resolved"]) == (3, 3)
     config = ServiceConfig(workers=3, executor="serial")
     with RetrievalService(index, config) as service:
         workers = service.metrics_snapshot()["workers"]
