@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
+from .score import exact_scores
 from .stats import PruningStats
 
 if TYPE_CHECKING:  # pragma: no cover - imported only for type checking
@@ -45,8 +46,6 @@ def scan_above(index: "FexiproIndex", qs: "QueryState",
         return (np.empty(0, dtype=np.int64), np.empty(0), stats)
 
     w = index.w
-    q_head = qs.q_bar[:w]
-    q_tail = qs.q_bar[w:]
     ub1 = qs.q_bar_tail_norm * index.bar_tail_norms[:prefix]
     alive = np.arange(prefix)
 
@@ -70,12 +69,12 @@ def scan_above(index: "FexiproIndex", qs: "QueryState",
             stats.pruned_integer_full = int(np.sum(~keep))
             alive = alive[keep]
 
-    v_head = np.empty(0)
-    if alive.size:
-        v_head = index.items_bar[alive, :w] @ q_head
-        keep = v_head + ub1[alive] > t
-        stats.pruned_incremental = int(np.sum(~keep))
-        alive, v_head = alive[keep], v_head[keep]
+    # The head partial and the admitted score of every integer-stage
+    # survivor, from the one exact-score function the top-k engines use.
+    v_head, scores = exact_scores(index.items_bar, alive, qs.q_bar, w)
+    keep = v_head + ub1[alive] > t
+    stats.pruned_incremental = int(np.sum(~keep))
+    alive, v_head, scores = alive[keep], v_head[keep], scores[keep]
 
     reduction = index.reduction
     if reduction is not None and alive.size and np.isfinite(t):
@@ -92,15 +91,11 @@ def scan_above(index: "FexiproIndex", qs: "QueryState",
                  + reduction.slack)
         keep = bound > t_prime
         stats.pruned_monotone = int(np.sum(~keep))
-        alive, v_head = alive[keep], v_head[keep]
-
-    if alive.size:
-        scores = v_head + index.items_bar[alive, w:] @ q_tail
-        stats.full_products = int(alive.size)
-        keep = scores > t
         alive, scores = alive[keep], scores[keep]
-    else:
-        scores = np.empty(0)
+
+    stats.full_products = int(alive.size)
+    keep = scores > t
+    alive, scores = alive[keep], scores[keep]
 
     order = np.argsort(-scores, kind="stable")
     return alive[order], scores[order], stats

@@ -19,6 +19,11 @@ replay loop then walks the block in order, re-applying the cascade with the
 live threshold against the precomputed bound values — reproducing the exact
 stage attribution and early termination of the reference scan, while all
 O(n*d) arithmetic stays inside NumPy.
+
+Head partials and full products come from one
+:func:`~repro.core.score.exact_scores` call over the block's integer-stage
+survivors — the row-stable function the reference engine calls per item —
+so both engines test the same ``v_head`` floats and admit the same scores.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import numpy as np
 
 from .driver import BlockCursor
 from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
+from .score import exact_scores
 from .stats import PruningStats
 from .topk import TopKBuffer
 
@@ -76,7 +82,9 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
     When ``options.timings`` is given, the wall time of each vectorized
     stage section is accumulated per block (a handful of clock calls per
     block — cheap enough to leave on in production serving), with the
-    scalar replay loop attributed to ``select``.
+    scalar replay loop attributed to ``select``.  Exact scores are
+    computed with the head partials, so their time counts as
+    ``incremental``.
 
     ``start``/``stop`` restrict the scan to a contiguous span of sorted
     positions (a length-band *shard*); the returned buffer then holds
@@ -121,8 +129,7 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
     tail_norms = index.bar_tail_norms
     w = index.w
     q_norm = qs.q_norm
-    q_head = qs.q_bar[:w]
-    q_tail = qs.q_bar[w:]
+    q_bar = qs.q_bar
     q_tail_norm = qs.q_bar_tail_norm
 
     scaled = index.scaled
@@ -197,9 +204,12 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
             timings.integer += now - tick
             tick = now
 
+        # The replay reads ``full`` for the rows reaching Lines 18-20.
         v_head = np.full(limit, np.nan)
+        full = np.full(limit, np.nan)
         if alive.size:
-            v_head[alive] = items_bar[alive + bstart, :w] @ q_head
+            v_head[alive], full[alive] = exact_scores(
+                items_bar, alive + bstart, q_bar, w)
             alive = alive[v_head[alive] + ub1[alive] > t0]
         if timed:
             now = perf_counter()
@@ -223,15 +233,6 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
             tick = now
 
         # --- Scalar replay with the live threshold ----------------------
-        # Full products are NOT precomputed with a batched GEMV: BLAS can
-        # round the same row's product differently depending on which other
-        # rows share the call (alignment-dependent kernels), and admitted
-        # scores must depend only on the row so that a sharded scan —
-        # whose survivor subsets differ under seeded thresholds — returns
-        # scores bit-identical to the single scan.  Survivors of the full
-        # cascade are rare, so the per-row dots below are cheap; they use
-        # the reference engine's exact formula.
-        full_time = 0.0
         for i in range(limit):
             if cs[i] <= t:
                 stats.length_terminated = 1
@@ -257,14 +258,8 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
                     stats.pruned_monotone += 1
                     continue
             row = bstart + i
-            if timed:
-                tock = perf_counter()
-            value = float(q_head @ items_bar[row, :w])
-            value += float(q_tail @ items_bar[row, w:])
-            if timed:
-                full_time += perf_counter() - tock
             stats.full_products += 1
-            if buffer.push(value, row):
+            if buffer.push(float(full[i]), row):
                 # The live threshold only ever grows: a seeded/polled
                 # cross-shard value may exceed the local buffer's own
                 # k-th best, in which case it stays in charge.
@@ -275,8 +270,7 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
                         t, qs.monotone, buffer.kth_item
                     )
         if timed:
-            timings.full += full_time
-            timings.select += perf_counter() - tick - full_time
+            timings.select += perf_counter() - tick
         if terminated:
             break
     cursor.finish(t)

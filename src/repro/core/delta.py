@@ -8,7 +8,8 @@ module adds the standard escape hatch — a two-tier *live catalog*:
   sort, transform, scaled/reduced companions.  All three engines scan it
   unchanged.
 - The **delta tier** is a small mutable tail absorbing ``add_items``:
-  raw rows scanned brute-force, one exact inner product per alive row.
+  raw rows scanned brute-force, one exact inner product per alive row
+  (:func:`~repro.core.score.exact_scores` with ``w = d``).
   No preprocessing means no bound machinery — but also no approximation,
   so the tier is *exact by construction* (the same exact-verification
   discipline as the re-rank step of "Quantization based Fast Inner
@@ -48,6 +49,7 @@ from ..exceptions import ValidationError
 from .budget import ResultBounds, certified_bounds
 from .driver import BlockCursor
 from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
+from .score import exact_scores
 from .stats import PruningStats, RetrievalResult, assemble_result
 from .topk import TopKBuffer
 
@@ -328,10 +330,10 @@ def scan_delta(snap: LiveCatalog, qs, k: int,
                ) -> Tuple[TopKBuffer, PruningStats, str]:
     """Brute-force scan of the alive delta rows into a fresh buffer.
 
-    Exact by construction: every alive row's raw inner product is
-    computed per-row (``float(q @ row)`` — the bitwise-canonical form,
-    never a batched GEMM) and offered against the running threshold,
-    seeded from ``options.initial_threshold``.  The deadline, budget and
+    Exact by construction: every alive row's raw inner product
+    (:func:`~repro.core.score.exact_scores` with ``w = d``, one call per
+    block) is offered against the running threshold, seeded from
+    ``options.initial_threshold``.  The deadline, budget and
     shared-threshold cells in ``options`` are polled by the same
     :class:`~repro.core.driver.BlockCursor` as the base engines, at
     :data:`DELTA_BLOCK` granularity, charging ``rows * d`` coordinate
@@ -354,9 +356,6 @@ def scan_delta(snap: LiveCatalog, qs, k: int,
     if qs.q_norm * float(snap.delta_suffix_max[0]) <= t:
         return buffer, stats, "skipped"
 
-    q = qs.q
-    rows = snap.delta_items
-    norms = snap.delta_norms
     pos_base = snap.n
     m = int(alive.size)
     for i in range(0, m, DELTA_BLOCK):
@@ -364,15 +363,12 @@ def scan_delta(snap: LiveCatalog, qs, k: int,
         t = cursor.enter(i, j, t)
         if cursor.reason is not None:
             break
-        for a in alive[i:j]:
-            stats.delta_scanned += 1
-            # Per-row Cauchy–Schwarz: the delta tier is unsorted, so
-            # this prunes single rows rather than terminating the scan.
-            if qs.q_norm * float(norms[a]) <= t:
-                continue
-            value = float(q @ rows[a])
+        block = alive[i:j]
+        __, scores = exact_scores(snap.delta_items, block, qs.q, snap.d)
+        stats.delta_scanned += int(block.size)
+        for a, value in zip(block.tolist(), scores.tolist()):
             if value > t:
-                buffer.push(value, pos_base + int(a))
+                buffer.push(value, pos_base + a)
                 if buffer.threshold > t:
                     t = buffer.threshold
     if shared is not None:
@@ -441,27 +437,17 @@ def finish_catalog_above(snap: LiveCatalog, qs, positions: np.ndarray,
     re-sorts by descending score (stable, base before delta — ascending
     global position within ties, the library-wide tie order).
     """
-    keep = np.ones(positions.size, dtype=bool)
     if snap.base_dead_count and positions.size:
         keep = ~snap.base_dead[positions]
         stats.tombstones_masked += int(np.sum(~keep))
         positions, scores = positions[keep], scores[keep]
     alive = snap.delta_alive_idx
     stats.delta_items += int(alive.size)
-    if alive.size:
-        q = qs.q
-        rows = snap.delta_items
-        d_pos, d_scores = [], []
-        for a in alive:
-            stats.delta_scanned += 1
-            value = float(q @ rows[a])
-            if value > threshold:
-                d_pos.append(snap.n + int(a))
-                d_scores.append(value)
-        if d_pos:
-            positions = np.concatenate(
-                [positions, np.asarray(d_pos, dtype=np.int64)])
-            scores = np.concatenate([scores, np.asarray(d_scores)])
+    stats.delta_scanned += int(alive.size)
+    __, d_scores = exact_scores(snap.delta_items, alive, qs.q, snap.d)
+    above = d_scores > threshold
+    positions = np.concatenate([positions, snap.n + alive[above]])
+    scores = np.concatenate([scores, d_scores[above]])
     order = np.argsort(-scores, kind="stable")
     return positions[order], scores[order]
 

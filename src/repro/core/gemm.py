@@ -15,24 +15,24 @@ and returns ids and scores **bitwise identical** to the reference scan.
 
 How exactness is kept
 ---------------------
-BLAS matmul results are *not* row-stable across batch shapes (the same
-row's product can round differently depending on which rows share the
-call — see the comment in :mod:`repro.core.blocked`), so the GEMM scores
-are never returned directly.  Instead each block is processed in three
-steps:
+The admitted score of a row is :func:`repro.core.score.exact_scores`'s
+— the one row-stable formula every engine uses.  BLAS matmul results
+are *not* row-stable across batch shapes (the same row's product can
+round differently depending on which rows share the call), so the GEMM
+product only *selects*; it is never returned.  Each block is processed
+in three steps:
 
 1. **Candidate selection.**  ``g = items_bar[block] @ q_bar`` (inner
    products are preserved exactly by the variant transforms, Theorem 1),
    then every row with ``g + e >= tau`` is kept, where ``tau`` is the
    live threshold frozen at block entry and ``e`` is a rigorous per-row
    floating-point margin (:func:`dot_error_margin`).  Any dropped row
-   provably has a true score *strictly* below ``tau`` — and ``tau`` never
-   exceeds the final k-th score — so no member of the final top-k is ever
-   dropped.
-2. **Exact rescore.**  Kept rows are recomputed with the reference
-   engine's own per-row formula (head dot + tail dot, each rounded
-   separately), which depends only on the row — the admitted score is
-   therefore the very float the reference scan produces.
+   provably has an exact score *strictly* below ``tau`` — and ``tau``
+   never exceeds the final k-th score — so no member of the final top-k
+   is ever dropped.
+2. **Exact rescore.**  All kept rows are scored by one ``exact_scores``
+   call.  Each float depends only on its row, so it is the very float
+   the reference scan admits for that row.
 3. **Ascending replay.**  Candidates are pushed into the
    :class:`~repro.core.topk.TopKBuffer` in ascending position order.
    Pushing any superset of the final top-k whose omitted items score
@@ -65,6 +65,7 @@ from .._validation import safe_norm
 from .blocked import block_schedule
 from .driver import BlockCursor
 from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
+from .score import exact_scores
 from .stats import PruningStats
 from .topk import TopKBuffer
 
@@ -87,10 +88,11 @@ DEFAULT_GEMM_BLOCK = 4096
 #: classical bound for one length-``d`` float64 dot is
 #: ``gamma_d * sum|x_j y_j| <= d*eps/(1-d*eps) * ||x||*||y||``; the margin
 #: must cover *two* evaluations (the BLAS product used for selection and
-#: the two-piece reference formula used for the admitted score) plus FMA /
-#: blocked-summation reassociation, so a factor of 8 over ``d*eps`` is
-#: comfortably conservative while staying far too small to admit any
-#: meaningful extra candidates.
+#: :func:`~repro.core.score.exact_scores`' pairwise-reduced head plus
+#: tail used for the admitted score) plus FMA / blocked-summation
+#: reassociation, so a factor of 8 over ``d*eps`` is comfortably
+#: conservative while staying far too small to admit any meaningful
+#: extra candidates.
 _C_SAFETY = 8.0
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -107,7 +109,8 @@ def dot_error_margin(row_norms: np.ndarray, q_norm: float,
     ``row_norms`` are the exact-arithmetic row norms ``||p_i||`` (any
     faithful float evaluation is fine — the slack in :data:`_C_SAFETY`
     dwarfs the norm's own rounding).  Valid for every summation order the
-    BLAS may pick, and for the reference engine's split head+tail formula.
+    BLAS may pick, and for the split head+tail reduce of
+    :func:`~repro.core.score.exact_scores`.
     """
     return (_C_SAFETY * d * _EPS) * (q_norm * row_norms) \
         + (_C_SAFETY * d) * _ETA
@@ -207,8 +210,6 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
     w = index.w
     d = index.d
     q_bar = qs.q_bar
-    q_head = q_bar[:w]
-    q_tail = q_bar[w:]
     q_norm = qs.q_norm
     q_bar_norm = safe_norm(q_bar)
 
@@ -258,14 +259,11 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
             now = perf_counter()
             timings.full += now - tick
             tick = now
-        # Exact rescore + ascending replay: the admitted score is computed
-        # with the reference engine's per-row two-piece formula, which
-        # depends only on the row — bitwise identical across engines,
-        # block shapes and shard schedules.
-        for i in kept:
-            row = bstart + int(i)
-            value = float(q_head @ items_bar[row, :w])
-            value += float(q_tail @ items_bar[row, w:])
+        # Exact rescore + ascending replay: one row-stable exact_scores
+        # call over the kept rows, then pushes in ascending position.
+        rows = kept + bstart
+        __, scores = exact_scores(items_bar, rows, q_bar, w)
+        for row, value in zip(rows.tolist(), scores.tolist()):
             if buffer.push(value, row):
                 if buffer.threshold > t:
                     t = buffer.threshold

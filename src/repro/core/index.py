@@ -315,11 +315,6 @@ class FexiproIndex:
         return self._live.d
 
     @property
-    def epoch(self) -> int:
-        """Bumps when the preprocessed basis changes (build/compaction)."""
-        return self._live.epoch
-
-    @property
     def order(self) -> np.ndarray:
         return self._live.order
 
@@ -426,9 +421,11 @@ class FexiproIndex:
         This is LEMP's original problem formulation, which the paper lists
         as future work for the FEXIPRO techniques.  The same pruning
         cascade applies; with a fixed threshold it runs fully vectorized.
-        Results are sorted by descending score.  Scores are computed in
-        the SVD-rotated basis, so the strict boundary ``score > threshold``
-        is accurate to floating-point round-off of that computation.
+        Results are sorted by descending score.  Scores are the same
+        floats :meth:`query` returns (one row-stable formula,
+        :func:`~repro.core.score.exact_scores`), so a threshold just below
+        the k-th score of ``query(q, k)`` returns exactly its items (and
+        any item tied with the k-th).
         """
         from .above import scan_above
 
@@ -499,9 +496,9 @@ class FexiproIndex:
         snapshot; new queries see the compacted catalog.  The visible
         catalog is unchanged by construction, but the new SVD basis
         rounds scores differently, so ``state_version`` bumps like on any
-        write: no cached answer or threshold crosses the fold.  ``epoch``
-        bumps too.  The cost model survives: its rates and fractions do
-        not depend on the basis.
+        write: no cached answer or threshold crosses the fold.  The cost
+        model survives: its rates and fractions do not depend on the
+        basis.
 
         Returns ``True`` if a compaction ran, ``False`` if there was
         nothing to compact (clean catalog, or every item tombstoned —

@@ -20,6 +20,7 @@ from .. import _faultsites
 from .bounds import scaled_head_bound, scaled_tail_bound
 from .driver import BlockCursor
 from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
+from .score import exact_scores
 from .stats import PruningStats
 from .topk import TopKBuffer
 
@@ -50,8 +51,11 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int, *,
     options:
         A :class:`~repro.core.options.ScanOptions` bundle.  ``timings``
         accumulates per-stage wall time (per-item clock calls — use for
-        analysis, not throughput runs).  ``deadline`` and ``budget`` are
-        polled per item by :meth:`repro.core.driver.BlockCursor.poll`
+        analysis, not throughput runs); the full product comes out of
+        the same :func:`~repro.core.score.exact_scores` call as the head
+        partial, so its time counts as ``incremental``.  ``deadline``
+        and ``budget`` are polled per item by
+        :meth:`repro.core.driver.BlockCursor.poll`
         (this engine has no blocks); on a stop the buffer is the exact
         top-k of the length-sorted prefix visited, same contract as
         :func:`repro.core.blocked.scan_blocked`.  ``initial_threshold``
@@ -78,8 +82,7 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int, *,
     tail_norms = index.bar_tail_norms
     w = index.w
     q_norm = qs.q_norm
-    q_head = qs.q_bar[:w]
-    q_tail = qs.q_bar[w:]
+    q_bar = qs.q_bar
     q_tail_norm = qs.q_bar_tail_norm
 
     use_integer = index.scaled is not None
@@ -129,9 +132,12 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int, *,
                 continue
 
         # Lines 9-13: exact partial product + incremental pruning (Eq. 1).
+        # The one exact-score kernel also yields the full product, read
+        # below only if the item survives to Lines 18-20.
         if timed:
             tick = perf_counter()
-        v = float(q_head @ items_bar[i, :w])
+        head, score = exact_scores(items_bar, [i], q_bar, w)
+        v = float(head[0])
         if timed:
             timings.incremental += perf_counter() - tick
         if v + ub1 <= t:
@@ -151,11 +157,7 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int, *,
                 continue
 
         # Lines 18-20: the residue of the exact product.
-        if timed:
-            tick = perf_counter()
-        v += float(q_tail @ items_bar[i, w:])
-        if timed:
-            timings.full += perf_counter() - tick
+        v = float(score[0])
         stats.full_products += 1
 
         if timed:
@@ -182,21 +184,4 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int, *,
             timings.select += perf_counter() - tick
 
     cursor.finish(t)
-    return buffer, stats
-
-
-def scan_naive_transformed(index: "FexiproIndex", qs: "QueryState",
-                           k: int) -> Tuple[TopKBuffer, PruningStats]:
-    """Exhaustive scan in the transformed space (debugging aid).
-
-    Computes every inner product with no pruning; useful for isolating
-    whether a discrepancy comes from the pruning cascade or from the
-    transforms themselves.
-    """
-    buffer = TopKBuffer(k)
-    stats = PruningStats(n_items=index.n, scanned=index.n,
-                         full_products=index.n)
-    scores = index.items_bar @ qs.q_bar
-    for i, score in enumerate(scores):
-        buffer.push(float(score), i)
     return buffer, stats

@@ -32,9 +32,10 @@ derives such bounds from two kinds of neighbours:
   ``k' >= k`` pins the true k-th score exactly — it is ``scores[k-1]``;
 - *similarity bucket*: a cached result for a query that rounds to the
   same coarse bucket names ``k'`` concrete items; re-scoring those items
-  for the **new** query (with the scan's own split-product formula, so
-  round-off matches bitwise) yields ``k'`` real achieved scores, whose
-  k-th largest is a valid lower bound on the new query's true k-th score.
+  for the **new** query (with :func:`~repro.core.score.exact_scores`, the
+  engines' own row-stable score, so round-off matches bitwise) yields
+  ``k'`` real achieved scores, whose k-th largest is a valid lower bound
+  on the new query's true k-th score.
 
 In both cases the seed handed to the engines is ``nextafter(B, -inf)`` —
 one ulp *below* the bound ``B`` — making it strictly smaller than the true
@@ -70,6 +71,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.score import exact_scores
 from ..core.stats import RetrievalResult
 from ..exceptions import ValidationError
 
@@ -328,11 +330,9 @@ class QueryCache:
         """A strict lower bound on ``qs``'s true k-th score from a neighbour.
 
         Re-scores the neighbour's cached item positions for the *new*
-        query with the exact formulas the engines use — base positions via
-        the split product (``q_head @ row[:w]`` then ``+ q_tail @ row[w:]``,
-        each rounded through ``float``), delta-tier positions
-        (``p >= n_base``) via the raw dot product the brute-force delta
-        scan computes — so every value is a genuinely achievable score of
+        query with :func:`~repro.core.score.exact_scores`, as the engines
+        score them (delta-tier positions ``p >= n_base`` on the raw rows
+        with ``w = d``), so every value is a genuinely achievable score of
         a real item.  The k-th largest of those is a lower bound on the
         true k-th score; one ulp below it is a strict one.  Returns
         ``-inf`` (cold scan) if the entry went stale or names fewer than
@@ -341,21 +341,15 @@ class QueryCache:
         index = _snap(index)
         if entry.token != index.token or len(entry.positions) < k:
             return -math.inf
-        items_bar = index.items_bar
-        n_base = items_bar.shape[0]
-        w = index.w
-        q_head = qs.q_bar[:w]
-        q_tail = qs.q_bar[w:]
-        scores = []
-        for p in entry.positions:
-            if p < n_base:
-                v = float(q_head @ items_bar[p, :w])
-                v += float(q_tail @ items_bar[p, w:])
-            else:
-                v = float(qs.q @ index.delta_items[p - n_base])
-            scores.append(v)
-        scores.sort(reverse=True)
-        return math.nextafter(scores[k - 1], -math.inf)
+        positions = np.asarray(entry.positions, dtype=np.int64)
+        base = positions < index.n
+        __, base_scores = exact_scores(index.items_bar, positions[base],
+                                       qs.q_bar, index.w)
+        __, delta_scores = exact_scores(index.delta_items,
+                                        positions[~base] - index.n,
+                                        qs.q, index.d)
+        scores = np.sort(np.concatenate([base_scores, delta_scores]))
+        return math.nextafter(float(scores[-k]), -math.inf)
 
     # ------------------------------------------------------------------
     # Store / invalidate

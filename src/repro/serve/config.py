@@ -66,7 +66,8 @@ class ServiceConfig:
         in the serving process; ``"auto"`` (default) sends to processes
         only multi-query batches of blocked scans, when processes can win
         (multiple workers and cores, a real monotonic clock, no armed
-        fault injector), and runs everything else serially.  Results are
+        fault injector), and runs everything else serially.  A service
+        built with an injected ``clock=`` refuses ``"process"``.  Results are
         bitwise identical across all three.  The thread executor was
         removed: the GIL serialized its scans.
     mp_start_method:

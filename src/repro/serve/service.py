@@ -70,7 +70,7 @@ from ..core.budget import FlopBudget
 from ..core.delta import LiveCatalog, catalog_result
 from ..core.options import ScanOptions
 from ..exceptions import BudgetExhaustedError, DeadlineExceededError, \
-    OverloadSheddedError, QueryError, ServiceClosedError
+    OverloadSheddedError, QueryError, ServiceClosedError, ValidationError
 from ..obs.trace import Span, Tracer
 from .cache import CacheLookup, QueryCache
 from .config import ServiceConfig
@@ -249,7 +249,9 @@ class RetrievalService:
     clock / sleep:
         Injectable time sources (``time.monotonic`` / ``time.sleep``) used
         by deadlines, the query cache and retry backoff — swap in fakes
-        for deterministic resilience tests.
+        for deterministic resilience tests.  A fake clock cannot tick
+        inside worker processes, so it is refused (``ValidationError``)
+        with ``executor="process"``; ``"auto"`` then serves in-process.
 
     The service is a context manager; leaving the ``with`` block shuts any
     worker processes down (``close()`` is idempotent, and serving after close
@@ -273,6 +275,12 @@ class RetrievalService:
             self.sharded_index = None
             self.index = index
         self.config = config if config is not None else ServiceConfig()
+        if self.config.executor == "process" and clock is not time.monotonic:
+            raise ValidationError(
+                "executor='process' needs the real monotonic clock: worker "
+                "processes arm their deadlines on it, not on an injected "
+                "clock"
+            )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if cache is not None:
             self.cache: Optional[QueryCache] = cache
@@ -298,8 +306,6 @@ class RetrievalService:
         self.reverse = reverse
         if reverse is not None:
             if reverse._inner is not self.index:
-                from ..exceptions import ValidationError
-
                 raise ValidationError(
                     "the reverse index must wrap the same item index the "
                     "service serves"
@@ -527,8 +533,6 @@ class RetrievalService:
             raise ServiceClosedError("service is closed")
         rindex = self.reverse
         if rindex is None:
-            from ..exceptions import ValidationError
-
             raise ValidationError(
                 "no reverse index attached: pass reverse= to the service "
                 "(or users= to Fexipro) before calling campaign()"
@@ -639,7 +643,8 @@ class RetrievalService:
         host supports, and the real monotonic clock (an injected fake
         clock cannot tick inside another process, so deadline semantics
         would silently change).  Explicit ``"process"`` is honoured even
-        when those heuristics say no.  :meth:`_wants_processes` then
+        when the other heuristics say no; the constructor has already
+        refused it under an injected clock.  :meth:`_wants_processes` then
         decides per batch.
         """
         from .procpool import process_executor_usable
@@ -681,7 +686,6 @@ class RetrievalService:
         if _faultsites.active is not None:
             return None
         if self._procpool is None:
-            from ..exceptions import ValidationError
             from .procpool import ProcessScanPool
 
             try:

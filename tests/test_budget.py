@@ -41,6 +41,7 @@ from repro import (
 )
 from repro.core.budget import ResultBounds, certified_bounds, \
     tail_upper_bound
+from repro.core.score import exact_scores
 from repro.core.topk import TopKBuffer
 from repro.core.variants import VARIANTS
 from repro.serve import RetrievalService, ServiceConfig
@@ -73,22 +74,18 @@ def make_index(variant, engine="blocked", sharded=False):
 
 def oracle_topk(index: FexiproIndex, qs, positions):
     """Brute-force top-k over ``positions`` with the engine's row formula."""
-    w = index.w
-    q_head, q_tail = qs.q_bar[:w], qs.q_bar[w:]
+    rows = sorted(positions)
+    __, scores = exact_scores(index.items_bar, rows, qs.q_bar, index.w)
     buffer = TopKBuffer(K)
-    for row in sorted(positions):
-        value = float(q_head @ index.items_bar[row, :w])
-        value += float(q_tail @ index.items_bar[row, w:])
+    for row, value in zip(rows, scores.tolist()):
         buffer.push(value, row)
     return buffer.items_and_scores()
 
 
 def true_score(index: FexiproIndex, qs, row):
     """The exact engine-formula inner product for one sorted position."""
-    w = index.w
-    value = float(qs.q_bar[:w] @ index.items_bar[row, :w])
-    value += float(qs.q_bar[w:] @ index.items_bar[row, w:])
-    return value
+    __, score = exact_scores(index.items_bar, [row], qs.q_bar, index.w)
+    return float(score[0])
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from repro import FexiproIndex, ShardedFexiproIndex, _faultsites
 from repro.core.blocked import scan_blocked, block_schedule
 from repro.core.gemm import scan_gemm
 from repro.core.options import ScanOptions
+from repro.core.score import exact_scores
 from repro.core.topk import TopKBuffer
 from repro.core.variants import VARIANTS
 
@@ -102,12 +103,10 @@ def make_index(variant, sharded=False):
 
 def oracle_topk(index: FexiproIndex, qs, positions):
     """Brute-force top-k over ``positions`` with the engine's row formula."""
-    w = index.w
-    q_head, q_tail = qs.q_bar[:w], qs.q_bar[w:]
+    rows = sorted(positions)
+    __, scores = exact_scores(index.items_bar, rows, qs.q_bar, index.w)
     buffer = TopKBuffer(K)
-    for row in sorted(positions):
-        value = float(q_head @ index.items_bar[row, :w])
-        value += float(q_tail @ index.items_bar[row, w:])
+    for row, value in zip(rows, scores.tolist()):
         buffer.push(value, row)
     return buffer.items_and_scores()
 

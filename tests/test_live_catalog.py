@@ -28,6 +28,7 @@ from repro import FexiproIndex, ShardedFexiproIndex, ValidationError
 from repro._validation import safe_row_norms
 from repro.core.gemm import scan_gemm
 from repro.core.index import prepare_query_states
+from repro.core.score import exact_scores
 from repro.core.variants import VARIANTS
 from repro.exceptions import InjectedFault
 from repro.serve import (
@@ -60,23 +61,17 @@ needs_processes = pytest.mark.skipif(
 def oracle_topk(snap, qs, k):
     """Brute-force top-k over one snapshot, bitwise-canonical scoring.
 
-    Base rows score as the split head/tail product in the transformed
-    basis; delta rows as the raw dot product — exactly the float
+    Base rows score with ``exact_scores`` in the transformed basis;
+    delta rows on the raw rows with ``w = d`` — exactly the float
     operations every engine performs.  Ties break by ascending global
     scan position, reproducing the sequential visit order.
     """
-    pairs = []
-    q_head, q_tail = qs.q_bar[:snap.w], qs.q_bar[snap.w:]
-    for pos in range(snap.n):
-        if snap.base_dead[pos]:
-            continue
-        row = snap.items_bar[pos]
-        score = float(q_head @ row[:snap.w]) + float(q_tail @ row[snap.w:])
-        pairs.append((score, pos))
-    for j in range(snap.delta_count):
-        if snap.delta_dead[j]:
-            continue
-        pairs.append((float(qs.q @ snap.delta_items[j]), snap.n + j))
+    base = np.flatnonzero(~snap.base_dead)
+    delta = np.flatnonzero(~snap.delta_dead)
+    __, base_scores = exact_scores(snap.items_bar, base, qs.q_bar, snap.w)
+    __, delta_scores = exact_scores(snap.delta_items, delta, qs.q, snap.d)
+    pairs = list(zip(base_scores.tolist(), base.tolist()))
+    pairs += zip(delta_scores.tolist(), (snap.n + delta).tolist())
     pairs.sort(key=lambda t: (-t[0], t[1]))
     top = pairs[:min(k, len(pairs))]
     return ([int(snap.full_order[p]) for __, p in top],

@@ -1,4 +1,4 @@
-"""Coverage for smaller surfaces: debug scanner, result timing, reprs."""
+"""Coverage for smaller surfaces: result timing, reprs."""
 
 import numpy as np
 
@@ -7,21 +7,8 @@ from repro.analysis import experiments
 from repro.analysis.report import format_row
 from repro.analysis.workloads import get_workload
 from repro.baselines import MiniBatch, NaiveBlas
-from repro.core.scanner import scan_naive_transformed
 
-from conftest import brute_force_topk, make_mf_like
-
-
-def test_scan_naive_transformed_matches_cascade():
-    items, queries = make_mf_like(200, 10, seed=130)
-    index = FexiproIndex(items, variant="F-SIR")
-    q = np.asarray(queries[0], dtype=np.float64)
-    qs = index._prepare_query(q)
-    buffer, stats = scan_naive_transformed(index, qs, k=5)
-    assert stats.full_products == index.n
-    positions, scores = buffer.items_and_scores()
-    __, truth = brute_force_topk(items, q, 5)
-    np.testing.assert_allclose(scores, truth, atol=1e-9)
+from conftest import make_mf_like
 
 
 def test_query_elapsed_populated(small_items, small_queries):

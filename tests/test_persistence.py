@@ -245,7 +245,7 @@ def test_format3_save_load_round_trip(tmp_path, small_items, small_queries):
     # A full load owns its arrays, exactly like a format-2 load.
     assert loaded.norms_sorted.flags.writeable
     assert loaded.uid == index.uid
-    assert loaded.epoch == index.epoch
+    assert loaded._live.epoch == index._live.epoch
 
 
 def test_format3_attach_is_readonly_and_identical(tmp_path, small_items,

@@ -32,6 +32,8 @@ from repro.serve import (
     process_executor_usable,
 )
 
+from conftest import stepped_clock
+
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
@@ -237,6 +239,25 @@ def test_no_deadline_batches_are_complete(small_items, small_queries):
     for a, b in zip(response.results, serial):
         assert a.ids == b.ids
         assert a.scores == b.scores
+
+
+def test_process_executor_refuses_an_injected_clock(small_items,
+                                                   small_queries):
+    # Worker processes arm deadlines on the real monotonic clock, so a
+    # stepped clock would govern only the in-process replays: one config
+    # would degrade different queries from run to run.
+    index = FexiproIndex(small_items, variant="F-SIR")
+    config = ServiceConfig(executor="process", workers=2, deadline_ms=1.0,
+                           engine="blocked")
+    with pytest.raises(ValidationError, match="monotonic clock"):
+        RetrievalService(index, config, clock=stepped_clock())
+    # "auto" under the same clock serves in-process, where every poll
+    # reads the stepped clock: each query degrades on its first block.
+    auto = ServiceConfig(workers=2, deadline_ms=1.0, engine="blocked")
+    with RetrievalService(index, auto, clock=stepped_clock()) as service:
+        response = service.batch(small_queries[:4], k=5)
+    assert response.deadline_hits == 4
+    assert service._procpool is None
 
 
 # ----------------------------------------------------------------------
