@@ -15,10 +15,15 @@ from repro.datasets import DATASET_ORDER
 @pytest.mark.parametrize("dataset", DATASET_ORDER)
 def test_total_time_k1(benchmark, sink, dataset):
     workload = get_workload(dataset)
-    runs = benchmark.pedantic(
-        lambda: experiments.run_total_time(workload, k=1),
+    passes = benchmark.pedantic(
+        lambda: [experiments.run_total_time(workload, k=1)
+                 for __ in range(3)],
         rounds=1, iterations=1,
     )
+    # Each method's best of three passes: one-shot wall times on a shared
+    # host swing by more than the margins asserted below.
+    runs = [min(method_runs, key=lambda r: r.retrieve_time)
+            for method_runs in zip(*passes)]
     with sink.section(f"table4_{dataset}") as out:
         report.print_header(
             "Table 4 - total retrieval + preprocessing times (k=1)",

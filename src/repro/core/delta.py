@@ -30,11 +30,11 @@ Exactness of the combined scan (DESIGN §2.14):  the base engine runs
 with an inflated capacity ``k_eff = k + base_dead_count``; among the top
 ``k_eff`` candidates at most ``base_dead_count`` are tombstoned, so
 after masking the buffer still holds the true top-``k`` of the visible
-catalog.  Delta rows are pushed into the *same* buffer (their exact
-scores play the role of a tight bound, so threshold rejection is sound),
-and the final mask-and-replay walks candidates in ascending global
-position — reproducing the sequential visit order, and therefore the
-tie-handling, of a single scan over the visible rows.
+catalog.  Delta rows (global positions ``n + i``) are pushed into the *same*
+buffer, their exact scores acting as a tight bound.  Every row a scan
+drops has ``k_eff`` rows ahead of it under the buffer's one order (score
+descending, position ascending), at most ``base_dead_count`` of them
+dead, so masking just drops dead candidates and keeps the ``k`` best.
 """
 
 from __future__ import annotations
@@ -378,19 +378,15 @@ def scan_delta(snap: LiveCatalog, qs, k: int,
 
 def apply_tombstones(snap: LiveCatalog, buffer: TopKBuffer,
                      k: int) -> Tuple[TopKBuffer, int]:
-    """Mask dead candidates and replay survivors into a ``k``-buffer.
+    """Drop dead candidates and keep the ``k`` best survivors.
 
-    Candidates replay in ascending global position — the sequential
-    visit order — so admission and tie handling match a single scan over
-    the visible rows (the same discipline as
-    :meth:`~repro.core.topk.TopKBuffer.merge`).
+    The :class:`~repro.core.topk.TopKBuffer` order does not depend on
+    push order, so survivors go into the ``k``-buffer as they come.
     """
     out = TopKBuffer(k)
     masked = 0
-    base_dead = snap.base_dead
-    n = snap.n
-    for score, pos in sorted(buffer, key=lambda pair: pair[1]):
-        if pos < n and base_dead[pos]:
+    for score, pos in buffer:
+        if snap.is_dead(pos):
             masked += 1
             continue
         out.push(score, pos)
@@ -405,8 +401,8 @@ def finish_catalog_scan(snap: LiveCatalog, qs, k: int, buffer: TopKBuffer,
     ``buffer`` holds the base tier's top-``k_eff`` candidates; the delta
     tier is scanned (seeded by the achieved base threshold — sound,
     because a delta row at or below it provably cannot enter the final
-    alive top-``k``), merged in ascending position, and tombstones are
-    masked with a replay back down to capacity ``k``.
+    alive top-``k``), merged, and tombstones are masked back down to
+    capacity ``k``.
     """
     if snap.delta_alive_count:
         seed = buffer.threshold

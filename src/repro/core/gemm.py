@@ -20,7 +20,7 @@ The admitted score of a row is :func:`repro.core.score.exact_scores`'s
 are *not* row-stable across batch shapes (the same row's product can
 round differently depending on which rows share the call), so the GEMM
 product only *selects*; it is never returned.  Each block is processed
-in three steps:
+in two steps:
 
 1. **Candidate selection.**  ``g = items_bar[block] @ q_bar`` (inner
    products are preserved exactly by the variant transforms, Theorem 1),
@@ -31,15 +31,9 @@ in three steps:
    never exceeds the final k-th score — so no member of the final top-k
    is ever dropped.
 2. **Exact rescore.**  All kept rows are scored by one ``exact_scores``
-   call.  Each float depends only on its row, so it is the very float
-   the reference scan admits for that row.
-3. **Ascending replay.**  Candidates are pushed into the
-   :class:`~repro.core.topk.TopKBuffer` in ascending position order.
-   Pushing any superset of the final top-k whose omitted items score
-   strictly below the running threshold reproduces the reference buffer
-   exactly, including its tie/eviction behaviour — the same replay
-   argument :meth:`TopKBuffer.merge` relies on (property-tested against
-   adversarial duplicates and ties).
+   call — each float is the one the reference scan admits for that row —
+   and pushed into the :class:`~repro.core.topk.TopKBuffer`, whose order
+   does not depend on push order: ties resolve as in the reference scan.
 
 The Cauchy–Schwarz cut (``||q||*||p|| <= tau``) still applies inside each
 block — norms are length-sorted, so the scan terminates at the first
@@ -226,7 +220,7 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
             break
         # The threshold is frozen for the whole block: it only ever grows,
         # so freezing merely *weakens* the cut — selection keeps a
-        # superset of what a live threshold would keep, and the replay
+        # superset of what a live threshold would keep, and the buffer
         # below discards the difference exactly.
         tau = max(t, buffer.threshold)
 
@@ -259,8 +253,7 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
             now = perf_counter()
             timings.full += now - tick
             tick = now
-        # Exact rescore + ascending replay: one row-stable exact_scores
-        # call over the kept rows, then pushes in ascending position.
+        # Exact rescore: one row-stable exact_scores call over the kept rows.
         rows = kept + bstart
         __, scores = exact_scores(items_bar, rows, q_bar, w)
         for row, value in zip(rows.tolist(), scores.tolist()):

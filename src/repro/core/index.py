@@ -46,6 +46,7 @@ from .delta import (
     finish_catalog_above,
     finish_catalog_scan,
 )
+from .gemm import _C_SAFETY, _EPS
 from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .reduction import MonotoneQuery, MonotoneReduction
 from .scaling import DEFAULT_E, ScaledItems, ScaledQuery
@@ -63,7 +64,9 @@ class QueryState:
 
     Built by :func:`prepare_query_states` — this corresponds to Lines 2–9
     of Algorithm 4 (transform the query, scale it, compute its norms and
-    reduction constants).
+    reduction constants).  The norms only scale bounds, so they carry the
+    relative term of :func:`~repro.core.gemm.dot_error_margin`: a row
+    parallel to the query can score ulps above the product of the norms.
     """
 
     q_norm: float
@@ -107,10 +110,11 @@ def prepare_query_states(index: "FexiproIndex",
     """
     queries = as_query_matrix(queries, index.d)
     states: List[QueryState] = []
+    widen = 1.0 + _C_SAFETY * index.d * _EPS
     for row in queries:
-        q_norm = safe_norm(row)
+        q_norm = safe_norm(row) * widen
         q_bar = index.transform.transform_query(row)
-        q_bar_tail_norm = safe_norm(q_bar[index.w:])
+        q_bar_tail_norm = safe_norm(q_bar[index.w:]) * widen
         scaled = index.scaled.scale_query(q_bar) \
             if index.scaled is not None else None
         monotone = index.reduction.for_query(q_bar) \
@@ -404,16 +408,16 @@ class FexiproIndex:
         return explain_query(self, query, k, tracer=tracer, options=options)
 
     def batch_query(self, queries, k: int = 10) -> List[RetrievalResult]:
-        """Run :meth:`query` over rows of a query matrix, independently.
+        """Answer each row of a query matrix independently.
 
-        FEXIPRO's problem setting is single-query retrieval; this helper
-        simply loops (as the paper does for its ``Q``-workload experiments)
-        and returns one result per query row.  Inputs go through the same
-        validation as :func:`repro.core.batch.batch_retrieve`, so NaN or
-        infinite queries fail loudly before any work is done.
+        Same ids, scores and counters as :meth:`query` per row, through
+        :func:`repro.core.batch.batch_retrieve`: one validation (NaN or
+        infinite rows fail before any work), one preparation and one
+        catalog snapshot for the whole matrix.
         """
-        queries = as_query_matrix(queries, self.d)
-        return [self.query(row, k) for row in queries]
+        from .batch import batch_retrieve
+
+        return batch_retrieve(self, queries, k)
 
     def query_above(self, query, threshold: float) -> RetrievalResult:
         """Retrieve *all* items with ``q . p > threshold`` (above-t).

@@ -28,15 +28,18 @@ The process fan-out is exact by construction:
   threshold *seeded* from a shared best-so-far slot and re-polled at
   block boundaries.  The slot only ever holds thresholds *achieved* by k
   collected results, and it only grows; a stale read merely weakens
-  pruning, never drops a true top-k item.
+  pruning, never drops a true top-k score (but a threshold from a
+  *later* shard drops this shard's rows tied with it: ids can then
+  differ among equal scores, unless one worker runs shards in order).
 - Because later shards hold shorter items, the Cauchy–Schwarz test can
   eliminate whole shards before their scan starts, once the shared
   threshold exceeds ``||q|| * shard.max_norm`` — counted as
   ``shards_skipped`` in :class:`~repro.core.stats.PruningStats`.
 - A final exact merge of the per-shard
-  :class:`~repro.core.topk.TopKBuffer`s (:meth:`TopKBuffer.merge`, replayed
-  in ascending-position order) reproduces the single scan's selection,
-  including its tie handling.
+  :class:`~repro.core.topk.TopKBuffer`s (:meth:`TopKBuffer.merge`) keeps
+  the k best under the buffer's one order (score descending, position
+  ascending), which does not depend on merge order — the single scan's
+  selection, ties included.
 
 A fanned-out query's counters are the exact sum of the per-shard
 counters, a property of the schedule rather than of the answer: they are
@@ -251,8 +254,8 @@ def _merge_shards(snap: LiveCatalog, k: int, k_eff: int,
                   timings, trace_span):
     """Merge per-shard ``(buffer, stats, seed, timings, outcome)`` exactly.
 
-    Buffers merge in span order (ascending positions, so ties resolve as
-    in the single scan), tombstones are masked back down to ``k``, shard
+    Buffers merge into one (the buffer's order does not depend on merge
+    order), tombstones are masked back down to ``k``, shard
     timings accumulate into ``timings`` (when given) and ``trace_span``
     gets one ``merge`` event.  Returns ``(merged_buffer, total_stats,
     reports)``.

@@ -1,16 +1,9 @@
 """Bounded top-k result buffer.
 
-This is the priority queue ``r`` of Algorithms 1 and 4 in the paper: it keeps
-the ``k`` largest inner products seen so far and exposes the running
-threshold ``t`` (the k-th largest value, or ``-inf`` while fewer than ``k``
-results have been collected).
-
-Beyond the plain buffer, FEXIPRO's monotonicity reduction needs to know
-*which item* currently holds the k-th slot: the reduced-space threshold
-``t'`` is derived from ``t`` through Equation 8, which involves per-item
-precomputed constants (see :mod:`repro.core.reduction`).  The buffer
-therefore stores ``(value, item_id)`` pairs and exposes
-:attr:`TopKBuffer.kth_item`.
+The priority queue ``r`` of Algorithms 1 and 4: it keeps the ``k`` best
+inner products seen so far, the running threshold ``t`` (the k-th score,
+``-inf`` until ``k`` are held) and, for Equation 8's per-item constants
+(:mod:`repro.core.reduction`), the item holding the k-th slot.
 """
 
 from __future__ import annotations
@@ -21,10 +14,30 @@ from typing import Iterator, List, Tuple
 
 
 class TopKBuffer:
-    """Maintain the ``k`` largest ``(score, item_id)`` pairs seen so far.
+    """Keep the ``k`` best ``(score, item_id)`` pairs pushed so far.
 
-    Ties are broken arbitrarily, matching Problem 1 in the paper.  Internally
-    a min-heap of size at most ``k`` is used, so each push is ``O(log k)``.
+    "Best" is one total order: higher score, then lower ``item_id`` (on
+    the scan hot path, the scan position: length-sorted base positions,
+    delta rows at ``n_base + i``).  The buffer holds the ``k`` best of
+    everything pushed whatever the push order, so split scans, merges,
+    masks and engines agree on ties, and the top-k is a prefix of the
+    top-``(k+1)``.  A min-heap of ``(score, -item_id)`` keeps the worst
+    entry at the root (:attr:`threshold`, :attr:`kth_item`); :meth:`push`
+    admits what beats it, which in an ascending scan is ``score > t`` —
+    every row a scan drops has ``k`` rows ahead of it under the order.
+
+    Items ``a, a, c`` with ``q.c > q.a``, pushed in either order:
+
+    >>> pushes = [(1.0, 0), (1.0, 1), (3.0, 2)]
+    >>> buf, rev = TopKBuffer(2), TopKBuffer(2)
+    >>> for score, item_id in pushes:
+    ...     __ = buf.push(score, item_id)
+    >>> for score, item_id in reversed(pushes):
+    ...     __ = rev.push(score, item_id)
+    >>> buf.items_and_scores() == rev.items_and_scores()
+    True
+    >>> buf.items_and_scores()
+    ([2, 0], [3.0, 1.0])
 
     Parameters
     ----------
@@ -44,7 +57,8 @@ class TopKBuffer:
         return len(self._heap)
 
     def __iter__(self) -> Iterator[Tuple[float, int]]:
-        return iter(self._heap)
+        """Yield the held ``(score, item_id)`` pairs in no set order."""
+        return ((score, -neg_id) for score, neg_id in self._heap)
 
     @property
     def full(self) -> bool:
@@ -64,13 +78,13 @@ class TopKBuffer:
 
     @property
     def kth_item(self) -> int:
-        """The item id currently holding the k-th (smallest retained) slot.
+        """The item id holding the worst retained slot under the order.
 
         Raises :class:`IndexError` if the buffer is empty.
         """
         if not self._heap:
             raise IndexError("top-k buffer is empty")
-        return self._heap[0][1]
+        return -self._heap[0][1]
 
     def push(self, score: float, item_id: int) -> bool:
         """Offer a candidate result.
@@ -78,44 +92,29 @@ class TopKBuffer:
         Returns ``True`` if the candidate was admitted (and therefore the
         threshold may have increased), ``False`` if it was discarded.
         """
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (score, item_id))
+        heap = self._heap
+        if len(heap) < self.k:
+            heapq.heappush(heap, (score, -item_id))
             return True
-        if score > self._heap[0][0]:
-            heapq.heapreplace(self._heap, (score, item_id))
+        worst = heap[0][0]
+        if score > worst or (score == worst and -item_id > heap[0][1]):
+            heapq.heapreplace(heap, (score, -item_id))
             return True
         return False
 
     def merge(self, other: "TopKBuffer") -> "TopKBuffer":
         """Fold another buffer's candidates into this one (in place).
 
-        Candidates are replayed in ascending ``item_id`` order.  Item ids on
-        the scan hot path are positions in the length-sorted order, so
-        replaying per-shard buffers shard by shard reproduces the visit
-        order — and therefore the admission/eviction behaviour, including
-        tie handling — of the single sequential scan over the union of
-        retained candidates.  Merging buffers built with a different ``k``
-        is allowed; ``self.k`` governs the merged capacity.
-
-        Returns ``self`` so merges can be chained/reduced.
+        Holds the ``k`` best of both (``self.k`` governs the capacity);
+        returns ``self`` so merges can be chained/reduced.
         """
-        for score, item_id in sorted(other._heap,
-                                     key=lambda pair: pair[1]):
+        for score, item_id in other:
             self.push(score, item_id)
         return self
 
-    def would_accept(self, score: float) -> bool:
-        """Whether a score strictly beats the current threshold (or fills space)."""
-        return len(self._heap) < self.k or score > self._heap[0][0]
-
     def items_and_scores(self) -> Tuple[List[int], List[float]]:
-        """Return ``(item_ids, scores)`` sorted by descending score."""
-        ordered = sorted(self._heap, key=lambda pair: (-pair[0], pair[1]))
-        ids = [item_id for __, item_id in ordered]
+        """Return ``(item_ids, scores)`` best first under the order."""
+        ordered = sorted(self._heap, reverse=True)
+        ids = [-neg_id for __, neg_id in ordered]
         scores = [score for score, __ in ordered]
         return ids, scores
-
-    def as_list(self) -> List[Tuple[int, float]]:
-        """Return ``[(item_id, score), ...]`` sorted by descending score."""
-        ids, scores = self.items_and_scores()
-        return list(zip(ids, scores))

@@ -57,7 +57,7 @@ import numpy as np
 
 from .. import _faultsites
 from .._validation import as_query_matrix, as_query_vector, check_k
-from ..core.index import FexiproIndex, prepare_query_states
+from ..core.index import FexiproIndex, _empty_result, prepare_query_states
 from ..core.reverse import CampaignResponse, ReverseIndex, campaign_scan
 from ..core.sharded import ShardedFexiproIndex
 from ..core.stats import (
@@ -379,9 +379,12 @@ class RetrievalService:
         m = queries.shape[0]
         if k == 0:
             # Every visible item has been removed: the exact answer to
-            # any query is the well-formed empty result.
+            # any query is the well-formed empty result (banded in budget
+            # mode).
+            budgeted = self.config.deadline_policy == "budget"
             response = BatchResponse(
-                results=[RetrievalResult() for __ in range(m)],
+                results=[_empty_result(wall_started, budgeted=budgeted)
+                         for __ in range(m)],
                 elapsed=time.perf_counter() - wall_started)
             self._observe(response)
             return response

@@ -33,6 +33,32 @@ def brute_force_topk(items: np.ndarray, query: np.ndarray, k: int):
     return order, scores[order]
 
 
+def oracle_topk(snap, qs, k: int, positions=None):
+    """Brute-force top-k by (score descending, scan position ascending).
+
+    Scores every candidate global position (default: every visible row
+    of the snapshot ``snap``) with the engines' exact floats — base rows
+    with ``exact_scores`` in the transformed basis, delta rows (``n + i``)
+    on the raw rows with ``w = d`` — and sorts with ``np.lexsort``,
+    independent of :class:`~repro.core.topk.TopKBuffer`.  Returns
+    ``(positions, scores)`` lists, best first.
+    """
+    from repro.core.score import exact_scores
+
+    if positions is None:
+        positions = np.concatenate([np.flatnonzero(~snap.base_dead),
+                                    snap.n + snap.delta_alive_idx])
+    positions = np.asarray(sorted(positions), dtype=np.int64)
+    base = positions < snap.n
+    scores = np.empty(positions.size)
+    scores[base] = exact_scores(snap.items_bar, positions[base], qs.q_bar,
+                                snap.w)[1]
+    scores[~base] = exact_scores(snap.delta_items, positions[~base] - snap.n,
+                                 qs.q, snap.d)[1]
+    top = np.lexsort((positions, -scores))[:k]
+    return positions[top].tolist(), scores[top].tolist()
+
+
 @pytest.fixture
 def small_items():
     """A small MF-like item matrix (deterministic)."""

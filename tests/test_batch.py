@@ -135,3 +135,37 @@ def test_batch_query_accepts_single_vector_row():
     results = index.batch_query(queries[0], k=3)
     assert len(results) == 1
     assert results[0].ids == index.query(queries[0], k=3).ids
+
+
+def test_batch_query_prepares_once_against_one_snapshot(monkeypatch):
+    import repro.core.batch as batch_module
+
+    items, queries = make_mf_like(300, 12, seed=68)
+    index = FexiproIndex(items)
+    want = [index.query(q, k=5) for q in queries[:6]]
+    snap = index._live
+    prepared, scanned = [], []
+    real_prepare = batch_module.prepare_query_states
+    real_scan = index._scan
+
+    def prepare(target, rows):
+        prepared.append((target, len(rows)))
+        return real_prepare(target, rows)
+
+    def scan(qs, k, **kwargs):
+        scanned.append(kwargs["snapshot"])
+        if len(scanned) == 1:
+            # A write landing mid-batch must not reach the pinned batch.
+            index.add_items(10.0 * items[:1])
+        return real_scan(qs, k, **kwargs)
+
+    monkeypatch.setattr(batch_module, "prepare_query_states", prepare)
+    monkeypatch.setattr(index, "_scan", scan)
+    got = index.batch_query(queries[:6], k=5)
+    assert prepared == [(snap, 6)]
+    assert len(scanned) == 6 and all(s is snap for s in scanned)
+    assert index._live is not snap
+    for result, single in zip(got, want):
+        assert result.ids == single.ids
+        assert result.scores == single.scores
+        assert result.stats.as_dict() == single.stats.as_dict()

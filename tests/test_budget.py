@@ -42,11 +42,10 @@ from repro import (
 from repro.core.budget import ResultBounds, certified_bounds, \
     tail_upper_bound
 from repro.core.score import exact_scores
-from repro.core.topk import TopKBuffer
 from repro.core.variants import VARIANTS
 from repro.serve import RetrievalService, ServiceConfig
 
-from conftest import make_mf_like
+from conftest import make_mf_like, oracle_topk
 
 ALL_VARIANTS = sorted(VARIANTS)
 ENGINES = ("reference", "blocked", "gemm")
@@ -70,16 +69,6 @@ def make_index(variant, engine="blocked", sharded=False):
         index = FexiproIndex(items, variant=variant, engine=engine,
                              block_size=BLOCK_SIZE)
     return index, queries
-
-
-def oracle_topk(index: FexiproIndex, qs, positions):
-    """Brute-force top-k over ``positions`` with the engine's row formula."""
-    rows = sorted(positions)
-    __, scores = exact_scores(index.items_bar, rows, qs.q_bar, index.w)
-    buffer = TopKBuffer(K)
-    for row, value in zip(rows, scores.tolist()):
-        buffer.push(value, row)
-    return buffer.items_and_scores()
 
 
 def true_score(index: FexiproIndex, qs, row):
@@ -224,7 +213,7 @@ def test_finite_budget_prefix_exactness_and_band(variant, engine):
                 qs, K, options=ScanOptions(budget=budget))
             prefix = set(range(stats.scanned))
             ids, scores = buffer.items_and_scores()
-            assert (ids, scores) == oracle_topk(index, qs, prefix)
+            assert (ids, scores) == oracle_topk(index._live, qs, K, prefix)
             # Band soundness: every unscanned item's true score sits at
             # or below the certified tail upper bound.
             upper = tail_upper_bound(qs.q_norm, index.norms_sorted,
@@ -264,8 +253,8 @@ def test_facade_budget_result_is_prefix_topk():
     q = queries[0]
     result = engine.query(q, k=K, budget=100 * D)
     qs = index._prepare_query(q)
-    positions, scores = oracle_topk(index, qs,
-                                    set(range(result.stats.scanned)))
+    positions, scores = oracle_topk(index._live, qs, K,
+                                    range(result.stats.scanned))
     assert list(result.ids) == [index.order[p] for p in positions]
     assert result.scores == scores
     assert not result.complete

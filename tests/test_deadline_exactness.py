@@ -30,11 +30,9 @@ from repro import FexiproIndex, ShardedFexiproIndex, _faultsites
 from repro.core.blocked import scan_blocked, block_schedule
 from repro.core.gemm import scan_gemm
 from repro.core.options import ScanOptions
-from repro.core.score import exact_scores
-from repro.core.topk import TopKBuffer
 from repro.core.variants import VARIANTS
 
-from conftest import make_mf_like, stepped_clock
+from conftest import make_mf_like, oracle_topk, stepped_clock
 
 ALL_VARIANTS = sorted(VARIANTS)
 
@@ -99,16 +97,6 @@ def make_index(variant, sharded=False):
     else:
         index = FexiproIndex(items, variant=variant, block_size=BLOCK_SIZE)
     return index, queries
-
-
-def oracle_topk(index: FexiproIndex, qs, positions):
-    """Brute-force top-k over ``positions`` with the engine's row formula."""
-    rows = sorted(positions)
-    __, scores = exact_scores(index.items_bar, rows, qs.q_bar, index.w)
-    buffer = TopKBuffer(K)
-    for row, value in zip(rows, scores.tolist()):
-        buffer.push(value, row)
-    return buffer.items_and_scores()
 
 
 def result_key(result):
@@ -204,7 +192,7 @@ def test_degraded_single_scan_is_exact_prefix_topk(variant, fire_after,
         if stats.deadline_hit:
             assert len(positions) < index.n or stats.length_terminated
         ids, scores = buffer.items_and_scores()
-        oracle_ids, oracle_scores = oracle_topk(index, qs, positions)
+        oracle_ids, oracle_scores = oracle_topk(index._live, qs, K, positions)
         assert ids == oracle_ids
         assert scores == oracle_scores
 
@@ -231,7 +219,7 @@ def test_degraded_sharded_scan_is_exact_topk_of_scanned_union(variant,
             _faultsites.disarm(probe)
         assert reports == []
         positions = scanned_positions(probe.contexts, lambda _s: (0, plain.n))
-        oracle_ids, oracle_scores = oracle_topk(plain, qs, positions)
+        oracle_ids, oracle_scores = oracle_topk(plain._live, qs, K, positions)
         assert [plain.order[p] for p in oracle_ids] == list(result.ids)
         assert oracle_scores == list(result.scores)
         # Sanity: a deadline that never fired leaves the full answer.
@@ -270,7 +258,7 @@ def test_degraded_service_result_is_exact_prefix_topk(sharded):
                     if c.startswith(f"q={qi}:")]
         positions = scanned_positions(contexts, lambda _s: (0, plain.n))
         qs = plain._prepare_query(queries[qi])
-        oracle_ids, oracle_scores = oracle_topk(plain, qs, positions)
+        oracle_ids, oracle_scores = oracle_topk(plain._live, qs, K, positions)
         assert [plain.order[p] for p in oracle_ids] == list(result.ids)
         assert oracle_scores == list(result.scores)
 
@@ -307,7 +295,7 @@ def test_degraded_sharded_query_is_exact_prefix_topk():
                     if c.startswith(f"q={qi}:")]
         positions = scanned_positions(contexts, lambda _s: (0, plain.n))
         qs = plain._prepare_query(queries[qi])
-        oracle_ids, oracle_scores = oracle_topk(plain, qs, positions)
+        oracle_ids, oracle_scores = oracle_topk(plain._live, qs, K, positions)
         assert [plain.order[p] for p in oracle_ids] == list(result.ids)
         assert oracle_scores == list(result.scores)
 
@@ -334,7 +322,7 @@ def test_deadline_and_budget_combined_is_exact_prefix_topk(fire_after,
             options=ScanOptions(deadline=deadline,
                                 budget=FlopBudget(coordinate_budget)))
         prefix = set(range(stats.scanned))
-        assert buffer.items_and_scores() == oracle_topk(index, qs, prefix)
+        assert buffer.items_and_scores() == oracle_topk(index._live, qs, K, prefix)
         # The two triggers stop the same loop; at most one claims the stop.
         assert stats.deadline_hit + stats.budget_exhausted <= 1
         if items_budget >= index.n and fire_after == 10_000:

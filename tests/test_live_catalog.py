@@ -18,6 +18,7 @@ schedules below inject real scan faults while the catalog churns, and
 assert that every query either fails loudly or answers exactly.
 """
 
+import math
 import os
 import threading
 
@@ -28,7 +29,6 @@ from repro import FexiproIndex, ShardedFexiproIndex, ValidationError
 from repro._validation import safe_row_norms
 from repro.core.gemm import scan_gemm
 from repro.core.index import prepare_query_states
-from repro.core.score import exact_scores
 from repro.core.variants import VARIANTS
 from repro.exceptions import InjectedFault
 from repro.serve import (
@@ -41,7 +41,7 @@ from repro.serve import (
     process_executor_usable,
 )
 
-from conftest import make_mf_like
+from conftest import make_mf_like, oracle_topk
 
 ALL_VARIANTS = sorted(VARIANTS)
 ENGINES = ["reference", "blocked", "gemm"]
@@ -58,32 +58,13 @@ needs_processes = pytest.mark.skipif(
 # ----------------------------------------------------------------------
 
 
-def oracle_topk(snap, qs, k):
-    """Brute-force top-k over one snapshot, bitwise-canonical scoring.
-
-    Base rows score with ``exact_scores`` in the transformed basis;
-    delta rows on the raw rows with ``w = d`` — exactly the float
-    operations every engine performs.  Ties break by ascending global
-    scan position, reproducing the sequential visit order.
-    """
-    base = np.flatnonzero(~snap.base_dead)
-    delta = np.flatnonzero(~snap.delta_dead)
-    __, base_scores = exact_scores(snap.items_bar, base, qs.q_bar, snap.w)
-    __, delta_scores = exact_scores(snap.delta_items, delta, qs.q, snap.d)
-    pairs = list(zip(base_scores.tolist(), base.tolist()))
-    pairs += zip(delta_scores.tolist(), (snap.n + delta).tolist())
-    pairs.sort(key=lambda t: (-t[0], t[1]))
-    top = pairs[:min(k, len(pairs))]
-    return ([int(snap.full_order[p]) for __, p in top],
-            [s for s, __ in top])
-
-
 def assert_query_bitwise(index, q, k):
     """One query through the public path, bitwise-checked vs the oracle."""
     inner = getattr(index, "index", index)
     snap = inner._live
     qs = inner._prepare_query(np.ascontiguousarray(q), snapshot=snap)
-    want_ids, want_scores = oracle_topk(snap, qs, k)
+    positions, want_scores = oracle_topk(snap, qs, k)
+    want_ids = snap.full_order[positions].tolist()
     result = index.query(q, k)
     assert list(result.ids) == want_ids
     assert [float(s) for s in result.scores] == want_scores
@@ -190,7 +171,8 @@ def test_query_races_writer_and_compactor_bitwise():
             snap = index._live
             qs = index._prepare_query(np.ascontiguousarray(q),
                                       snapshot=snap)
-            want_ids, want_scores = oracle_topk(snap, qs, 8)
+            positions, want_scores = oracle_topk(snap, qs, 8)
+            want_ids = snap.full_order[positions].tolist()
             buffer, stats = index._scan(qs, 8, snapshot=snap)
             from repro.core.stats import assemble_result
             result = assemble_result(snap.full_order,
@@ -309,6 +291,26 @@ def test_empty_catalog_through_service_all_paths():
         explanation = service.explain(queries[0], k=5)
         explanation.verify()
         assert explanation.k == 0 and explanation.result.ids == []
+
+
+def test_empty_catalog_budget_mode_service_matches_facade():
+    # Budget mode attaches a certified band to every answer, the empty
+    # answer included: the service and the facade build the same one.
+    from repro import Fexipro
+    from repro.core.budget import ResultBounds
+
+    items, queries = make_mf_like(20, 8, seed=51)
+    index = FexiproIndex(items)
+    index.remove_items(range(20))
+    want = Fexipro.from_index(index).query(queries[0], k=5, budget=100.0)
+    assert want.ids == []
+    assert want.bounds == ResultBounds(lower=(), tail_upper=-math.inf)
+    config = ServiceConfig(workers=1, deadline_policy="budget",
+                           budget_flops=100.0)
+    with RetrievalService(index, config) as service:
+        response = service.batch(queries[:3], k=5)
+    assert [r.ids for r in response.results] == [[]] * 3
+    assert [r.bounds for r in response.results] == [want.bounds] * 3
 
 
 def test_compaction_of_empty_catalog_is_a_noop():

@@ -43,15 +43,6 @@ def test_push_returns_admission():
     assert buf.push(2.0, 2)
 
 
-def test_would_accept_matches_push():
-    buf = TopKBuffer(2)
-    buf.push(3.0, 0)
-    buf.push(1.0, 1)
-    assert buf.would_accept(1.5)
-    assert not buf.would_accept(1.0)  # ties are not improvements
-    assert not buf.would_accept(0.5)
-
-
 def test_kth_item_tracks_smallest_slot():
     buf = TopKBuffer(2)
     buf.push(3.0, 7)
@@ -59,6 +50,28 @@ def test_kth_item_tracks_smallest_slot():
     assert buf.kth_item == 7
     buf.push(5.0, 2)  # evicts score 3.0
     assert buf.kth_item == 2
+
+
+def test_tie_at_kth_slot_keeps_lowest_positions():
+    # Items a, a, c with q.c > q.a: the k best under (score desc, position
+    # asc) are [c, a0], so top-2 is a prefix of top-3.  The old rule
+    # (evict the smallest (score, position)) kept [c, a1] here.
+    for k, want in ((1, [2]), (2, [2, 0]), (3, [2, 0, 1])):
+        buf = TopKBuffer(k)
+        for score, item in ((1.0, 0), (1.0, 1), (3.0, 2)):
+            buf.push(score, item)
+        assert buf.items_and_scores()[0] == want
+
+
+def test_tied_push_admitted_only_when_ahead_of_worst():
+    buf = TopKBuffer(2)
+    buf.push(1.0, 4)
+    buf.push(1.0, 6)
+    assert buf.kth_item == 6  # the worst tie is the latest position
+    assert not buf.push(1.0, 9)  # trails every tie held
+    assert buf.push(1.0, 5)  # ahead of position 6
+    assert buf.items_and_scores() == ([4, 5], [1.0, 1.0])
+    assert buf.kth_item == 5
 
 
 def test_kth_item_on_empty_raises():
@@ -74,13 +87,6 @@ def test_results_sorted_descending_with_id_tiebreak():
     ids, scores = buf.items_and_scores()
     assert scores == [2.0, 1.0, 1.0]
     assert ids == [5, 3, 9]  # equal scores ordered by id
-
-
-def test_as_list_pairs():
-    buf = TopKBuffer(2)
-    buf.push(2.0, 1)
-    buf.push(4.0, 0)
-    assert buf.as_list() == [(0, 4.0), (1, 2.0)]
 
 
 def test_len_and_iter():
@@ -114,22 +120,22 @@ def test_merge_equals_sequential_pushes():
     assert left.threshold == sequential.threshold
 
 
-def test_merge_with_duplicate_scores_keeps_scan_order_ties():
-    # Ties at the k-th slot are decided by scan order: a later item with
-    # an equal score is not an improvement.  Merging replays the other
-    # buffer in ascending item order, so a split scan resolves ties
-    # exactly like the sequential scan that saw all items in order.
+def test_merge_with_duplicate_scores_keeps_lowest_positions():
+    # All scores tie, so the k best are the k lowest positions — for the
+    # sequential scan and for split scans merged in either order.
     sequential = TopKBuffer(2)
     for item in range(5):
         sequential.push(1.0, item)
-    left, right = TopKBuffer(2), TopKBuffer(2)
-    for item in (0, 1):
-        left.push(1.0, item)
-    for item in (2, 3, 4):
-        right.push(1.0, item)
-    left.merge(right)
-    assert left.items_and_scores() == sequential.items_and_scores()
-    assert left.items_and_scores()[0] == [0, 1]
+    assert sequential.items_and_scores() == ([0, 1], [1.0, 1.0])
+    for first, second in (((0, 1), (2, 3, 4)), ((2, 3, 4), (0, 1))):
+        left, right = TopKBuffer(2), TopKBuffer(2)
+        for item in first:
+            left.push(1.0, item)
+        for item in second:
+            right.push(1.0, item)
+        left.merge(right)
+        assert left.items_and_scores() == sequential.items_and_scores()
+        assert left.kth_item == 1
 
 
 def test_merge_empty_and_partial_buffers():
