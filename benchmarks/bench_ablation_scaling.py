@@ -1,13 +1,10 @@
-"""Ablations on the integer-scaling design choices (DESIGN.md call-outs).
+"""Ablation on the integer-scaling design choice (DESIGN.md call-out).
 
-1. Split (Eq. 7) vs uniform (Eq. 4) scaling: Section 6 argues the SVD skew
-   makes a single global maximum crush the tail integers; the split keeps
-   both partial bounds tight.
-2. int64 vs int8 storage (paper future work): identical pruning decisions,
-   8x smaller integer footprint.
+Split (Eq. 7) vs uniform (Eq. 4) scaling: Section 6 argues the SVD skew
+makes a single global maximum crush the tail integers; the split keeps
+both partial bounds tight.
 """
 
-import numpy as np
 import pytest
 
 from repro import FexiproIndex
@@ -50,36 +47,3 @@ def test_split_vs_uniform_scaling(benchmark, sink, dataset, bench_queries):
         )
     split_row, uniform_row = rows
     assert split_row["avg_full"] <= uniform_row["avg_full"] + 1e-9
-
-
-def test_int8_storage_equivalence(benchmark, sink):
-    workload = get_workload("movielens")
-
-    def run():
-        wide = FexiproIndex(workload.items, variant="F-SIR")
-        narrow = FexiproIndex(workload.items, variant="F-SIR",
-                              integer_storage_dtype=np.int8)
-        mismatches = 0
-        for q in workload.queries:
-            a = wide.query(q, k=10)
-            b = narrow.query(q, k=10)
-            if a.ids != b.ids or a.stats.as_dict() != b.stats.as_dict():
-                mismatches += 1
-        return {
-            "mismatches": mismatches,
-            "int64_bytes": wide.scaled.integer_nbytes,
-            "int8_bytes": narrow.scaled.integer_nbytes,
-        }
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    with sink.section("ablation_int8") as out:
-        report.print_header("Ablation - int8 vs int64 integer storage",
-                            describe(workload), out=out)
-        report.print_table(
-            ["storage", "bytes", "result/count mismatches"],
-            [["int64", result["int64_bytes"], result["mismatches"]],
-             ["int8", result["int8_bytes"], result["mismatches"]]],
-            out=out,
-        )
-    assert result["mismatches"] == 0
-    assert result["int8_bytes"] * 7 < result["int64_bytes"]

@@ -51,23 +51,13 @@ def scan_above(index: "FexiproIndex", qs: "QueryState",
 
     scaled = index.scaled
     if scaled is not None:
-        int_dot = scaled.float_head[alive] @ qs.scaled.float_head
-        iu = (int_dot + qs.scaled.abs_sum_head
-              + scaled.abs_sum_head[alive] + scaled.w)
-        b_l = iu * (qs.scaled.max_head * scaled.max_head
-                    / (scaled.e * scaled.e))
+        b_l = scaled.head_bound(qs.scaled, alive)
         keep = b_l + ub1[alive] > t
         stats.pruned_integer_partial = int(np.sum(~keep))
         alive, b_l = alive[keep], b_l[keep]
-        if alive.size and scaled.d - scaled.w > 0:
-            int_dot = scaled.float_tail[alive] @ qs.scaled.float_tail
-            iu = (int_dot + qs.scaled.abs_sum_tail
-                  + scaled.abs_sum_tail[alive] + (scaled.d - scaled.w))
-            b_h = iu * (qs.scaled.max_tail * scaled.max_tail
-                        / (scaled.e * scaled.e))
-            keep = b_l + b_h > t
-            stats.pruned_integer_full = int(np.sum(~keep))
-            alive = alive[keep]
+        keep = b_l + scaled.tail_bound(qs.scaled, alive) > t
+        stats.pruned_integer_full = int(np.sum(~keep))
+        alive = alive[keep]
 
     # The head partial and the admitted score of every integer-stage
     # survivor, from the one exact-score function the top-k engines use.
@@ -85,11 +75,7 @@ def scan_above(index: "FexiproIndex", qs: "QueryState",
         mq = qs.monotone
         c_const = float(reduction.c @ reduction.c) - reduction.b_sq
         t_prime = 2.0 * t * mq.inv_norm + mq.c_full + c_const
-        bound = (2.0 * v_head * mq.inv_norm + mq.c_head
-                 + reduction.item_const_head[alive]
-                 + mq.tail_norm * reduction.item_tail_norm[alive]
-                 + reduction.slack)
-        keep = bound > t_prime
+        keep = reduction.monotone_bound(v_head, mq, alive) > t_prime
         stats.pruned_monotone = int(np.sum(~keep))
         alive, scores = alive[keep], scores[keep]
 

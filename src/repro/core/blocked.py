@@ -136,10 +136,6 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
     reduction = index.reduction
     use_integer = scaled is not None
     use_reduction = reduction is not None
-    if use_integer:
-        head_factor_base = qs.scaled.max_head * scaled.max_head
-        tail_factor_base = qs.scaled.max_tail * scaled.max_tail
-        e_sq = scaled.e * scaled.e
 
     t = cursor.refresh(float(opts.initial_threshold))
     t_prime = -math.inf
@@ -181,24 +177,10 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
         if timed:
             tick = perf_counter()
         if use_integer and alive.size:
-            rows = alive + bstart
-            int_dot = scaled.float_head[rows] @ qs.scaled.float_head
-            iu = (int_dot + qs.scaled.abs_sum_head
-                  + scaled.abs_sum_head[rows] + scaled.w)
-            b_l[alive] = iu * (head_factor_base / e_sq)
+            b_l[alive] = scaled.head_bound(qs.scaled, alive + bstart)
             survivors = alive[b_l[alive] + ub1[alive] > t0]
-            if survivors.size:
-                rows = survivors + bstart
-                tail_len = scaled.d - scaled.w
-                if tail_len:
-                    int_dot = scaled.float_tail[rows] @ qs.scaled.float_tail
-                    iu = (int_dot + qs.scaled.abs_sum_tail
-                          + scaled.abs_sum_tail[rows] + tail_len)
-                    b_h[survivors] = iu * (tail_factor_base / e_sq)
-                else:
-                    b_h[survivors] = 0.0
-            alive = survivors[b_l[survivors] + b_h[survivors] > t0] \
-                if survivors.size else survivors
+            b_h[survivors] = scaled.tail_bound(qs.scaled, survivors + bstart)
+            alive = survivors[b_l[survivors] + b_h[survivors] > t0]
         if timed:
             now = perf_counter()
             timings.integer += now - tick
@@ -218,13 +200,8 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
 
         mono = np.full(limit, np.nan)
         if use_reduction and alive.size:
-            rows = alive + bstart
-            head_partial = (2.0 * v_head[alive] * qs.monotone.inv_norm
-                            + qs.monotone.c_head
-                            + reduction.item_const_head[rows])
-            mono[alive] = head_partial + (
-                qs.monotone.tail_norm * reduction.item_tail_norm[rows]
-            ) + reduction.slack
+            mono[alive] = reduction.monotone_bound(
+                v_head[alive], qs.monotone, alive + bstart)
             if t_prime > -math.inf:
                 alive = alive[mono[alive] > t_prime]
         if timed:

@@ -6,12 +6,17 @@ cascade, from cheapest/loosest to priciest/tightest:
 
 1. Cauchy–Schwarz length bound ``||q|| * ||p||`` (Algorithm 1, Line 6).
 2. Partial integer bound over the first ``w`` dimensions plus the residual
-   norm product (Equation 6).
-3. Full integer bound (Theorem 2 / Equation 3).
+   norm product (Equation 6) — :meth:`repro.core.scaling.ScaledItems.head_bound`.
+3. Full integer bound (Theorem 2 / Equation 3) — adds
+   :meth:`~repro.core.scaling.ScaledItems.tail_bound`.
 4. Exact partial product plus residual norm product — incremental pruning
    (Equation 1).
-5. Monotone-space partial bound (Lemma 1 / Theorem 4) — see
-   :mod:`repro.core.reduction`.
+5. Monotone-space partial bound (Lemma 1 / Theorem 4) —
+   :meth:`repro.core.reduction.MonotoneReduction.monotone_bound`.
+
+The split integer bounds and the monotone bound are owned by the data
+they read and are the functions every engine calls; this module keeps
+the scalar forms used by tests and the worked examples.
 
 Theorem 5's tightness result (integer-bound error is ``O(1/e)``) is exposed
 through :func:`integer_bound_relative_error` for the Appendix A experiment.
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scaling import ScaledItems, ScaledQuery, integer_parts, scale_uniform
+from .scaling import integer_parts, scale_uniform
 
 
 def cauchy_schwarz(q_norm: float, p_norm: float) -> float:
@@ -43,8 +48,8 @@ def integer_upper_bound(int_q: np.ndarray, int_p: np.ndarray) -> int:
     """Theorem 2: integer upper bound of the (scaled) inner product.
 
     ``IU(q, p) = sum(floor(q_s)*floor(p_s) + |floor(q_s)| + |floor(p_s)| + 1)``
-    computed here directly from precomputed integer parts.  All arithmetic is
-    integral.
+    computed here directly from precomputed integer parts (exact integers
+    of any numeric dtype).
     """
     int_q = np.asarray(int_q)
     int_p = np.asarray(int_p)
@@ -52,50 +57,12 @@ def integer_upper_bound(int_q: np.ndarray, int_p: np.ndarray) -> int:
     return dot + int(np.abs(int_q).sum()) + int(np.abs(int_p).sum()) + int_q.size
 
 
-def integer_bound_from_parts(int_dot: int, q_abs_sum: int, p_abs_sum: int,
-                             length: int) -> int:
-    """Theorem 2 assembled from precomputed pieces (the hot-path form).
-
-    The item-side ``p_abs_sum`` and the query-side ``q_abs_sum`` are
-    precomputed once (per index / per query respectively), so at scan time
-    the bound costs one integer dot product and three additions.
-    """
-    return int_dot + q_abs_sum + p_abs_sum + length
-
-
-def scaled_head_bound(items: ScaledItems, query: ScaledQuery,
-                      item_index: int) -> float:
-    """Equation 6's head term ``b_l`` for one item, on the *exact* scale.
-
-    Computes the integer upper bound over the first ``w`` dimensions of the
-    split-scaled vectors and converts it back with the head unscale factor.
-    """
-    int_dot = int(query.int_head @ items.int_head[item_index])
-    iu = integer_bound_from_parts(
-        int_dot, query.abs_sum_head, int(items.abs_sum_head[item_index]), items.w
-    )
-    return iu * items.head_unscale_factor(query)
-
-
-def scaled_tail_bound(items: ScaledItems, query: ScaledQuery,
-                      item_index: int) -> float:
-    """The tail counterpart ``b_h`` used in the full integer test (Eq. 3)."""
-    tail_len = items.d - items.w
-    if tail_len == 0:
-        return 0.0
-    int_dot = int(query.int_tail @ items.int_tail[item_index])
-    iu = integer_bound_from_parts(
-        int_dot, query.abs_sum_tail, int(items.abs_sum_tail[item_index]), tail_len
-    )
-    return iu * items.tail_unscale_factor(query)
-
-
 def uniform_integer_bound(q: np.ndarray, p: np.ndarray, e: float) -> float:
     """Single-block scaled integer bound on the original scale (Section 4.2).
 
     Scales both vectors into ``[-e, e]`` (Equation 4), applies Theorem 2 and
     converts back.  Used in tests and in the Figure 4/5 worked example; the
-    production path uses the split form above.
+    production path uses the split form of :class:`~repro.core.scaling.ScaledItems`.
     """
     q = np.asarray(q, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)

@@ -185,10 +185,6 @@ class LiveCatalog:
         """Delta rows plus tombstones — the compactor's trigger metric."""
         return self.delta_count + self.base_dead_count
 
-    def external_id(self, position: int) -> int:
-        """Original item id for a global scan position (base or delta)."""
-        return int(self.full_order[position])
-
     def is_dead(self, position: int) -> bool:
         """Whether a global scan position is tombstoned."""
         if position < self.n:
@@ -343,7 +339,6 @@ def scan_delta(snap: LiveCatalog, qs, k: int,
     | scanned``.
     """
     opts = DEFAULT_SCAN_OPTIONS if options is None else options
-    shared = opts.shared
     buffer = TopKBuffer(k)
     stats = PruningStats()
     alive = snap.delta_alive_idx
@@ -371,8 +366,6 @@ def scan_delta(snap: LiveCatalog, qs, k: int,
                 buffer.push(value, pos_base + a)
                 if buffer.threshold > t:
                     t = buffer.threshold
-    if shared is not None:
-        shared.offer(buffer.threshold)
     return buffer, stats, cursor.reason or "scanned"
 
 

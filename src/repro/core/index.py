@@ -173,8 +173,7 @@ class FexiproIndex:
                  rho: float = DEFAULT_RHO, e: float = DEFAULT_E,
                  engine: str = "blocked",
                  block_size: int = DEFAULT_BLOCK_SIZE,
-                 split_scaling: bool = True,
-                 integer_storage_dtype=None):
+                 split_scaling: bool = True):
         if engine not in _ENGINES:
             raise ValidationError(
                 f"engine must be one of {_ENGINES}; got {engine!r}"
@@ -188,11 +187,6 @@ class FexiproIndex:
         self.rho = float(rho)
         self.e = float(e)
         self.split_scaling = bool(split_scaling)
-        import numpy as _np
-        self.integer_storage_dtype = _np.dtype(
-            integer_storage_dtype if integer_storage_dtype is not None
-            else _np.int64
-        )
 
         # Identity token for caches: survives pickling (a re-loaded copy of
         # the *same* saved index keeps its uid, so cache entries stay valid),
@@ -269,11 +263,8 @@ class FexiproIndex:
         # Algorithm 3, Line 8: split scaling + integer approximations.
         scaled: Optional[ScaledItems] = None
         if self.variant.use_integer:
-            scaled = ScaledItems(
-                items_bar, w, self.e,
-                split=self.split_scaling,
-                storage_dtype=self.integer_storage_dtype,
-            )
+            scaled = ScaledItems(items_bar, w, self.e,
+                                 split=self.split_scaling)
 
         # Algorithm 3, Line 9: monotonicity reduction constants.
         reduction: Optional[MonotoneReduction] = None
@@ -674,11 +665,12 @@ class FexiproIndex:
         return state
 
     def __setstate__(self, state):
-        if not hasattr(state.get("_live"), "bar_norms"):
+        if (not hasattr(state.get("_live"), "bar_norms")
+                or "integer_storage_dtype" in state):
             raise ValidationError(
                 "this saved index predates the current snapshot layout "
-                "(no stored GEMM row norms); rebuild it from the item "
-                "matrix and save it again"
+                "(GEMM row norms, one float64 copy of the integer parts); "
+                "rebuild it from the item matrix and save it again"
             )
         self.__dict__.update(state)
         self._mutate_lock = threading.Lock()

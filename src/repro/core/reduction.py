@@ -172,65 +172,6 @@ class MonotoneReduction:
         )
 
     # ------------------------------------------------------------------
-    # Incremental updates
-    # ------------------------------------------------------------------
-
-    def insert(self, rows: np.ndarray, positions: np.ndarray) -> None:
-        """Insert transformed item rows at the given sorted positions.
-
-        Callers must guarantee ``||row||^2 <= b_sq`` for every new row
-        (Lemma 1 needs ``b`` to dominate every item norm); the index checks
-        this and falls back to a full rebuild otherwise.
-        """
-        rows = np.asarray(rows, dtype=np.float64)
-        norms_sq = np.einsum("ij,ij->i", rows, rows)
-        if np.any(norms_sq > self.b_sq + 1e-9):
-            raise ValueError("new item norm exceeds the reduction's b")
-        first = np.sqrt(np.maximum(self.b_sq - norms_sq, 0.0))
-        shifted = rows + self.c
-        shifted_norm_sq = np.einsum("ij,ij->i", shifted, shifted)
-        prime_norm_sq = (self.b_sq - norms_sq) + shifted_norm_sq
-        c_dot_p = rows @ self.c
-        c_head = self.c[: self.w]
-        c_sq_sum = float(self.c @ self.c)
-        c_head_sq_sum = float(c_head @ c_head)
-        c_dot_p_head = rows[:, : self.w] @ c_head
-        const_full = 2.0 * (c_dot_p + c_sq_sum) - prime_norm_sq
-        const_head = 2.0 * (c_dot_p_head + c_head_sq_sum) - prime_norm_sq
-        tail = shifted[:, self.w:]
-        tail_norm = np.sqrt(np.einsum("ij,ij->i", tail, tail))
-
-        self.item_const_full = np.insert(self.item_const_full, positions,
-                                         const_full)
-        self.item_const_head = np.insert(self.item_const_head, positions,
-                                         const_head)
-        self.item_tail_norm = np.insert(self.item_tail_norm, positions,
-                                        tail_norm)
-        self._first_coord = np.insert(self._first_coord, positions, first)
-        self._items = np.insert(self._items, positions, rows, axis=0)
-        self.n = self._items.shape[0]
-        self._refresh_slack()
-
-    def delete(self, positions: np.ndarray) -> None:
-        """Remove the items at the given sorted positions."""
-        self.item_const_full = np.delete(self.item_const_full, positions)
-        self.item_const_head = np.delete(self.item_const_head, positions)
-        self.item_tail_norm = np.delete(self.item_tail_norm, positions)
-        self._first_coord = np.delete(self._first_coord, positions)
-        self._items = np.delete(self._items, positions, axis=0)
-        self.n = self._items.shape[0]
-
-    def _refresh_slack(self) -> None:
-        """Recompute the numerical safety slack after an update."""
-        magnitude = max(
-            1.0,
-            float(np.max(np.abs(self.item_const_full))),
-            float(np.max(np.abs(self.item_const_head))),
-            self.b_sq,
-        )
-        self.slack = 1e-9 * magnitude
-
-    # ------------------------------------------------------------------
     # Equation 8 conversions
     # ------------------------------------------------------------------
 
@@ -240,31 +181,24 @@ class MonotoneReduction:
             self.item_const_full[item]
         )
 
-    def head_partial(self, v_head: float, query: MonotoneQuery,
-                     item: int) -> float:
-        """Map an exact head product to the reduced-space partial product.
+    def monotone_bound(self, v_head, query: MonotoneQuery,
+                       rows) -> np.ndarray:
+        """Upper bound on ``qhh . phh`` for each item in ``rows``.
 
-        The partial covers reduced dimensions ``0 .. w+1`` (the two
-        bookkeeping dimensions plus the shifted head block).
+        ``v_head`` holds the exact head products of those items.  Equation
+        8 maps each to the reduced-space partial product over dimensions
+        ``0 .. w+1`` (the two bookkeeping dimensions plus the shifted head
+        block); the residual norms are added on top.  All tail values are
+        nonnegative, so the residual Cauchy–Schwarz term is tight — this
+        is the Line 14–17 test of Algorithm 5.  The bound is widened by
+        :attr:`slack` so float64 round-off in the Equation 8 constants can
+        never cause a false prune.
         """
-        return 2.0 * v_head * query.inv_norm + query.c_head + float(
-            self.item_const_head[item]
-        )
-
-    def monotone_bound(self, v_head: float, query: MonotoneQuery,
-                       item: int) -> float:
-        """Upper bound on ``qhh . phh``: head partial + residual norms.
-
-        All tail values are nonnegative, so the residual Cauchy–Schwarz term
-        is tight — this is the Line 14–17 test of Algorithm 5.  The bound is
-        widened by :attr:`slack` so float64 round-off in the Equation 8
-        constants can never cause a false prune.
-        """
-        return (
-            self.head_partial(v_head, query, item)
-            + query.tail_norm * float(self.item_tail_norm[item])
-            + self.slack
-        )
+        head_partial = (2.0 * v_head * query.inv_norm + query.c_head
+                        + self.item_const_head[rows])
+        return head_partial + (
+            query.tail_norm * self.item_tail_norm[rows]
+        ) + self.slack
 
     def threshold(self, t: float, query: MonotoneQuery, kth_item: int) -> float:
         """Convert the running threshold ``t`` into the reduced space ``t'``.

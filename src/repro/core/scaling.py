@@ -15,20 +15,26 @@ their own maxima, which keeps both partial integer bounds tight.
 
 This module owns the precomputation on the item side
 (:class:`ScaledItems`) and the per-query computation
-(:class:`ScaledQuery`).  The actual bound arithmetic lives in
-:mod:`repro.core.bounds`.
+(:class:`ScaledQuery`), and the two integer bounds of Algorithm 5
+(:meth:`ScaledItems.head_bound`, :meth:`ScaledItems.tail_bound`) that
+every engine calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .._validation import check_positive
+from ..exceptions import ValidationError
 
 #: Default scaling parameter; the paper finds performance converges at e=100.
 DEFAULT_E = 100.0
+
+#: Smallest normal float64.
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _safe_max_abs(values: np.ndarray) -> float:
@@ -58,13 +64,30 @@ def scale_uniform(vector: np.ndarray, e: float = DEFAULT_E) -> np.ndarray:
 
 
 def integer_parts(vector: np.ndarray) -> np.ndarray:
-    """Floor a (scaled) float vector to its integer parts, as int64.
+    """Floor a (scaled) float vector to its integer parts, kept as float64.
 
     The paper defines the integer part as the largest integer less than or
     equal to the value — i.e. mathematical floor, including for negatives —
     which is what the proof of Theorem 2 (``0 <= Delta < 1``) requires.
+    The parts stay float64: every one is an exact small integer, and
+    float64 products hit BLAS where integer matmuls do not.
     """
-    return np.floor(np.asarray(vector, dtype=np.float64)).astype(np.int64)
+    return np.floor(np.asarray(vector, dtype=np.float64))
+
+
+def _unscale(iu: np.ndarray, max_q: float, max_p: float,
+             e: float) -> np.ndarray:
+    """An integer bound on the original scale (Equations 6–7).
+
+    A factor outside the normal float range (0 or subnormal after
+    underflow, or infinite) cannot carry the bound back — ``iu * 0``
+    would sit below a tiny positive product — so every bound is then
+    ``+inf`` and the integer stage prunes nothing.
+    """
+    factor = (max_q * max_p) / (e * e)
+    if not _TINY <= factor < math.inf:
+        return np.full(np.shape(iu), math.inf)
+    return iu * factor
 
 
 @dataclass(frozen=True)
@@ -74,7 +97,8 @@ class ScaledQuery:
     Attributes
     ----------
     int_head / int_tail:
-        Integer parts of the scaled head (first ``w``) and tail dimensions.
+        Integer parts of the scaled head (first ``w``) and tail
+        dimensions, as float64 exact integers.
     abs_sum_head / abs_sum_tail:
         ``sum(|floor(q_hat_s)|)`` over each block — the query-side additive
         term of the integer upper bound (Theorem 2).
@@ -85,10 +109,8 @@ class ScaledQuery:
 
     int_head: np.ndarray
     int_tail: np.ndarray
-    float_head: np.ndarray
-    float_tail: np.ndarray
-    abs_sum_head: int
-    abs_sum_tail: int
+    abs_sum_head: float
+    abs_sum_tail: float
     max_head: float
     max_tail: float
 
@@ -99,7 +121,12 @@ class ScaledItems:
     Preprocessing state of the "I" technique: for each item row ``p_bar``
     this stores the integer parts of the split-scaled vector plus the
     absolute-sum terms of Theorem 2, so that at query time the integer upper
-    bound of any partial block is one integer dot product plus additions.
+    bound of any partial block is one dot product plus additions.
+
+    The integer parts are stored once, as float64 exact integers.  Every
+    sum in :meth:`head_bound`/:meth:`tail_bound` is then exact, and so
+    equal to int64 arithmetic, as long as ``d * (e + 1)**2 <= 2**53``;
+    the constructor refuses any larger ``e``.
 
     Parameters
     ----------
@@ -115,15 +142,10 @@ class ScaledItems:
         Equation 7; ``False`` scales both blocks by the single global
         maximum (Equation 4) — kept for the ablation showing why the
         split matters after the SVD skew.
-    storage_dtype:
-        Integer dtype for the stored approximations.  The paper's future
-        work observes that ``e <= 127`` fits int8, shrinking the integer
-        footprint 8x with *identical* pruning decisions (the arithmetic
-        uses exact float64 mirrors either way on this substrate).
     """
 
     def __init__(self, items: np.ndarray, w: int, e: float = DEFAULT_E,
-                 split: bool = True, storage_dtype=np.int64):
+                 split: bool = True):
         items = np.asarray(items, dtype=np.float64)
         if items.ndim != 2:
             raise ValueError("items must be 2-D (n, d)")
@@ -131,22 +153,17 @@ class ScaledItems:
         if not 1 <= w <= d:
             raise ValueError(f"w must be in [1, {d}]; got {w}")
         self.e = check_positive(e, name="e")
+        # An integer part is at most ceil(e) in magnitude, so each
+        # Theorem 2 sum stays within d*(ceil(e)+1)**2.
+        if not math.isfinite(self.e) or d * (math.ceil(self.e) + 1) ** 2 > 2 ** 53:
+            raise ValidationError(
+                f"e={self.e} is too large for d={d}: integer bounds are "
+                f"exact in float64 only while d*(e+1)**2 <= 2**53"
+            )
         self.w = int(w)
         self.d = d
         self.n = n
         self.split = bool(split)
-        self.storage_dtype = np.dtype(storage_dtype)
-        if self.storage_dtype.kind != "i":
-            raise ValueError(
-                f"storage_dtype must be a signed integer type; "
-                f"got {self.storage_dtype}"
-            )
-        info = np.iinfo(self.storage_dtype)
-        if self.e > info.max:
-            raise ValueError(
-                f"e={self.e} does not fit {self.storage_dtype} "
-                f"(max {info.max}); lower e or widen the dtype"
-            )
 
         head = items[:, : self.w]
         tail = items[:, self.w:]
@@ -157,20 +174,10 @@ class ScaledItems:
             global_max = _safe_max_abs(items)
             self.max_head = global_max
             self.max_tail = global_max
-        self.int_head = self._store(integer_parts(
-            (head / self.max_head) * self.e))
-        self.int_tail = self._store(integer_parts(
-            (tail / self.max_tail) * self.e))
-        self.abs_sum_head = np.abs(self.int_head.astype(np.int64)).sum(axis=1)
-        self.abs_sum_tail = np.abs(self.int_tail.astype(np.int64)).sum(axis=1)
-        # Float64 mirrors of the integer parts for the vectorized engine:
-        # NumPy routes integer matmuls through a naive kernel while float64
-        # hits BLAS, so on this substrate the "integer" dot is fastest as a
-        # float product of exactly-integer values.  Every product/sum here
-        # is far below 2^53, so the results are bit-identical to int64
-        # arithmetic; the reference scanner keeps the pure-integer path.
-        self.float_head = self.int_head.astype(np.float64)
-        self.float_tail = self.int_tail.astype(np.float64)
+        self.int_head = integer_parts((head / self.max_head) * self.e)
+        self.int_tail = integer_parts((tail / self.max_tail) * self.e)
+        self.abs_sum_head = np.abs(self.int_head).sum(axis=1)
+        self.abs_sum_tail = np.abs(self.int_tail).sum(axis=1)
 
     def scale_query(self, q_bar: np.ndarray) -> ScaledQuery:
         """Compute the query-side split scaling (cheap, done once per query)."""
@@ -186,90 +193,28 @@ class ScaledItems:
         return ScaledQuery(
             int_head=int_head,
             int_tail=int_tail,
-            float_head=int_head.astype(np.float64),
-            float_tail=int_tail.astype(np.float64),
-            abs_sum_head=int(np.abs(int_head).sum()),
-            abs_sum_tail=int(np.abs(int_tail).sum()),
+            abs_sum_head=float(np.abs(int_head).sum()),
+            abs_sum_tail=float(np.abs(int_tail).sum()),
             max_head=max_head,
             max_tail=max_tail,
         )
 
-    def _store(self, values: np.ndarray) -> np.ndarray:
-        """Cast integer parts to the storage dtype, refusing overflow."""
-        if self.storage_dtype == np.int64:
-            return values
-        info = np.iinfo(self.storage_dtype)
-        if values.size and (values.min() < info.min
-                            or values.max() > info.max):
-            raise ValueError(
-                f"integer parts exceed {self.storage_dtype} range"
-            )
-        return values.astype(self.storage_dtype)
+    def head_bound(self, query: ScaledQuery, rows) -> np.ndarray:
+        """Equation 6's head term ``b_l`` for each item in ``rows``.
 
-    @property
-    def integer_nbytes(self) -> int:
-        """Bytes held by the stored integer approximations."""
-        return int(self.int_head.nbytes + self.int_tail.nbytes)
-
-    def can_store(self, rows: np.ndarray) -> bool:
-        """Whether :meth:`insert` would succeed for these transformed rows.
-
-        Used by the index as a dry run *before* mutating any state, so a
-        narrow storage dtype can never leave a half-updated index behind.
+        Theorem 2's integer upper bound over the first ``w`` dimensions,
+        converted back to the original scale:
+        ``IU_head * max_q_head * max_P_head / e**2``.
         """
-        rows = np.asarray(rows, dtype=np.float64)
-        try:
-            self._store(integer_parts(
-                (rows[:, : self.w] / self.max_head) * self.e))
-            self._store(integer_parts(
-                (rows[:, self.w:] / self.max_tail) * self.e))
-        except ValueError:
-            return False
-        return True
+        iu = (self.int_head[rows] @ query.int_head + query.abs_sum_head
+              + self.abs_sum_head[rows] + self.w)
+        return _unscale(iu, query.max_head, self.max_head, self.e)
 
-    def insert(self, rows: np.ndarray, positions: np.ndarray) -> None:
-        """Insert transformed item rows at the given sorted positions.
+    def tail_bound(self, query: ScaledQuery, rows) -> np.ndarray:
+        """The tail counterpart ``b_h`` used in the full integer test (Eq. 3).
 
-        Scaling reuses the *existing* maxima: Theorem 2 and the unscale
-        factors only require that item and bound use the same constant, so
-        values exceeding the old maximum merely floor to integers beyond
-        ``e`` — the bound stays admissible, just possibly less tight.
-        Raises :class:`ValueError` if a narrow storage dtype cannot hold
-        the resulting integers (callers fall back to a rebuild).
+        With an empty tail (``w == d``) every sum is 0 and so is ``b_h``.
         """
-        rows = np.asarray(rows, dtype=np.float64)
-        head = rows[:, : self.w]
-        tail = rows[:, self.w:]
-        int_head = self._store(integer_parts(
-            (head / self.max_head) * self.e))
-        int_tail = self._store(integer_parts(
-            (tail / self.max_tail) * self.e))
-        self.int_head = np.insert(self.int_head, positions, int_head, axis=0)
-        self.int_tail = np.insert(self.int_tail, positions, int_tail, axis=0)
-        self.float_head = self.int_head.astype(np.float64)
-        self.float_tail = self.int_tail.astype(np.float64)
-        self.abs_sum_head = np.abs(self.int_head.astype(np.int64)).sum(axis=1)
-        self.abs_sum_tail = np.abs(self.int_tail.astype(np.int64)).sum(axis=1)
-        self.n = self.int_head.shape[0]
-
-    def delete(self, positions: np.ndarray) -> None:
-        """Remove the items at the given sorted positions."""
-        self.int_head = np.delete(self.int_head, positions, axis=0)
-        self.int_tail = np.delete(self.int_tail, positions, axis=0)
-        self.float_head = np.delete(self.float_head, positions, axis=0)
-        self.float_tail = np.delete(self.float_tail, positions, axis=0)
-        self.abs_sum_head = np.delete(self.abs_sum_head, positions)
-        self.abs_sum_tail = np.delete(self.abs_sum_tail, positions)
-        self.n = self.int_head.shape[0]
-
-    def head_unscale_factor(self, query: ScaledQuery) -> float:
-        """Factor converting a head-block integer bound to the exact scale.
-
-        ``q . p`` (head block) is upper-bounded by
-        ``IU_head * max_q_head * max_P_head / e**2`` (Equations 6–7).
-        """
-        return query.max_head * self.max_head / (self.e * self.e)
-
-    def tail_unscale_factor(self, query: ScaledQuery) -> float:
-        """Factor converting a tail-block integer bound to the exact scale."""
-        return query.max_tail * self.max_tail / (self.e * self.e)
+        iu = (self.int_tail[rows] @ query.int_tail + query.abs_sum_tail
+              + self.abs_sum_tail[rows] + (self.d - self.w))
+        return _unscale(iu, query.max_tail, self.max_tail, self.e)

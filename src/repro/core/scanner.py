@@ -17,7 +17,6 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .. import _faultsites
-from .bounds import scaled_head_bound, scaled_tail_bound
 from .driver import BlockCursor
 from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .score import exact_scores
@@ -115,12 +114,12 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int, *,
             # Lines 2-5 of Algorithm 5: partial integer bound (Equation 6).
             if timed:
                 tick = perf_counter()
-            b_l = scaled_head_bound(index.scaled, qs.scaled, i)
+            b_l = float(index.scaled.head_bound(qs.scaled, i))
             head_pruned = b_l + ub1 <= t
             full_pruned = False
             if not head_pruned:
                 # Lines 6-8: full integer bound (Equation 3).
-                b_h = scaled_tail_bound(index.scaled, qs.scaled, i)
+                b_h = float(index.scaled.tail_bound(qs.scaled, i))
                 full_pruned = b_l + b_h <= t
             if timed:
                 timings.integer += perf_counter() - tick

@@ -26,11 +26,12 @@ The process fan-out is exact by construction:
 - Each shard runs the unchanged Algorithm 4/5 cascade
   (:func:`repro.core.blocked.scan_blocked`) over its span, with its live
   threshold *seeded* from a shared best-so-far slot and re-polled at
-  block boundaries.  The slot only ever holds thresholds *achieved* by k
-  collected results, and it only grows; a stale read merely weakens
-  pruning, never drops a true top-k score (but a threshold from a
-  *later* shard drops this shard's rows tied with it: ids can then
-  differ among equal scores, unless one worker runs shards in order).
+  block boundaries.  The slot only ever holds values one ulp below
+  thresholds *achieved* by k collected results, and it only grows; a
+  stale read merely weakens pruning, never drops a true top-k score.
+  Being strictly below, a threshold from a *later* shard never prunes
+  this shard's rows tied with it either, which rank ahead, so ids match
+  the single scan in any schedule.
 - Because later shards hold shorter items, the Cauchy–Schwarz test can
   eliminate whole shards before their scan starts, once the shared
   threshold exceeds ``||q|| * shard.max_norm`` — counted as
@@ -63,6 +64,8 @@ import os
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .. import _faultsites
 from .._validation import as_query_vector, check_k
@@ -215,11 +218,22 @@ def scan_shard_span(index: FexiproIndex, qs: QueryState, k: int,
             snap, qs, k, snap.block_size,
             start=start, stop=stop, options=options,
         )
-    options.shared.offer(buffer.threshold)
+    _offer(options.shared, buffer)
     if span is not None:
         span.set(outcome="scanned",
                  offered_threshold=buffer.threshold).end()
     return buffer, stats, seed, "scanned"
+
+
+def _offer(shared, buffer: TopKBuffer) -> None:
+    """Offer a shard's k-th score to the cross-shard cell, one ulp lower.
+
+    A shard reading the cell prunes on ``bound <= t``.  Its own rows that
+    tie the offered score may rank ahead of the offering shard's (the
+    order is score, then position), so the cell must stay strictly below
+    every offered score for any shard schedule to equal the single scan.
+    """
+    shared.offer(np.nextafter(buffer.threshold, -np.inf))
 
 
 def _scan_delta_span(snap: LiveCatalog, qs: QueryState, k: int,
@@ -237,6 +251,7 @@ def _scan_delta_span(snap: LiveCatalog, qs: QueryState, k: int,
     span = options.span
     with _faultsites.tagged(f"shard={shard_id}"):
         buffer, stats, outcome = scan_delta(snap, qs, k, options)
+    _offer(options.shared, buffer)
     if outcome == "skipped":
         stats.shards_skipped = 1
     if span is not None:

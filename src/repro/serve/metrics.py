@@ -24,7 +24,7 @@ import bisect
 import os
 import threading
 import weakref
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.stats import PruningStats, StageTimings
 from ..exceptions import ValidationError
@@ -290,11 +290,6 @@ class MetricsRegistry:
         """Roll one query's pruning counters into ``pruning.*`` counters."""
         for key, value in stats.as_dict().items():
             self.counter(f"pruning.{key}").inc(value)
-
-    def observe_pruning_many(self, stats: Iterable[PruningStats]) -> None:
-        """Roll up a whole batch of pruning records (one lock pass each)."""
-        for record in stats:
-            self.observe_pruning(record)
 
     def record_stage_timings(self, timings: StageTimings) -> None:
         """Accumulate an engine-produced stage-timing record."""

@@ -90,7 +90,7 @@ def stepped_clock():
     return clock
 
 
-def serial_shard_fanout(sharded, query, k: int, options=None):
+def serial_shard_fanout(sharded, query, k: int, options=None, order=None):
     """The process fan-out's one-worker schedule, run in this process.
 
     A ``ProcessScanPool`` with one worker runs a query's shard tasks in
@@ -100,6 +100,9 @@ def serial_shard_fanout(sharded, query, k: int, options=None):
     merges them the same way, so a one-worker ``executor="process"``
     query must equal it in ids, scores, counters and reports.  Returns
     ``(result, reports)`` like ``ShardedFexiproIndex.query_detailed``.
+
+    ``order`` (a permutation of the span indices) runs the shards in
+    another order instead, as a many-worker pool may.
     """
     import time
 
@@ -117,14 +120,15 @@ def serial_shard_fanout(sharded, query, k: int, options=None):
     spans = sharded._catalog_spans(snap)
     k_eff = effective_k(snap, k)
     cell = _LocalThreshold(opts.initial_threshold)
-    outputs = []
-    for shard_id, (start, stop) in enumerate(spans):
+    outputs = [None] * len(spans)
+    for shard_id in (range(len(spans)) if order is None else order):
+        start, stop = spans[shard_id]
         seed = cell.value
         buffer, stats, seen, outcome = scan_shard_span(
             snap, qs, k_eff, shard_id, start, stop,
             ScanOptions(initial_threshold=seed, shared=cell,
                         deadline=opts.deadline))
-        outputs.append((buffer, stats, seen, None, outcome))
+        outputs[shard_id] = (buffer, stats, seen, None, outcome)
     buffer, stats, reports = _merge_shards(snap, k, k_eff, spans, outputs,
                                            None, None)
     result = catalog_result(snap, qs.q_norm, *buffer.items_and_scores(),

@@ -5,11 +5,8 @@ import numpy as np
 from repro.core.bounds import (
     cauchy_schwarz,
     incremental_bound,
-    integer_bound_from_parts,
     integer_bound_relative_error,
     integer_upper_bound,
-    scaled_head_bound,
-    scaled_tail_bound,
     uniform_integer_bound,
 )
 from repro.core.scaling import ScaledItems, integer_parts
@@ -51,14 +48,17 @@ def test_integer_upper_bound_theorem2():
 
 
 def test_integer_bound_from_parts_matches_direct():
+    # The head bound assembles Theorem 2 from precomputed abs-sums; it
+    # must equal the direct formula on the same integer parts, unscaled.
     rng = np.random.default_rng(3)
-    iq = integer_parts(rng.normal(scale=5, size=6))
-    ip = integer_parts(rng.normal(scale=5, size=6))
-    direct = integer_upper_bound(iq, ip)
-    assembled = integer_bound_from_parts(
-        int(iq @ ip), int(np.abs(iq).sum()), int(np.abs(ip).sum()), 6
-    )
-    assert direct == assembled
+    items = rng.normal(scale=5, size=(8, 6))
+    scaled = ScaledItems(items, w=6, e=100)
+    sq = scaled.scale_query(rng.normal(scale=5, size=6))
+    bounds = scaled.head_bound(sq, np.arange(8))
+    for i in range(8):
+        direct = integer_upper_bound(sq.int_head, scaled.int_head[i])
+        assert bounds[i] == direct * ((sq.max_head * scaled.max_head)
+                                      / (100.0 * 100.0))
 
 
 def test_paper_worked_example_figures_4_and_5():
@@ -103,18 +103,26 @@ def test_split_bounds_are_admissible():
     items = rng.normal(scale=0.4, size=(60, 12))
     w = 4
     scaled = ScaledItems(items, w=w, e=100)
+    rows = np.arange(items.shape[0])
     for __ in range(20):
         q = rng.normal(scale=0.4, size=12)
         sq = scaled.scale_query(q)
+        head_bounds = scaled.head_bound(sq, rows)
+        tail_bounds = scaled.tail_bound(sq, rows)
         for i in range(items.shape[0]):
             head_exact = float(q[:w] @ items[i, :w])
             tail_exact = float(q[w:] @ items[i, w:])
-            assert head_exact <= scaled_head_bound(scaled, sq, i) + 1e-9
-            assert tail_exact <= scaled_tail_bound(scaled, sq, i) + 1e-9
+            assert head_exact <= head_bounds[i] + 1e-9
+            assert tail_exact <= tail_bounds[i] + 1e-9
+            # One row gives the bits of the batched call.
+            assert scaled.head_bound(sq, i) == head_bounds[i]
+            assert scaled.tail_bound(sq, i) == tail_bounds[i]
 
 
 def test_tail_bound_zero_when_w_equals_d():
     items = np.random.default_rng(8).normal(size=(10, 4))
     scaled = ScaledItems(items, w=4, e=100)
     sq = scaled.scale_query(np.ones(4))
-    assert scaled_tail_bound(scaled, sq, 0) == 0.0
+    assert scaled.tail_bound(sq, 0) == 0.0
+    np.testing.assert_array_equal(scaled.tail_bound(sq, np.arange(10)),
+                                  np.zeros(10))

@@ -161,6 +161,27 @@ def test_multiworker_process_scan_matches_serial_answer(variant):
 
 
 @needs_processes
+def test_multiworker_fanout_is_exact_on_ties():
+    # Rows of +-1 entries tie everywhere.  Two workers run the twelve
+    # shards in any interleaving, so a shard may read a later shard's
+    # threshold; the shared slot holds one ulp under each offered score,
+    # so its own tied rows, which rank ahead, are never pruned.
+    rng = np.random.default_rng(0)
+    items = rng.choice([-1.0, 1.0], size=(3000, 8))
+    queries = rng.integers(-3, 4, size=(150, 8)).astype(float)
+    for variant in ("F-I", "F-SIR"):
+        proc = ShardedFexiproIndex(items, shards=12, workers=2,
+                                   executor="process", variant=variant)
+        try:
+            for k in (1, 5, 20):
+                for q in queries:
+                    assert_same_answer(proc.index.query(q, k),
+                                       proc.query(q, k))
+        finally:
+            proc.close()
+
+
+@needs_processes
 def test_process_shard_reports_match_serial():
     items, queries = make_mf_like(500, 12, seed=91)
     proc = ShardedFexiproIndex(items, shards=3, workers=1,

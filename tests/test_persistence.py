@@ -69,6 +69,18 @@ def test_load_without_bar_norms_asks_for_a_rebuild(tmp_path, small_items,
         FexiproIndex.load(path)
 
 
+@pytest.mark.parametrize("fmt", [2, 3])
+def test_load_with_an_int64_integer_copy_asks_for_a_rebuild(tmp_path,
+                                                            small_items, fmt):
+    """A snapshot saved with the int64 integer parts and their knob cannot load."""
+    index = FexiproIndex(small_items)
+    index.integer_storage_dtype = np.dtype(np.int64)
+    path = tmp_path / "old.bin"
+    index.save(path, format=fmt)
+    with pytest.raises(ValidationError, match="rebuild"):
+        FexiproIndex.load(path)
+
+
 # ----------------------------------------------------------------------
 # Sharded index persistence
 # ----------------------------------------------------------------------

@@ -96,9 +96,10 @@ def tie_catalogs(draw):
     return items, adds, removes, query, variant, block_size
 
 
-@given(catalog=tie_catalogs(), k=st.integers(1, 12), j=st.integers(1, 4))
+@given(catalog=tie_catalogs(), k=st.integers(1, 12), j=st.integers(1, 4),
+       data=st.data())
 @settings(max_examples=200, deadline=None)
-def test_engines_equal_oracle_and_prefix_on_ties(catalog, k, j):
+def test_engines_equal_oracle_and_prefix_on_ties(catalog, k, j, data):
     items, adds, removes, q, variant, block_size = catalog
     index = FexiproIndex(items, variant=variant, block_size=block_size)
     if len(adds):
@@ -132,6 +133,33 @@ def test_engines_equal_oracle_and_prefix_on_ties(catalog, k, j):
     fanned, __ = serial_shard_fanout(sharded, q, k)
     assert fanned.ids == want
     assert fanned.scores == scores[:k]
+    # Any shard order, as a many-worker pool may run them: a later
+    # shard's threshold must not prune an earlier shard's tied rows.
+    order = data.draw(st.permutations(range(len(sharded._catalog_spans(snap)))),
+                      label="order")
+    fanned, __ = serial_shard_fanout(sharded, q, k, order=order)
+    assert fanned.ids == want
+    assert fanned.scores == scores[:k]
+
+
+@pytest.mark.parametrize("variant", ["F-I", "F-SIR"])
+def test_reversed_shard_fanout_keeps_tied_rows_of_earlier_shards(variant):
+    # Rows of +-1 entries give integer scores that tie across shards,
+    # and queries with zero tails make the incremental bound tight.
+    # Scanning the last shard first publishes its k-th score before the
+    # earlier shards, whose rows tied with it rank ahead of its own.
+    rng = np.random.default_rng(0)
+    items = rng.choice([-1.0, 1.0], size=(600, 8))
+    queries = rng.integers(-1, 2, size=(30, 8)).astype(float)
+    index = FexiproIndex(items, variant=variant)
+    sharded = ShardedFexiproIndex.from_index(index, shards=12, workers=1)
+    backwards = list(range(len(sharded.spans)))[::-1]
+    for k in (1, 5, 20):
+        for q in queries:
+            want = index.query(q, k)
+            fanned, __ = serial_shard_fanout(sharded, q, k, order=backwards)
+            assert fanned.ids == want.ids
+            assert fanned.scores == want.scores
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,8 @@ def test_equation8_full_product_identity():
 
 
 def test_head_partial_matches_explicit_prefix():
+    # The monotone bound is Equation 8's head partial (reduced dims
+    # 0 .. w+1) plus the residual norm product plus the slack.
     transform, reduction, q_bars = _fitted(seed=5)
     phh = reduction.reduced_items()
     w = reduction.w
@@ -91,8 +93,10 @@ def test_head_partial_matches_explicit_prefix():
         for i in range(0, reduction.n, 23):
             v_head = float(transform.items[i, :w] @ q_bar[:w])
             explicit = float(qhh[: w + 2] @ phh[i, : w + 2])
-            assert reduction.head_partial(v_head, mq, i) == pytest.approx(
-                explicit, rel=1e-9, abs=1e-9
+            residual = (float(np.linalg.norm(qhh[w + 2:]))
+                        * float(np.linalg.norm(phh[i, w + 2:])))
+            assert reduction.monotone_bound(v_head, mq, i) == pytest.approx(
+                explicit + residual + reduction.slack, rel=1e-9, abs=1e-9
             )
 
 
@@ -100,13 +104,17 @@ def test_monotone_bound_is_admissible():
     transform, reduction, q_bars = _fitted(seed=6)
     phh = reduction.reduced_items()
     w = reduction.w
+    rows = np.arange(0, reduction.n, 11)
     for q_bar in q_bars[:4]:
         qhh = reduction.reduce_query(q_bar)
         mq = reduction.for_query(q_bar)
         exact = phh @ qhh
-        for i in range(0, reduction.n, 11):
-            v_head = float(transform.items[i, :w] @ q_bar[:w])
-            assert reduction.monotone_bound(v_head, mq, i) >= exact[i] - 1e-9
+        v_head = transform.items[rows, :w] @ q_bar[:w]
+        bounds = reduction.monotone_bound(v_head, mq, rows)
+        for j, i in enumerate(rows):
+            assert bounds[j] >= exact[i] - 1e-9
+            # One row gives the bits of the batched call.
+            assert reduction.monotone_bound(v_head[j], mq, i) == bounds[j]
 
 
 def test_partial_products_monotone_past_bookkeeping_dims():

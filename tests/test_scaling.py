@@ -1,13 +1,32 @@
 """Unit tests for integer scaling (paper Section 4 / Equations 4 and 7)."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro import FexiproIndex
 from repro.core.scaling import (
     ScaledItems,
     integer_parts,
     scale_uniform,
 )
+from repro.exceptions import ValidationError
+
+
+def _bench_es(filename):
+    """The ``ES`` sweep a benchmark module declares, read without importing it."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / filename
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "ES" for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{filename} declares no ES")
+
+
+SWEPT_ES = sorted(set(_bench_es("bench_fig11_e.py"))
+                  | set(_bench_es("bench_appendix_a_integer_tightness.py")))
 
 
 def test_scale_uniform_range():
@@ -44,7 +63,7 @@ def test_integer_parts_is_floor():
     vec = np.array([1.9, -1.1, 0.0, -0.0, 2.0, -3.999])
     np.testing.assert_array_equal(integer_parts(vec),
                                   [1, -2, 0, 0, 2, -4])
-    assert integer_parts(vec).dtype == np.int64
+    assert integer_parts(vec).dtype == np.float64
 
 
 def test_scaled_items_shapes_and_sums():
@@ -109,9 +128,49 @@ def test_unscale_factors():
     scaled = ScaledItems(items, w=3, e=50)
     q = rng.normal(size=6)
     sq = scaled.scale_query(q)
-    assert scaled.head_unscale_factor(sq) == pytest.approx(
-        sq.max_head * scaled.max_head / 2500.0
-    )
-    assert scaled.tail_unscale_factor(sq) == pytest.approx(
-        sq.max_tail * scaled.max_tail / 2500.0
-    )
+    rows = np.arange(12)
+    head_iu = (scaled.int_head @ sq.int_head + sq.abs_sum_head
+               + scaled.abs_sum_head + 3)
+    tail_iu = (scaled.int_tail @ sq.int_tail + sq.abs_sum_tail
+               + scaled.abs_sum_tail + 3)
+    np.testing.assert_allclose(
+        scaled.head_bound(sq, rows),
+        head_iu * sq.max_head * scaled.max_head / 2500.0, rtol=1e-12)
+    np.testing.assert_allclose(
+        scaled.tail_bound(sq, rows),
+        tail_iu * sq.max_tail * scaled.max_tail / 2500.0, rtol=1e-12)
+
+
+def test_integer_parts_are_stored_once_as_float64():
+    items = np.random.default_rng(6).normal(size=(20, 8))
+    scaled = ScaledItems(items, w=3, e=100)
+    for block in (scaled.int_head, scaled.int_tail, scaled.abs_sum_head,
+                  scaled.abs_sum_tail):
+        assert block.dtype == np.float64
+        np.testing.assert_array_equal(block, np.floor(block))
+    assert not any(isinstance(value, np.ndarray) and value.dtype.kind == "i"
+                   for value in vars(scaled).values())
+
+
+def test_e_must_keep_integer_sums_exact():
+    # d * (e + 1)**2 > 2**53: float64 sums of integer parts stop being
+    # exact, so the index refuses to build rather than mis-prune.
+    items = np.random.default_rng(7).normal(size=(30, 50))
+    with pytest.raises(ValidationError, match="2\\*\\*53"):
+        ScaledItems(items, w=10, e=1e10)
+    with pytest.raises(ValidationError):
+        FexiproIndex(items, variant="F-SIR", e=1e10)
+    with pytest.raises(ValidationError):
+        ScaledItems(items, w=10, e=float("inf"))
+    # The boundary itself: d * (e + 1)**2 == 2**53 still builds.
+    ScaledItems(np.ones((2, 2)), w=1, e=2.0 ** 26 - 1)
+    with pytest.raises(ValidationError):
+        ScaledItems(np.ones((2, 2)), w=1, e=2.0 ** 26)
+
+
+@pytest.mark.parametrize("e", SWEPT_ES)
+def test_every_swept_e_still_builds(e):
+    items = np.random.default_rng(8).normal(size=(40, 50))
+    index = FexiproIndex(items, variant="F-SIR", e=e)
+    q = np.random.default_rng(9).normal(size=50)
+    assert index.query(q, 3).ids == index.query(q, 3, engine="gemm").ids

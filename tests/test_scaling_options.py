@@ -1,4 +1,4 @@
-"""Tests for the int8 storage option and the split-vs-uniform scaling ablation."""
+"""Tests for writes outside the scaling range and the split-vs-uniform ablation."""
 
 import numpy as np
 import pytest
@@ -15,54 +15,17 @@ def data():
 
 
 # ----------------------------------------------------------------------
-# int8 storage (paper future work: SIMD-friendly small integers)
+# Writes outside the scaling range
 # ----------------------------------------------------------------------
 
-def test_int8_identical_pruning_decisions(data):
+def test_add_items_outside_scaling_range_deferred_to_compaction(data):
     items, queries = data
-    wide = FexiproIndex(items, variant="F-SIR")
-    narrow = FexiproIndex(items, variant="F-SIR",
-                          integer_storage_dtype=np.int8)
-    for q in queries[:8]:
-        a = wide.query(q, k=7)
-        b = narrow.query(q, k=7)
-        assert a.ids == b.ids
-        np.testing.assert_allclose(a.scores, b.scores)
-        assert a.stats.as_dict() == b.stats.as_dict()
-
-
-def test_int8_shrinks_integer_footprint(data):
-    items, __ = data
-    wide = FexiproIndex(items, variant="F-SIR")
-    narrow = FexiproIndex(items, variant="F-SIR",
-                          integer_storage_dtype=np.int8)
-    assert narrow.scaled.integer_nbytes * 7 < wide.scaled.integer_nbytes
-
-
-def test_int8_rejects_oversized_e(data):
-    items, __ = data
-    with pytest.raises(ValueError):
-        FexiproIndex(items, variant="F-SIR", e=1000,
-                     integer_storage_dtype=np.int8)
-
-
-def test_storage_dtype_must_be_signed_integer(data):
-    items, __ = data
-    with pytest.raises(ValueError):
-        ScaledItems(items, w=4, storage_dtype=np.float32)
-    with pytest.raises(ValueError):
-        ScaledItems(items, w=4, storage_dtype=np.uint8)
-
-
-def test_int8_add_items_overflow_rebuild_deferred_to_compaction(data):
-    items, queries = data
-    index = FexiproIndex(items, variant="F-SIR",
-                         integer_storage_dtype=np.int8)
+    index = FexiproIndex(items, variant="F-SIR")
     before = index.transform
-    # A vector ~40x the existing max would overflow int8 after scaling by
-    # the stale maxima — but the write lands in the brute-force delta
-    # tier, which never goes through integer scaling, so the add is O(1)
-    # and the base transform is untouched.  Results stay exact.
+    # A vector ~40x the existing max would scale far past e under the
+    # stale maxima — but the write lands in the brute-force delta tier,
+    # which never goes through integer scaling, so the add is O(1) and
+    # the base transform is untouched.  Results stay exact.
     giant = np.ones((1, items.shape[1])) * 40.0 * np.abs(items).max()
     index.add_items(giant)
     assert index.transform is before
@@ -73,7 +36,7 @@ def test_int8_add_items_overflow_rebuild_deferred_to_compaction(data):
     result = index.query(q, k=5)
     np.testing.assert_allclose(result.scores, truth_scores, atol=1e-8)
     # Compaction folds the giant row into the base tier, re-running
-    # preprocessing with fresh scaling maxima — no int8 corruption.
+    # preprocessing with fresh scaling maxima.
     assert index.compact()
     assert index.transform is not before
     result = index.query(q, k=5)
