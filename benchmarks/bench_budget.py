@@ -67,7 +67,6 @@ def _budget_config(budget_flops):
     if budget_flops is None:
         return ServiceConfig(workers=1, collect_timings=False)
     return ServiceConfig(workers=1, collect_timings=False,
-                         deadline_policy="budget",
                          budget_flops=budget_flops)
 
 

@@ -226,15 +226,10 @@ class Fexipro:
         ``deadline`` arms a fresh monotonic
         :class:`~repro.serve.resilience.Deadline` (seconds, or a
         prebuilt ``Deadline``), each mutually exclusive with the same
-        field already set on ``options`` — and with each other, because
-        a single call gets one degradation trigger denominated in either
-        compute or wall-clock, not both.
+        field already set on ``options``.  :class:`ScanOptions` itself
+        refuses a deadline together with a budget: a scan gets one
+        degradation trigger.
         """
-        if budget is not None and deadline is not None:
-            raise ValidationError(
-                "pass budget= or deadline=, not both: pick one "
-                "degradation trigger (compute or wall-clock) per call"
-            )
         if budget is None and deadline is None:
             return options
         base = options if options is not None else ScanOptions()
@@ -243,23 +238,11 @@ class Fexipro:
                 raise ValidationError(
                     "pass budget= or options.budget, not both"
                 )
-            if base.deadline is not None:
-                raise ValidationError(
-                    "budget= cannot be combined with options.deadline: "
-                    "pick one degradation trigger (compute or wall-clock) "
-                    "per call"
-                )
             base = base.replace(budget=FlopBudget(budget))
         if deadline is not None:
             if base.deadline is not None:
                 raise ValidationError(
                     "pass deadline= or options.deadline, not both"
-                )
-            if base.budget is not None:
-                raise ValidationError(
-                    "deadline= cannot be combined with options.budget: "
-                    "pick one degradation trigger (compute or wall-clock) "
-                    "per call"
                 )
             if not isinstance(deadline, Deadline):
                 deadline = Deadline(float(deadline))

@@ -266,17 +266,13 @@ def _cmd_serve(args) -> None:
     from .core.index import FexiproIndex
     from .serve import RetrievalService, ServiceConfig
 
-    if args.budget_flops is not None and args.deadline_ms is not None:
-        raise SystemExit(
-            "fexipro serve: --budget-flops and --deadline-ms are mutually "
-            "exclusive; pick one degradation trigger per service "
-            "(compute or wall-clock)"
-        )
-    if args.budget_flops is None and args.shed_capacity_flops is not None:
-        raise SystemExit(
-            "fexipro serve: --shed-capacity-flops requires --budget-flops "
-            "(shedding is denominated in the same FLOP currency)"
-        )
+    # Built before any work, so a bad trigger flag combination fails
+    # fast with the config's own message.
+    truncation_config = ServiceConfig(
+        workers=args.workers, executor=args.executor,
+        deadline_ms=args.deadline_ms, budget_flops=args.budget_flops,
+        truncation_policy=args.truncation_policy,
+        shed_capacity_flops=args.shed_capacity_flops)
 
     workload = _workload(args)
     report.print_header(
@@ -337,11 +333,9 @@ def _cmd_serve(args) -> None:
          for stage, seconds in snapshot["stage_seconds"].items()],
     )
 
-    if args.deadline_ms is not None:
-        _serve_deadline_section(args, workload, index, serial)
-
-    if args.budget_flops is not None:
-        _serve_budget_section(args, workload, index, serial)
+    if args.deadline_ms is not None or args.budget_flops is not None:
+        _serve_truncation_section(args, workload, index, serial,
+                                  truncation_config)
 
     if args.shards:
         _serve_sharded_section(args, workload, index, serial, serial_time)
@@ -445,49 +439,25 @@ def _serve_cache_section(args, workload, index, serial) -> None:
     )
 
 
-def _serve_deadline_section(args, workload, index, serial) -> None:
-    """The ``--deadline-ms`` addendum: exact-prefix degradation in action."""
-    from .serve import RetrievalService, ServiceConfig
+def _serve_truncation_section(args, workload, index, serial,
+                              config) -> None:
+    """The ``--deadline-ms`` / ``--budget-flops`` addendum: truncated scans.
 
-    report.print_header(
-        f"Deadline degradation - {args.deadline_ms} ms budget per query"
-    )
-    config = ServiceConfig(workers=args.workers,
-                           executor=args.executor,
-                           deadline_ms=args.deadline_ms)
-    with RetrievalService(index, config) as service:
-        response = service.batch(workload.queries, k=args.k)
-    hits = 0
-    for result, truth in zip(response.results, serial):
-        hits += len(set(result.ids) & set(truth.ids))
-    m = len(workload.queries)
-    report.print_table(
-        ["metric", "value"],
-        [["queries degraded (deadline hit)", response.deadline_hits],
-         ["batch complete", response.complete],
-         [f"recall@{args.k} of degraded batch vs full scan",
-          round(hits / (args.k * m), 3) if m else 0.0],
-         ["items scanned (batch total)", response.stats.scanned],
-         ["items in scope (batch total)", response.stats.n_items]],
-    )
-
-
-def _serve_budget_section(args, workload, index, serial) -> None:
-    """The ``--budget-flops`` addendum: anytime execution with bands."""
+    A degraded query keeps the exact top-k of the length-sorted prefix it
+    scanned (with a certified band in budget mode); under
+    ``--truncation-policy fail`` it becomes a structured error instead.
+    """
     import math
 
-    from .serve import RetrievalService, ServiceConfig
+    from .serve import RetrievalService
 
+    trigger = (f"{config.deadline_ms} ms deadline"
+               if config.deadline_ms is not None
+               else f"{config.budget_flops:g} coordinate FLOPs")
     report.print_header(
-        f"Budgeted anytime execution - {args.budget_flops:g} coordinate "
-        f"FLOPs per query (policy {args.budget_policy!r})"
+        f"Truncated scans - {trigger} per query "
+        f"(policy {config.truncation_policy!r})"
     )
-    config = ServiceConfig(workers=args.workers,
-                           executor=args.executor,
-                           deadline_policy="budget",
-                           budget_flops=args.budget_flops,
-                           budget_policy=args.budget_policy,
-                           shed_capacity_flops=args.shed_capacity_flops)
     with RetrievalService(index, config) as service:
         response = service.batch(workload.queries, k=args.k)
         snapshot = service.metrics_snapshot()
@@ -503,21 +473,22 @@ def _serve_budget_section(args, workload, index, serial) -> None:
                 widths.append(result.bounds.tail_upper
                               - result.bounds.kth_lower)
     counters = snapshot["counters"]
-    report.print_table(
-        ["metric", "value"],
-        [["queries degraded (budget exhausted)", response.budget_hits],
-         ["queries shed (admission control)", response.shed],
-         ["structured errors", len(response.errors)],
-         ["batch complete", response.complete],
-         [f"recall@{args.k} of budgeted batch vs full scan",
-          round(hits / (args.k * m), 3) if m else 0.0],
-         ["avg certified band width (tail_upper - kth_lower)",
-          round(sum(widths) / len(widths), 4) if widths else "n/a"],
-         ["items scanned (batch total)", response.stats.scanned],
-         ["budget.degraded_queries counter",
-          counters.get("budget.degraded_queries", 0)],
-         ["shed.queries counter", counters.get("shed.queries", 0)]],
-    )
+    rows = [["queries degraded (deadline hit)", response.deadline_hits],
+            ["queries degraded (budget exhausted)", response.budget_hits],
+            ["queries shed (admission control)", response.shed],
+            ["structured errors", len(response.errors)],
+            ["batch complete", response.complete],
+            [f"recall@{args.k} of truncated batch vs full scan",
+             round(hits / (args.k * m), 3) if m else 0.0],
+            ["items scanned (batch total)", response.stats.scanned],
+            ["items in scope (batch total)", response.stats.n_items]]
+    if config.budget_flops is not None:
+        rows += [["avg certified band width (tail_upper - kth_lower)",
+                  round(sum(widths) / len(widths), 4) if widths else "n/a"],
+                 ["budget.degraded_queries counter",
+                  counters.get("budget.degraded_queries", 0)],
+                 ["shed.queries counter", counters.get("shed.queries", 0)]]
+    report.print_table(["metric", "value"], rows)
 
 
 def _serve_sharded_section(args, workload, index, serial,
@@ -771,21 +742,21 @@ def build_parser() -> argparse.ArgumentParser:
                                   "shards (0 = off)")
             cmd.add_argument("--deadline-ms", type=float, default=None,
                              help="per-query scan budget in ms; expired "
-                                  "queries degrade to the exact top-k of "
-                                  "the scanned length-sorted prefix "
+                                  "queries follow --truncation-policy "
                                   "(default: no deadline)")
             cmd.add_argument("--budget-flops", type=float, default=None,
                              help="per-query compute budget in coordinate "
                                   "FLOPs (a full scan costs about n*d); "
-                                  "turns on deadline_policy='budget' with "
-                                  "certified result bands; mutually "
-                                  "exclusive with --deadline-ms")
-            cmd.add_argument("--budget-policy", default="degrade",
+                                  "turns on budget mode with certified "
+                                  "result bands; mutually exclusive with "
+                                  "--deadline-ms")
+            cmd.add_argument("--truncation-policy", default="degrade",
                              choices=("degrade", "fail"),
-                             help="what budget exhaustion does: 'degrade' "
+                             help="what a scan cut short by --deadline-ms "
+                                  "or --budget-flops does: 'degrade' "
                                   "(default) returns the exact prefix "
-                                  "top-k with a certified band, 'fail' "
-                                  "raises a structured error")
+                                  "top-k, 'fail' raises a structured "
+                                  "error")
             cmd.add_argument("--shed-capacity-flops", type=float,
                              default=None,
                              help="aggregate FLOP capacity per batch for "

@@ -17,7 +17,8 @@ the shared cell; and the ``block`` span event.  A stop sets
 The blocked, GEMM and delta kernels call :meth:`~BlockCursor.enter` per
 block; the reference engine calls :meth:`~BlockCursor.poll` per item;
 the process fan-out's shard scans poll each shard boundary with zero
-units.
+units.  A caller that cannot use a truncated scan turns it into an error
+with :func:`raise_if_truncated`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,30 @@ from __future__ import annotations
 from typing import Optional
 
 from .. import _faultsites
+from ..exceptions import BudgetExhaustedError, DeadlineExceededError
 from .options import ScanOptions
 from .stats import PruningStats
 
-__all__ = ["BlockCursor"]
+__all__ = ["BlockCursor", "raise_if_truncated"]
+
+
+def raise_if_truncated(stats: PruningStats, scan: str) -> None:
+    """Raise if a deadline or FLOP budget stopped the scan ``stats`` counts.
+
+    :class:`~repro.exceptions.DeadlineExceededError` or
+    :class:`~repro.exceptions.BudgetExhaustedError`, carrying the
+    ``items_scanned`` prefix length; ``scan`` names the scan in the
+    message.  A complete scan returns.
+    """
+    if stats.deadline_hit:
+        raise DeadlineExceededError(
+            f"{scan} hit its deadline after scanning {stats.scanned} of "
+            f"{stats.n_items} items", items_scanned=stats.scanned)
+    if stats.budget_exhausted:
+        raise BudgetExhaustedError(
+            f"{scan} exhausted its FLOP budget after scanning "
+            f"{stats.scanned} of {stats.n_items} items",
+            items_scanned=stats.scanned)
 
 
 class BlockCursor:

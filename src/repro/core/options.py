@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, replace as _dc_replace
 from typing import Any, Optional
 
+from ..exceptions import ValidationError
+
 __all__ = ["DEFAULT_SCAN_OPTIONS", "ScanOptions"]
 
 
@@ -56,6 +58,9 @@ class ScanOptions:
         ``stats.budget_exhausted``, and budget-aware callers attach a
         certified :class:`~repro.core.budget.ResultBounds` band.  An
         infinite budget changes nothing — bitwise identical to ``None``.
+
+    A scan stops on at most one trigger: ``deadline`` and ``budget``
+    together raise :class:`~repro.exceptions.ValidationError`.
     """
 
     initial_threshold: float = -math.inf
@@ -64,6 +69,13 @@ class ScanOptions:
     shared: Optional[Any] = None
     span: Optional[Any] = None
     budget: Optional[Any] = None
+
+    def __post_init__(self) -> None:
+        if self.deadline is not None and self.budget is not None:
+            raise ValidationError(
+                "a scan takes a deadline or a FLOP budget, not both: pick "
+                "one degradation trigger (wall-clock or compute) per scan"
+            )
 
     def replace(self, **changes: Any) -> "ScanOptions":
         """A copy with the given fields swapped (dataclasses.replace)."""

@@ -56,13 +56,10 @@ import numpy as np
 
 from .. import _faultsites
 from .._validation import check_k, safe_norm, safe_row_norms
-from ..exceptions import (
-    BudgetExhaustedError,
-    DeadlineExceededError,
-    QueryError,
-    ValidationError,
-)
+from ..exceptions import QueryError, ValidationError
 from .delta import LiveCatalog
+from .driver import raise_if_truncated
+from .gemm import _C_SAFETY, _ETA
 from .index import FexiproIndex, prepare_query_states
 from .options import ScanOptions
 from .sharded import ShardedFexiproIndex
@@ -94,10 +91,16 @@ def score_margin(d: int, norm_products: np.ndarray) -> np.ndarray:
     works).  Both the BLAS-computed value and the engines' scalar value
     lie within the classic ``gamma_d``-style bound of the real product,
     so their spread is within twice it; :data:`_MARGIN_HEADROOM` buys the
-    rest.  Comparisons decided outside this margin transfer soundly to
-    the engines' floats; anything inside it must be verified exactly.
+    rest.  The relative term underflows to 0 for denormal-range
+    products, where each rounding can still be off by a smallest
+    denormal, so the absolute underflow allowance of
+    :func:`~repro.core.gemm.dot_error_margin` is added; it is far below
+    one ulp of any normal-range margin.  Comparisons decided outside
+    this margin transfer soundly to the engines' floats; anything inside
+    it must be verified exactly.
     """
-    return _MARGIN_HEADROOM * d * _EPS * np.abs(norm_products)
+    return _MARGIN_HEADROOM * d * _EPS * np.abs(norm_products) \
+        + (_C_SAFETY * d) * _ETA
 
 
 @dataclass
@@ -499,16 +502,7 @@ class ReverseIndex:
             if seed > -math.inf else options
         buffer, fstats = self._inner._scan(qs, k, options=opts,
                                            snapshot=fsnap, engine=engine)
-        if fstats.deadline_hit:
-            raise DeadlineExceededError(
-                "reverse verification deadline expired before the "
-                "forward scan completed; the audience cannot be "
-                "certified", items_scanned=fstats.scanned)
-        if fstats.budget_exhausted:
-            raise BudgetExhaustedError(
-                "reverse verification FLOP budget exhausted before the "
-                "forward scan completed; the audience cannot be "
-                "certified", items_scanned=fstats.scanned)
+        raise_if_truncated(fstats, "reverse verification scan")
         stats.forward.merge(fstats)
         positions, scores = buffer.items_and_scores()
         ids = [int(fsnap.full_order[p]) for p in positions]

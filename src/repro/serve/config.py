@@ -77,33 +77,28 @@ class ServiceConfig:
     deadline_ms:
         Per-query scan time budget in milliseconds (``None`` = unlimited).
         A fresh monotonic :class:`~repro.serve.resilience.Deadline` is
-        armed per query and polled at block boundaries; expiry
-        behaviour follows ``deadline_policy``.
-    deadline_policy:
-        ``"degrade"`` (default): an expired query returns the exact top-k
-        of the length-sorted prefix it scanned, flagged
-        ``complete=False`` with ``stats.deadline_hit`` set.  ``"fail"``:
-        the query raises
-        :class:`~repro.exceptions.DeadlineExceededError` instead
-        (surfaced per query in :attr:`BatchResponse.errors`; re-raised by
-        :meth:`RetrievalService.query`).  ``"budget"``: the service runs
-        in *compute*-denominated SLO mode — every query is armed with a
-        :class:`~repro.core.budget.FlopBudget` of ``budget_flops``
-        coordinate units instead of a wall-clock deadline (the two are
-        mutually exclusive: ``deadline_ms`` must be ``None``), and
-        exhaustion behaviour follows ``budget_policy``.
+        armed per query and polled at block boundaries.
     budget_flops:
         Per-query FLOP budget in coordinate (multiply-accumulate) units —
         the currency of :class:`~repro.analysis.cost_model.CostModel`; a
-        full un-pruned scan costs about ``n * d`` units.  Required (and
-        only legal) when ``deadline_policy="budget"``.
-    budget_policy:
-        ``"degrade"`` (default): a budget-exhausted query returns the
-        exact top-k of the length-sorted prefix it scanned, flagged
-        ``complete=False`` with ``stats.budget_exhausted`` set and a
-        certified :class:`~repro.core.budget.ResultBounds` band attached.
+        full un-pruned scan costs about ``n * d`` units.  When set, the
+        service runs in *compute*-denominated SLO mode (budget mode):
+        every query is armed with a fresh
+        :class:`~repro.core.budget.FlopBudget` of this size, and results
+        carry a certified :class:`~repro.core.budget.ResultBounds` band.
+        A query gets one stop trigger, so ``deadline_ms`` must then be
+        ``None``.
+    truncation_policy:
+        What a scan truncated by its deadline or budget does.
+        ``"degrade"`` (default): the query returns the exact top-k of the
+        length-sorted prefix it scanned, flagged ``complete=False`` with
+        ``stats.deadline_hit`` or ``stats.budget_exhausted`` set.
         ``"fail"``: the query raises
-        :class:`~repro.exceptions.BudgetExhaustedError` instead.
+        :class:`~repro.exceptions.DeadlineExceededError` or
+        :class:`~repro.exceptions.BudgetExhaustedError` instead
+        (surfaced per query in :attr:`BatchResponse.errors`; re-raised by
+        :meth:`RetrievalService.query`).  A campaign probe fails on a
+        truncated verification scan under either policy.
     shed_capacity_flops:
         Optional admission-control capacity in the same units.  When a
         batch's aggregate demand — queue depth × the cost model's
@@ -181,9 +176,8 @@ class ServiceConfig:
     executor: str = "auto"
     mp_start_method: Optional[str] = None
     deadline_ms: Optional[float] = None
-    deadline_policy: str = "degrade"
     budget_flops: Optional[float] = None
-    budget_policy: str = "degrade"
+    truncation_policy: str = "degrade"
     shed_capacity_flops: Optional[float] = None
     retries: int = 1
     retry_backoff_ms: float = 0.0
@@ -236,11 +230,6 @@ class ServiceConfig:
                 f"deadline_ms must be a positive number or None; "
                 f"got {self.deadline_ms!r}"
             )
-        if self.deadline_policy not in ("degrade", "fail", "budget"):
-            raise ValidationError(
-                f"deadline_policy must be 'degrade', 'fail' or 'budget'; "
-                f"got {self.deadline_policy!r}"
-            )
         if self.budget_flops is not None and not (
                 isinstance(self.budget_flops, (int, float))
                 and not isinstance(self.budget_flops, bool)
@@ -249,28 +238,15 @@ class ServiceConfig:
                 f"budget_flops must be a non-negative number or None; "
                 f"got {self.budget_flops!r}"
             )
-        if self.budget_policy not in ("degrade", "fail"):
+        if self.deadline_ms is not None and self.budget_flops is not None:
             raise ValidationError(
-                f"budget_policy must be 'degrade' or 'fail'; "
-                f"got {self.budget_policy!r}"
+                "set deadline_ms or budget_flops, not both: a query gets "
+                "one degradation trigger (wall-clock or compute)"
             )
-        if self.deadline_policy == "budget":
-            if self.budget_flops is None:
-                raise ValidationError(
-                    "deadline_policy='budget' requires budget_flops to be "
-                    "set"
-                )
-            if self.deadline_ms is not None:
-                raise ValidationError(
-                    "deadline_policy='budget' is compute-denominated and "
-                    "cannot be combined with a wall-clock deadline_ms of "
-                    f"{self.deadline_ms!r}; set one or the other"
-                )
-        elif self.budget_flops is not None:
+        if self.truncation_policy not in ("degrade", "fail"):
             raise ValidationError(
-                "budget_flops is only meaningful with "
-                "deadline_policy='budget'; "
-                f"got deadline_policy={self.deadline_policy!r}"
+                f"truncation_policy must be 'degrade' or 'fail'; "
+                f"got {self.truncation_policy!r}"
             )
         if self.shed_capacity_flops is not None:
             if not (isinstance(self.shed_capacity_flops, (int, float))

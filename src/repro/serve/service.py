@@ -25,12 +25,15 @@ answered in two phases:
 
 On top of the two phases sits a failure model (see ``DESIGN.md`` §2.8):
 
-- **Deadlines** — ``ServiceConfig.deadline_ms`` arms a fresh monotonic
-  :class:`~repro.serve.resilience.Deadline` per query, polled by the
-  engines at block boundaries.  Expiry either degrades (the exact top-k
-  of the scanned length-sorted prefix, ``complete=False``) or fails the
-  query (:class:`~repro.exceptions.DeadlineExceededError`), per
-  ``deadline_policy``.
+- **Stop triggers** — ``ServiceConfig.deadline_ms`` arms a fresh
+  monotonic :class:`~repro.serve.resilience.Deadline` per query, or
+  ``ServiceConfig.budget_flops`` a fresh
+  :class:`~repro.core.budget.FlopBudget` (never both), polled by the
+  engines at block boundaries.  A truncated scan either degrades (the
+  exact top-k of the scanned length-sorted prefix, ``complete=False``)
+  or fails the query (:class:`~repro.exceptions.DeadlineExceededError` /
+  :class:`~repro.exceptions.BudgetExhaustedError`), per
+  ``truncation_policy``.
 - **Per-query fault isolation** — a raising query does not poison the
   batch: it becomes a structured
   :class:`~repro.serve.resilience.QueryError` in
@@ -69,8 +72,9 @@ from ..core.stats import (
 from ..core.budget import FlopBudget
 from ..core.delta import LiveCatalog, catalog_result
 from ..core.options import ScanOptions
-from ..exceptions import BudgetExhaustedError, DeadlineExceededError, \
-    OverloadSheddedError, QueryError, ServiceClosedError, ValidationError
+from ..core.driver import raise_if_truncated
+from ..exceptions import OverloadSheddedError, QueryError, \
+    ServiceClosedError, ValidationError
 from ..obs.trace import Span, Tracer
 from .cache import CacheLookup, QueryCache
 from .config import ServiceConfig
@@ -197,12 +201,6 @@ class _Pending:
         self.positions: List[Optional[Tuple[int, ...]]] = [None] * m
         self.errors: List[Optional[QueryError]] = [None] * m
         self.timings: List[Optional[StageTimings]] = [None] * m
-
-    def new_budget(self) -> Optional[FlopBudget]:
-        """A fresh per-attempt FLOP budget, or ``None`` outside budget mode."""
-        if self.budget_flops is None:
-            return None
-        return FlopBudget(self.budget_flops)
 
 
 class RetrievalService:
@@ -346,9 +344,10 @@ class RetrievalService:
         """Serve one query through the batch machinery (metrics included).
 
         A failed query re-raises its underlying error (including
-        :class:`~repro.exceptions.DeadlineExceededError` under the
-        ``"fail"`` policy); a deadline-degraded one returns normally with
-        ``complete=False``.
+        :class:`~repro.exceptions.DeadlineExceededError` or
+        :class:`~repro.exceptions.BudgetExhaustedError` under
+        ``truncation_policy="fail"``); a degraded one returns normally
+        with ``complete=False``.
         """
         q = as_query_vector(query, self.index.d)
         response = self.batch(q.reshape(1, -1), k)
@@ -381,7 +380,7 @@ class RetrievalService:
             # Every visible item has been removed: the exact answer to
             # any query is the well-formed empty result (banded in budget
             # mode).
-            budgeted = self.config.deadline_policy == "budget"
+            budgeted = self.config.budget_flops is not None
             response = BatchResponse(
                 results=[_empty_result(wall_started, budgeted=budgeted)
                          for __ in range(m)],
@@ -520,10 +519,12 @@ class RetrievalService:
         first probe serves them all, and failures are isolated per probe
         exactly like :meth:`batch`: a failed probe's slot is ``None``
         with a structured :class:`~repro.exceptions.QueryError` in
-        ``errors``.  The service's per-query deadline
-        (``config.deadline_ms``) is armed afresh for each probe's
-        verification scans; a deadline that expires mid-probe fails
-        *that probe* (an audience is exact or absent, never partial).
+        ``errors``.  The service's per-query trigger (a
+        ``config.deadline_ms`` deadline or a ``config.budget_flops``
+        budget) is armed afresh for each probe's verification scans; a
+        trigger that fires mid-probe fails *that probe* whatever the
+        ``truncation_policy`` (an audience is exact or absent, never
+        partial).
         ``engine`` overrides the configured scan engine for the
         verification scans.
 
@@ -550,7 +551,7 @@ class RetrievalService:
             if self.tracer is not None else None
         response = campaign_scan(
             rindex, probe_ids, k,
-            options=lambda: ScanOptions(deadline=self._new_deadline()),
+            options=lambda: self._armed(self.config.budget_flops),
             engine=engine, span=root)
         if root is not None:
             root.set(errors=len(response.errors),
@@ -897,17 +898,16 @@ class RetrievalService:
     def _scan_one(self, work: _Pending, j: int, span: Optional[Span]):
         """One in-process single scan of state ``j``, as a raw outcome.
 
-        Every call arms a fresh deadline and FLOP budget (a retry starts
-        with a full budget) and scans the batch's snapshot (a retry cannot
-        silently move to a newer catalog than its neighbours saw).
+        Every call arms a fresh trigger (a retry starts with a full
+        budget) and scans the batch's snapshot (a retry cannot silently
+        move to a newer catalog than its neighbours saw).
         """
         timings = StageTimings() if work.collect else None
         started = time.perf_counter()
         buffer, stats = self.index._scan(
             work.states[j], work.k,
-            options=ScanOptions(initial_threshold=work.seeds[j],
-                                deadline=self._new_deadline(),
-                                budget=work.new_budget(),
+            options=self._armed(work.budget_flops,
+                                initial_threshold=work.seeds[j],
                                 timings=timings, span=span),
             engine=work.engine, snapshot=work.snap,
         )
@@ -922,14 +922,15 @@ class RetrievalService:
         the survivors' raw length-sorted positions (which the cache
         stores for bucket re-scoring) and scores by descending score, the
         pruning counters, scan seconds and stage timings (or ``None``).
-        The deadline/budget policy runs first — under ``"fail"``
-        a truncated scan raises here, before anything is recorded — then
+        The truncation policy runs first — under ``"fail"`` a truncated
+        scan raises here, before anything is recorded — then
         the span closes (with a ``degraded`` event for a truncated scan),
         and the timings, positions and result fill the slots; the batch
         merges the slots' timings in request order.
         """
         positions, scores, stats, elapsed, timings = outcome
-        self._enforce_policy(work.indices[j], stats)
+        if self.config.truncation_policy == "fail":
+            raise_if_truncated(stats, f"query {work.indices[j]}")
         if span is not None:
             if stats.deadline_hit or stats.budget_exhausted:
                 span.event("degraded", scanned=stats.scanned)
@@ -944,28 +945,19 @@ class RetrievalService:
     # Resilience plumbing
     # ------------------------------------------------------------------
 
-    def _new_deadline(self) -> Optional[Deadline]:
-        """A fresh per-query deadline, or ``None`` when unconfigured."""
-        if self.config.deadline_ms is None:
-            return None
-        return Deadline.after_ms(self.config.deadline_ms, clock=self._clock)
+    def _armed(self, budget_flops: Optional[float],
+               **fields) -> ScanOptions:
+        """Scan options with a fresh per-query stop trigger.
 
-    def _enforce_policy(self, qi: int, stats: PruningStats) -> None:
-        """Raise under a ``"fail"`` policy when a scan was truncated."""
-        if stats.deadline_hit and self.config.deadline_policy == "fail":
-            raise DeadlineExceededError(
-                f"query {qi} exceeded its {self.config.deadline_ms} ms "
-                f"deadline after scanning {stats.scanned} of "
-                f"{stats.n_items} items",
-                items_scanned=stats.scanned,
-            )
-        if stats.budget_exhausted and self.config.budget_policy == "fail":
-            raise BudgetExhaustedError(
-                f"query {qi} exhausted its "
-                f"{self.config.budget_flops:g}-coordinate FLOP budget "
-                f"after scanning {stats.scanned} of {stats.n_items} items",
-                items_scanned=stats.scanned,
-            )
+        A :class:`Deadline` of ``config.deadline_ms``, a
+        :class:`FlopBudget` of ``budget_flops`` (``config.budget_flops``,
+        possibly shrunk by admission control; ``None`` outside budget
+        mode), or neither; ``fields`` fill the rest of the options.
+        """
+        deadline = None if self.config.deadline_ms is None \
+            else Deadline.after_ms(self.config.deadline_ms, clock=self._clock)
+        budget = None if budget_flops is None else FlopBudget(budget_flops)
+        return ScanOptions(deadline=deadline, budget=budget, **fields)
 
     def _estimate_query_flops(self) -> float:
         """Per-query coordinate estimate for admission control.
@@ -1021,7 +1013,7 @@ class RetrievalService:
           queries are never prepared or scanned.
         """
         config = self.config
-        if config.deadline_policy != "budget":
+        if config.budget_flops is None:
             return pending, None
         budget_flops = float(config.budget_flops)
         capacity = config.shed_capacity_flops

@@ -169,7 +169,6 @@ def test_infinite_service_budget_matches_unbudgeted(executor):
     index, queries = make_index("F-SIR")
     serial = [index.query(q, k=K) for q in queries[:6]]
     config = ServiceConfig(workers=2, executor=executor,
-                           deadline_policy="budget",
                            budget_flops=math.inf, engine="blocked")
     with RetrievalService(index, config) as service:
         response = service.batch(queries[:6], k=K)
@@ -310,7 +309,7 @@ def test_zero_budget_service_batch_never_raises(executor):
         pytest.skip("no usable multiprocessing start method")
     index, queries = make_index("F-SIR")
     config = ServiceConfig(workers=2, executor=executor,
-                           deadline_policy="budget", budget_flops=0.0)
+                           budget_flops=0.0)
     with RetrievalService(index, config) as service:
         response = service.batch(queries[:5], k=K)
     assert not response.errors
@@ -323,8 +322,7 @@ def test_zero_budget_service_batch_never_raises(executor):
 
 def test_zero_budget_sharded_service_batch_never_raises():
     sharded, queries = make_index("F-SIR", sharded=True)
-    config = ServiceConfig(workers=2, deadline_policy="budget",
-                           budget_flops=0.0, engine="blocked")
+    config = ServiceConfig(workers=2, budget_flops=0.0, engine="blocked")
     with RetrievalService(sharded, config) as service:
         response = service.batch(queries[:3], k=K)
     assert not response.errors
@@ -371,7 +369,7 @@ EXECUTORS = ("serial", "process")
 def serve_batch(index, queries, executor, **config):
     """One budget-mode batch on ``executor`` plus the metrics snapshot."""
     config = ServiceConfig(workers=2, executor=executor,
-                           deadline_policy="budget", **config)
+                           **config)
     with RetrievalService(index, config) as service:
         response = service.batch(queries, k=K)
         return response, service.metrics_snapshot()
@@ -392,7 +390,7 @@ def assert_same_response(got, want):
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
-def test_budget_policy_degrade_flags_and_bounds(executor):
+def test_truncation_policy_degrade_flags_and_bounds(executor):
     index, queries = make_index("F-SIR")
     response, snapshot = serve_batch(index, queries[:4], executor,
                                      budget_flops=100 * D)
@@ -410,11 +408,10 @@ def test_budget_policy_degrade_flags_and_bounds(executor):
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
-def test_budget_policy_fail_raises_structured_errors(executor):
+def test_truncation_policy_fail_raises_structured_errors(executor):
     index, queries = make_index("F-SIR")
     config = ServiceConfig(workers=2, executor=executor,
-                           deadline_policy="budget",
-                           budget_flops=50 * D, budget_policy="fail")
+                           budget_flops=50 * D, truncation_policy="fail")
     with RetrievalService(index, config) as service:
         response = service.batch(queries[:4], k=K)
         with pytest.raises(BudgetExhaustedError) as excinfo:
@@ -423,7 +420,7 @@ def test_budget_policy_fail_raises_structured_errors(executor):
     # workers report the truncated scan, the parent fails the query.
     assert_same_response(response, serve_batch(
         index, queries[:4], "serial", budget_flops=50 * D,
-        budget_policy="fail")[0])
+        truncation_policy="fail")[0])
     assert len(response.errors) == 4
     for error in response.errors:
         assert error.error_type == "BudgetExhaustedError"
@@ -434,8 +431,7 @@ def test_budget_policy_fail_raises_structured_errors(executor):
 
 def test_overload_shedding_is_structured_and_stateless():
     index, queries = make_index("F-SIR")
-    config = ServiceConfig(workers=1, deadline_policy="budget",
-                           budget_flops=float(900 * D),
+    config = ServiceConfig(workers=1, budget_flops=float(900 * D),
                            shed_capacity_flops=1.0,
                            cache_capacity=8)
     with RetrievalService(index, config) as service:
@@ -456,8 +452,7 @@ def test_overload_shedding_is_structured_and_stateless():
 
 def _estimated_flops(index, budget_flops):
     """The per-query demand estimate admission control will use."""
-    probe_config = ServiceConfig(workers=1, deadline_policy="budget",
-                                 budget_flops=budget_flops)
+    probe_config = ServiceConfig(workers=1, budget_flops=budget_flops)
     with RetrievalService(index, probe_config) as probe:
         return min(probe._estimate_query_flops(), budget_flops)
 
@@ -469,8 +464,7 @@ def test_overload_shrinks_budgets_before_shedding():
     # Capacity covers half the batch's estimated demand: the shrunk
     # per-query share (capacity / 5) stays above the 10% floor, so all
     # five queries are admitted with smaller budgets and none is shed.
-    config = ServiceConfig(workers=1, deadline_policy="budget",
-                           budget_flops=full,
+    config = ServiceConfig(workers=1, budget_flops=full,
                            shed_capacity_flops=estimate * 2.5)
     with RetrievalService(index, config) as service:
         response = service.batch(queries[:5], k=K)
@@ -491,8 +485,7 @@ def test_partial_shed_admits_head_of_queue():
     # Capacity covers two floor-budget queries (2.5 floors rounds down);
     # shrinking all five would land below the floor, so the head two are
     # admitted at the floor budget and the tail three are shed.
-    config = ServiceConfig(workers=1, deadline_policy="budget",
-                           budget_flops=full,
+    config = ServiceConfig(workers=1, budget_flops=full,
                            shed_capacity_flops=floor * 2.5)
     with RetrievalService(index, config) as service:
         response = service.batch(queries[:5], k=K)
@@ -508,26 +501,74 @@ def test_partial_shed_admits_head_of_queue():
 # ----------------------------------------------------------------------
 
 def test_service_config_budget_validation():
-    ok = ServiceConfig(deadline_policy="budget", budget_flops=100.0)
-    assert ok.budget_policy == "degrade"
-    ServiceConfig(deadline_policy="budget", budget_flops=math.inf,
-                  budget_policy="fail", shed_capacity_flops=10.0)
+    ok = ServiceConfig(budget_flops=100.0)
+    assert ok.truncation_policy == "degrade"
+    ServiceConfig(budget_flops=math.inf,
+                  truncation_policy="fail", shed_capacity_flops=10.0)
     cases = [
-        dict(deadline_policy="budget"),                      # no budget
-        dict(budget_flops=5.0),                              # no mode
-        dict(deadline_policy="budget", budget_flops=-1.0),   # negative
-        dict(deadline_policy="budget", budget_flops=math.nan),
-        dict(deadline_policy="budget", budget_flops=5.0,
+        dict(truncation_policy="budget", budget_flops=5.0),  # not a policy
+        dict(budget_flops=-1.0),                             # negative
+        dict(budget_flops=math.nan),
+        dict(budget_flops=5.0,
              deadline_ms=10.0),                              # two triggers
-        dict(deadline_policy="budget", budget_flops=5.0,
-             budget_policy="explode"),                       # bad policy
+        dict(budget_flops=5.0,
+             truncation_policy="explode"),                   # bad policy
         dict(shed_capacity_flops=5.0),                       # no budget
-        dict(deadline_policy="budget", budget_flops=5.0,
+        dict(budget_flops=5.0,
              shed_capacity_flops=0.0),                       # not positive
     ]
     for bad in cases:
         with pytest.raises(ValidationError):
             ServiceConfig(**bad)
+
+
+def test_old_truncation_knobs_are_gone():
+    # One policy field covers both triggers; budget mode is simply
+    # budget_flops being set.
+    for trigger in ("budget", "deadline"):
+        with pytest.raises(TypeError):
+            ServiceConfig(**{f"{trigger}_policy": "fail"})
+
+
+def test_scan_options_refuse_two_triggers():
+    from repro.serve.resilience import Deadline
+
+    index, queries = make_index("F-SIR")
+    with pytest.raises(ValidationError, match="not both"):
+        index.query(queries[0], K, options=ScanOptions(
+            deadline=Deadline(60.0), budget=FlopBudget(10.0)))
+    with pytest.raises(ValidationError, match="one degradation trigger"):
+        ScanOptions(budget=FlopBudget(10.0)).replace(
+            deadline=Deadline(60.0))
+
+
+def test_budget_mode_campaign_probes_carry_the_budget():
+    # A zero budget stops every verification scan before its first
+    # block: a probe that needs one fails (an audience is exact or
+    # absent), a probe whose users are all pruned still answers.
+    from repro.core.reverse import ReverseIndex
+
+    index, queries = make_index("F-SIR")
+    users = queries[:12]
+    probes = [int(index.query(users[0], k=1).ids[0]), 0, 1, 2]
+    with RetrievalService(index, ServiceConfig(workers=1),
+                          reverse=ReverseIndex(index, users)) as service:
+        unbudgeted = service.campaign(probes, k=K)
+    config = ServiceConfig(workers=1, budget_flops=0.0)
+    with RetrievalService(index, config,
+                          reverse=ReverseIndex(index, users)) as service:
+        response = service.campaign(probes, k=K)
+    assert not unbudgeted.errors
+    assert unbudgeted.results[0].stats.verified > 0
+    assert 0 in {e.index for e in response.errors}
+    for error in response.errors:
+        assert error.error_type == "BudgetExhaustedError"
+        assert error.error.items_scanned == 0
+        assert response.results[error.index] is None
+    for got, want in zip(response.results, unbudgeted.results):
+        if got is not None:
+            assert got.stats.verified == 0
+            assert got.user_ids == want.user_ids
 
 
 def test_facade_budget_rejections():
@@ -548,12 +589,12 @@ def test_facade_budget_rejections():
 def test_cli_serve_rejects_budget_with_deadline():
     from repro.cli import main
 
-    with pytest.raises(SystemExit) as excinfo:
+    # The CLI builds its ServiceConfig before any work, so the config's
+    # own refusal surfaces.
+    with pytest.raises(ValidationError, match="not both"):
         main(["serve", "--budget-flops", "100", "--deadline-ms", "5"])
-    assert "mutually exclusive" in str(excinfo.value)
-    with pytest.raises(SystemExit) as excinfo:
+    with pytest.raises(ValidationError, match="requires budget_flops"):
         main(["serve", "--shed-capacity-flops", "100"])
-    assert "requires --budget-flops" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
@@ -579,8 +620,7 @@ def test_explain_reports_budget_degradation():
 
 def test_budget_exhaustion_emits_trace_event():
     index, queries = make_index("F-SIR")
-    config = ServiceConfig(workers=1, deadline_policy="budget",
-                           budget_flops=80 * D, trace_sample_rate=1.0)
+    config = ServiceConfig(workers=1, budget_flops=80 * D, trace_sample_rate=1.0)
     with RetrievalService(index, config) as service:
         service.batch(queries[:2], k=K)
         spans = [span.as_dict() for span in service.tracer.spans]

@@ -470,7 +470,6 @@ def test_budget_mode_service_never_caches_truncated_results():
     items, queries = make_mf_like(600, 16, seed=21)
     index = FexiproIndex(items, variant="F-SIR")
     config = ServiceConfig(workers=1, cache_capacity=32,
-                           deadline_policy="budget",
                            budget_flops=100 * 16.0)
     with RetrievalService(index, config) as service:
         first = service.batch(queries[:6], k=5)
@@ -493,7 +492,6 @@ def test_infinite_budget_results_are_cached_and_warm_startable():
     truth_big = [index.query(q, 9) for q in queries[:6]]
     truth_small = [index.query(q, 4) for q in queries[:6]]
     config = ServiceConfig(workers=1, cache_capacity=32,
-                           deadline_policy="budget",
                            budget_flops=math.inf)
     with RetrievalService(index, config) as service:
         first = service.batch(queries[:6], k=9)
@@ -523,8 +521,7 @@ def test_warm_start_with_finite_budget_stays_exact_and_certified():
                           cache=cache) as filler:
         filler.batch(queries[:6], k=9)
     assert len(cache) == 6
-    config = ServiceConfig(workers=1, deadline_policy="budget",
-                           budget_flops=120 * 16.0)
+    config = ServiceConfig(workers=1, budget_flops=120 * 16.0)
     with RetrievalService(index, config, cache=cache) as service:
         warm = service.batch(queries[:6], k=4)
     assert warm.budget_hits >= 1

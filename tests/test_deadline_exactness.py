@@ -301,8 +301,9 @@ def test_degraded_sharded_query_is_exact_prefix_topk():
 
 
 # ----------------------------------------------------------------------
-# deadline x budget: whichever trigger fires first, the degraded result
-# is still the exact top-k of the scanned prefix (DESIGN.md §2.13)
+# deadline x budget: a scan takes one trigger, and whichever one it takes,
+# the degraded result is the exact top-k of the scanned prefix
+# (DESIGN.md §2.13)
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("fire_after", [1, 3, 10_000])
@@ -310,39 +311,56 @@ def test_degraded_sharded_query_is_exact_prefix_topk():
 def test_deadline_and_budget_combined_is_exact_prefix_topk(fire_after,
                                                            items_budget):
     from repro.core.budget import FlopBudget
+    from repro.exceptions import ValidationError
     from repro.serve.resilience import Deadline
 
     index, queries = make_index("F-SIR")
     coordinate_budget = items_budget * index.d
+    with pytest.raises(ValidationError, match="not both"):
+        ScanOptions(deadline=Deadline(1.0, clock=PollClock(fire_after)),
+                    budget=FlopBudget(coordinate_budget))
     for q in queries[:3]:
         qs = index._prepare_query(q)
-        deadline = Deadline(1.0, clock=PollClock(fire_after))
-        buffer, stats = scan_blocked(
-            index, qs, K, BLOCK_SIZE,
-            options=ScanOptions(deadline=deadline,
-                                budget=FlopBudget(coordinate_budget)))
-        prefix = set(range(stats.scanned))
-        assert buffer.items_and_scores() == oracle_topk(index._live, qs, K, prefix)
-        # The two triggers stop the same loop; at most one claims the stop.
-        assert stats.deadline_hit + stats.budget_exhausted <= 1
-        if items_budget >= index.n and fire_after == 10_000:
-            assert stats.deadline_hit == 0
-            assert stats.budget_exhausted == 0
-        elif items_budget < 200 and fire_after == 10_000:
-            assert stats.budget_exhausted == 1
+        for options in (
+                ScanOptions(deadline=Deadline(1.0,
+                                              clock=PollClock(fire_after))),
+                ScanOptions(budget=FlopBudget(coordinate_budget))):
+            buffer, stats = scan_blocked(index, qs, K, BLOCK_SIZE,
+                                         options=options)
+            prefix = set(range(stats.scanned))
+            assert buffer.items_and_scores() == oracle_topk(
+                index._live, qs, K, prefix)
+            # Only the armed trigger can claim the stop.
+            if options.budget is None:
+                assert stats.budget_exhausted == 0
+                if fire_after == 10_000:
+                    assert stats.deadline_hit == 0
+            else:
+                assert stats.deadline_hit == 0
+                if items_budget < 200:
+                    assert stats.budget_exhausted == 1
+                elif items_budget >= index.n:
+                    assert stats.budget_exhausted == 0
 
 
 def test_budget_fires_before_late_deadline_and_band_attaches():
-    """With a loose deadline and a tight budget, the budget claims the
-    stop and the query path still certifies the band."""
+    """A loose deadline never fires; a tight budget claims the stop and
+    the query path still certifies the band.  One scan takes one of the
+    two, never both."""
     from repro.core.budget import FlopBudget
+    from repro.exceptions import ValidationError
     from repro.serve.resilience import Deadline
 
     index, queries = make_index("F-SIR")
+    with pytest.raises(ValidationError, match="one degradation trigger"):
+        index.query(queries[0], K,
+                    options=ScanOptions(deadline=Deadline(math.inf),
+                                        budget=FlopBudget(50 * index.d)))
+    late = index.query(queries[0], K,
+                       options=ScanOptions(deadline=Deadline(math.inf)))
+    assert late.complete and late.stats.deadline_hit == 0
     result = index.query(
-        queries[0], K,
-        options=ScanOptions(deadline=Deadline(math.inf),
-                            budget=FlopBudget(50 * index.d)))
+        queries[0], K, options=ScanOptions(budget=FlopBudget(50 * index.d)))
     assert result.stats.budget_exhausted == 1
     assert result.stats.deadline_hit == 0
     assert not result.complete

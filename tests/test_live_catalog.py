@@ -305,8 +305,7 @@ def test_empty_catalog_budget_mode_service_matches_facade():
     want = Fexipro.from_index(index).query(queries[0], k=5, budget=100.0)
     assert want.ids == []
     assert want.bounds == ResultBounds(lower=(), tail_upper=-math.inf)
-    config = ServiceConfig(workers=1, deadline_policy="budget",
-                           budget_flops=100.0)
+    config = ServiceConfig(workers=1, budget_flops=100.0)
     with RetrievalService(index, config) as service:
         response = service.batch(queries[:3], k=5)
     assert [r.ids for r in response.results] == [[]] * 3

@@ -214,7 +214,8 @@ def test_service_fail_policy_raises_per_query(small_items, small_queries):
     instant_clock.now = 0.0
     service = RetrievalService(
         index,
-        ServiceConfig(workers=1, deadline_ms=1.0, deadline_policy="fail"),
+        ServiceConfig(workers=1, deadline_ms=1.0,
+                      truncation_policy="fail"),
         clock=instant_clock)
     with service:
         response = service.batch(small_queries[:4], k=5)

@@ -274,6 +274,22 @@ def test_truncated_verification_raises_never_guesses():
 # ----------------------------------------------------------------------
 
 
+def test_denormal_range_margin_keeps_the_audience_exact():
+    # Products of 1e-162-scaled integer rows land in the denormal range,
+    # where a relative-only margin underflows to 0 and a BLAS-vs-engine
+    # rounding difference admitted user 18 without verification.
+    rng = np.random.default_rng(21)
+    items = rng.integers(-3, 4, size=(60, 8)) * 1e-162
+    users = rng.integers(-3, 4, size=(40, 8)) * 1e-162
+    fx = Fexipro(items, users=users, variant="F-I")
+    want_ids, want_kth = oracle_audience(
+        FexiproIndex(items, variant="F-I"), users, 0, 5)
+    got = fx.reverse_query(0, 5)
+    assert want_ids == [2, 4]
+    assert got.user_ids == want_ids
+    assert got.kth_scores == want_kth
+
+
 def test_campaign_matches_per_probe_queries():
     items, users = make_corpora()
     index = FexiproIndex(items, variant="F-SIR")

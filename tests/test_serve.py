@@ -256,7 +256,7 @@ def test_service_config_resilience_validation():
     with pytest.raises(ValidationError):
         ServiceConfig(deadline_ms=True)
     with pytest.raises(ValidationError):
-        ServiceConfig(deadline_policy="explode")
+        ServiceConfig(truncation_policy="explode")
     with pytest.raises(ValidationError):
         ServiceConfig(retries=-1)
     with pytest.raises(ValidationError):
@@ -265,10 +265,10 @@ def test_service_config_resilience_validation():
                     "breaker_cooldown_ms"):
         with pytest.raises(TypeError):
             ServiceConfig(**{removed: 1})
-    config = ServiceConfig(deadline_ms=50.0, deadline_policy="fail",
+    config = ServiceConfig(deadline_ms=50.0, truncation_policy="fail",
                            retries=2, retry_backoff_ms=1.0)
     assert config.deadline_ms == 50.0
-    assert config.deadline_policy == "fail"
+    assert config.truncation_policy == "fail"
     assert config.retries == 2
 
 
