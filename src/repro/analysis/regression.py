@@ -242,7 +242,6 @@ DEFAULT_SPECS: Dict[str, Tuple[MetricSpec, ...]] = {
     ),
     "cache": (
         MetricSpec("hit_speedup", "higher", 0.3, abs_floor=5.0),
-        MetricSpec("warm.saved_fraction", "higher", 0.25),
         MetricSpec("identical", "higher", 0.0, abs_floor=1.0),
         MetricSpec("hot_seconds", "lower", 0.5, gate=False),
     ),

@@ -373,70 +373,53 @@ def _serve_metrics_section(args, workload, index) -> None:
 
 
 def _serve_cache_section(args, workload, index, serial) -> None:
-    """The ``--cache-capacity`` addendum: hits and warm-starts on a rerun."""
+    """The ``--cache-capacity`` addendum: hits and prefix hits on reruns.
+
+    Exits non-zero when the hot or the prefix pass differs from the
+    serial loop in ids or scores.
+    """
     import time
 
     from .serve import RetrievalService, ServiceConfig
 
-    report.print_header(
-        f"Query cache - capacity {args.cache_capacity}, "
-        f"warm-start {'on' if args.warm_start else 'off'}"
-    )
+    report.print_header(f"Query cache - capacity {args.cache_capacity}")
     config = ServiceConfig(workers=args.workers,
                            executor=args.executor,
-                           cache_capacity=args.cache_capacity,
-                           warm_start=args.warm_start,
-                           warm_bucket_decimals=2)
+                           cache_capacity=args.cache_capacity)
+    # The same traffic at a smaller k is served from the prefixes of the
+    # cached answers; k == 1 has no smaller k, so that pass is skipped.
+    prefix_k = args.k // 2
+    passes = [("cold", args.k, serial),
+              ("hot (same queries)", args.k, serial)]
+    if prefix_k:
+        passes.append((f"prefix (k={prefix_k})", prefix_k,
+                       [index.query(q, prefix_k) for q in workload.queries]))
+    rows, times, drifted = [], [], []
     with RetrievalService(index, config) as service:
-        started = time.perf_counter()
-        cold = service.batch(workload.queries, k=args.k)
-        cold_time = time.perf_counter() - started
-        started = time.perf_counter()
-        hot = service.batch(workload.queries, k=args.k)
-        hot_time = time.perf_counter() - started
-        # The same traffic at a smaller k exercises the warm-start path:
-        # cached k-th scores seed the threshold, never change the answer.
-        # k == 1 has no smaller k to warm, so the demo pass is skipped.
-        warm_k = args.k // 2 if args.k > 1 else None
-        warm = (service.batch(workload.queries, k=warm_k)
-                if warm_k else None)
-        snapshot = service.metrics_snapshot()
-    if warm is not None:
-        # The warm pass's cold twin at the same k, for a like-for-like
-        # entire-product comparison.
-        with RetrievalService(index,
-                              ServiceConfig(
-                                  workers=args.workers,
-                                  executor=args.executor)) as plain:
-            cold_twin = plain.batch(workload.queries, k=warm_k)
-        saved = cold_twin.stats.full_products - warm.stats.full_products
-    identical = all(
-        a.ids == b.ids and a.scores == b.scores
-        for a, b in zip(serial, hot.results)
-    )
-    rows = [
-        ["cold", round(cold_time, 4), cold.cache_hits,
-         cold.warm_queries, len(cold) - cold.cache_hits - cold.warm_queries],
-        ["hot (same queries)", round(hot_time, 4), hot.cache_hits,
-         hot.warm_queries, len(hot) - hot.cache_hits - hot.warm_queries],
-    ]
-    if warm is not None:
-        rows.append(
-            [f"warm (k={warm_k})", "-", warm.cache_hits, warm.warm_queries,
-             len(warm) - warm.cache_hits - warm.warm_queries])
-    report.print_table(["pass", "time (s)", "hits", "warm", "cold"], rows)
-    cache = snapshot["cache"]
+        for name, k, truth in passes:
+            started = time.perf_counter()
+            response = service.batch(workload.queries, k=k)
+            times.append(time.perf_counter() - started)
+            identical = all(a.ids == b.ids and a.scores == b.scores
+                            for a, b in zip(truth, response.results))
+            if not identical:
+                drifted.append(name)
+            rows.append([name, round(times[-1], 4), response.cache_hits,
+                         len(response) - response.cache_hits, identical])
+        cache = service.metrics_snapshot()["cache"]
+    report.print_table(
+        ["pass", "time (s)", "hits", "scanned", "identical to serial"], rows)
+    cold_time, hot_time = times[0], times[1]
     report.print_table(
         ["metric", "value"],
-        [["hot results identical to serial", identical],
-         ["hit-path speedup", round(cold_time / hot_time, 2)
+        [["hit-path speedup", round(cold_time / hot_time, 2)
           if hot_time else float("inf")],
          ["entries", cache["size"]],
-         ["lifetime hits / warm / misses",
-          f"{cache['hits']} / {cache['warm_hits']} / {cache['misses']}"],
-         ["full products saved by warm-start (same-k cold twin)",
-          saved if warm is not None else "n/a (k=1)"]],
+         ["lifetime hits / misses", f"{cache['hits']} / {cache['misses']}"]],
     )
+    if drifted:
+        raise SystemExit("cached results drifted from the serial loop: "
+                         + ", ".join(drifted))
 
 
 def _serve_truncation_section(args, workload, index, serial,
@@ -768,12 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="also demo the exactness-preserving "
                                   "query cache with this many LRU entries "
                                   "(0 = off)")
-            cmd.add_argument("--warm-start",
-                             action=argparse.BooleanOptionalAction,
-                             default=True,
-                             help="let cache near-hits seed the scan "
-                                  "threshold (results identical either "
-                                  "way; --no-warm-start disables)")
             cmd.add_argument("--metrics-port", type=int, default=None,
                              help="also expose /metrics + /healthz on this "
                                   "port (0 = any free port) and print one "

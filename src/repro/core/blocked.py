@@ -104,7 +104,7 @@ def scan_blocked(index: "FexiproIndex", qs: "QueryState", k: int,
     the reference engine.
 
     ``options.initial_threshold`` seeds the live threshold ``t`` before
-    the first block (the warm-start path of :mod:`repro.serve.cache`).
+    the first block (a warm start, as reverse verification uses it).
     The caller must guarantee it is a **strict** lower bound on the
     query's true k-th inner product; every pruning test discards on
     ``bound <= t``, so a strict bound can never touch an item whose score

@@ -97,7 +97,7 @@ class LiveCatalog:
     - ``delta_dead``/``base_dead``: positional tombstone masks.
     - ``state_version`` bumps on every swap of any kind (add, remove,
       compaction).  Everything derived from a snapshot — cached answers,
-      warm seeds, reverse thresholds, process-pool replicas — is either
+      reverse thresholds, process-pool replicas — is either
       a field of the snapshot itself or keyed by :attr:`token`, the
       ``(uid, state_version)`` pair.
     - ``epoch`` bumps only when the preprocessed basis changes (build or

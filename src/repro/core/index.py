@@ -603,8 +603,8 @@ class FexiproIndex:
         threshold, span) rides in ``options``.
         ``options.initial_threshold`` warm-starts the live pruning
         threshold; it MUST be a *strict* lower bound on this query's true
-        k-th inner product (see :mod:`repro.serve.cache` for how such
-        bounds are obtained exactly).  The default ``-inf`` is the cold
+        k-th inner product (see :mod:`repro.core.reverse` for how such
+        bounds are obtained soundly).  The default ``-inf`` is the cold
         scan.
 
         ``engine`` overrides the index's configured engine for this call

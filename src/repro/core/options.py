@@ -28,9 +28,9 @@ class ScanOptions:
     ----------
     initial_threshold:
         Warm-start seed for the live threshold ``t``.  Must be a *strict*
-        lower bound on the query's true k-th inner product (the
-        :mod:`repro.serve.cache` contract); results are then bitwise
-        identical to a cold scan, only pruning counters change.
+        lower bound on the query's true k-th inner product (reverse
+        verification passes one); results are then bitwise identical to
+        a cold scan, only pruning counters change.
     deadline:
         Optional :class:`repro.serve.resilience.Deadline`, polled at block
         boundaries (per item in the reference engine).  On expiry the scan

@@ -482,11 +482,14 @@ class ReverseIndex:
                 engine: Optional[str], stats: ReverseStats):
         """Run one exact forward top-k for a survivor user.
 
-        Returns ``(admitted, kth_score)``; the scan is warm-started with
-        the user's bound (a strict lower bound on the true k-th score,
-        so results stay bitwise identical to a cold scan), pinned to the
-        campaign's item snapshot, and budget/deadline truncation raises
-        rather than ever returning an uncertain membership.
+        Returns ``(admitted, kth_score)``.  A query-cache hit — the
+        user's answer cached at this ``k`` or a larger one, served as its
+        first ``k`` items — answers without a scan.  Otherwise the scan is
+        warm-started with the user's bound (a strict lower bound on the
+        true k-th score, so results stay bitwise identical to a cold
+        scan), pinned to the campaign's item snapshot, and budget/deadline
+        truncation raises rather than ever returning an uncertain
+        membership.
         """
         if self.cache is not None:
             hit = self.cache.lookup(fsnap, q_row, k)
@@ -494,10 +497,7 @@ class ReverseIndex:
                 # A hit did no pruning work; replaying its cached
                 # counters would double-count (same rule as serving).
                 stats.cache_bound_hits += 1
-                scores = hit.result.scores
-                kth = float(scores[-1]) if len(scores) < k \
-                    else float(scores[k - 1])
-                return item in hit.result.ids, kth
+                return item in hit.result.ids, float(hit.result.scores[-1])
         opts = options.replace(initial_threshold=seed) \
             if seed > -math.inf else options
         buffer, fstats = self._inner._scan(qs, k, options=opts,

@@ -60,8 +60,9 @@ def scan_reference(index: "FexiproIndex", qs: "QueryState", k: int, *,
         :func:`repro.core.blocked.scan_blocked`.  ``initial_threshold``
         warm-starts the live threshold ``t``; it must be a *strict* lower
         bound on the query's true k-th inner product (the
-        :mod:`repro.serve.cache` contract), making ids and scores bitwise
-        identical to the cold scan with only pruning counters changed.
+        ``ScanOptions.initial_threshold`` contract), making ids and
+        scores bitwise identical to the cold scan with only pruning
+        counters changed.
         ``span`` records the threshold trajectory (capped at
         :data:`MAX_THRESHOLD_EVENTS` raises) plus termination/deadline
         events.  ``shared`` is ignored — this engine never runs inside a

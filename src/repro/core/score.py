@@ -1,7 +1,7 @@
 """The one exact score: Algorithm 5's head partial plus its tail residue.
 
 Every admitted score — reference, blocked and GEMM engines, the above-t
-scan, the delta tier and the cache's warm-start re-scoring — comes from
+scan and the delta tier — comes from
 :func:`exact_scores`.  A BLAS ``ddot``/GEMV may round the same row
 differently depending on which rows share the call; ``np.add.reduce``
 over a C-contiguous block sums each row on its own with NumPy's pairwise

@@ -282,11 +282,11 @@ def explain_query(index, query, k: int = 10, *,
     :meth:`ShardedFexiproIndex.explain
     <repro.core.sharded.ShardedFexiproIndex.explain>` passes its inner
     index, whose single scan is what runs in one process.  ``options``
-    carries warm-start seeds / deadlines to reproduce a serving
+    carries an initial threshold or a deadline to reproduce a serving
     configuration; ``tracer`` defaults to a fresh always-sampling one
     whose spans end up in ``explanation.spans``.  ``snapshot`` pins the
     live-catalog snapshot to explain against (the serving layer passes
-    the one its cache seed was computed on); by default the current
+    the one its cache probe saw); by default the current
     snapshot is captured once and used throughout, so the account stays
     consistent even when writers or a compaction race the explanation.
 

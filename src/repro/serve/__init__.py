@@ -24,8 +24,8 @@ layer:
   :class:`QueryError` entries (with a bounded :class:`RetryPolicy`), and
   a deterministic :class:`FaultInjector` for chaos testing;
 - :class:`QueryCache` (PR 4) — an exactness-preserving LRU result cache
-  with snapshot-bound invalidation and a threshold warm-start path that
-  seeds both engines' pruning from cached evidence (see
+  with snapshot-bound invalidation, one entry per query, whose longest
+  cached answer serves every smaller ``k`` as a prefix (see
   :mod:`repro.serve.cache` for the exactness argument).
 
 Exactness is inherited, not re-proven: the service prepares every query

@@ -116,8 +116,9 @@ class ServiceConfig:
     retry_backoff_ms:
         Sleep between attempts (via the service's injectable ``sleep``).
     cache_capacity:
-        Entries retained by the service's :class:`~repro.serve.cache.
-        QueryCache` (LRU beyond it).  ``0`` (the default) disables caching
+        Queries retained by the service's :class:`~repro.serve.cache.
+        QueryCache` (LRU beyond it; one entry per query serves every
+        ``k`` up to the largest cached).  ``0`` (the default) disables caching
         entirely — no fingerprinting, no lookups, behaviour identical to
         earlier releases.  Ignored when an external cache is handed to the
         service directly.
@@ -125,14 +126,6 @@ class ServiceConfig:
         Optional time-to-live for cache entries in seconds (``None`` =
         entries live until evicted or invalidated by a catalog write or
         compaction).
-    warm_start:
-        Whether near-hits (same query at larger ``k``, or a similarity-
-        bucket neighbour) may seed the scan threshold.  Results are
-        bitwise identical either way; this only trades lookup cost
-        against pruning head-start.
-    warm_bucket_decimals:
-        Decimal places for the warm-start similarity bucket (``None`` =
-        bucket matching off; same-query warm-starts still apply).
     compaction_interval_s:
         When set, the service runs a background
         :class:`~repro.serve.compactor.Compactor` thread that wakes every
@@ -183,8 +176,6 @@ class ServiceConfig:
     retry_backoff_ms: float = 0.0
     cache_capacity: int = 0
     cache_ttl_s: Optional[float] = None
-    warm_start: bool = True
-    warm_bucket_decimals: Optional[int] = None
     compaction_interval_s: Optional[float] = None
     compaction_delta_limit: Optional[int] = None
     trace_sample_rate: float = 0.0
@@ -288,18 +279,6 @@ class ServiceConfig:
             raise ValidationError(
                 f"cache_ttl_s must be a positive number or None; "
                 f"got {self.cache_ttl_s!r}"
-            )
-        if not isinstance(self.warm_start, bool):
-            raise ValidationError(
-                f"warm_start must be a boolean; got {self.warm_start!r}"
-            )
-        if self.warm_bucket_decimals is not None and (
-                not isinstance(self.warm_bucket_decimals, int)
-                or isinstance(self.warm_bucket_decimals, bool)
-                or self.warm_bucket_decimals < 0):
-            raise ValidationError(
-                f"warm_bucket_decimals must be a non-negative integer or "
-                f"None; got {self.warm_bucket_decimals!r}"
             )
         if self.compaction_interval_s is not None and not (
                 isinstance(self.compaction_interval_s, (int, float))

@@ -292,7 +292,7 @@ def _chunk_task(payload):
     if _faultsites.active is not None:
         _faultsites.fire(_faultsites.WORKER, "procpool.chunk")
     out = []
-    for qi, qs_bytes, seed in items:
+    for qi, qs_bytes in items:
         qs = pickle.loads(qs_bytes)
         timings = StageTimings() if collect else None
         try:
@@ -310,8 +310,7 @@ def _chunk_task(payload):
                 started = time.perf_counter()
                 buffer, stats = index._scan(
                     qs, k,
-                    options=ScanOptions(initial_threshold=seed,
-                                        deadline=deadline,
+                    options=ScanOptions(deadline=deadline,
                                         budget=budget,
                                         timings=timings),
                 )
@@ -484,9 +483,9 @@ class ProcessScanPool:
 
         Returns one ``(buffer, stats, seeded_threshold, timings,
         outcome)`` tuple per span, in span order.  ``seed`` primes the
-        shared threshold slot (the warm-start path); ``deadline`` is
-        converted to an absolute monotonic expiry and re-polled in the
-        workers at the usual boundaries.
+        shared threshold slot (``ScanOptions.initial_threshold``);
+        ``deadline`` is converted to an absolute monotonic expiry and
+        re-polled in the workers at the usual boundaries.
         """
         pool = self._ensure_pool()
         slot = self._acquire_slot(float(seed))
@@ -518,7 +517,7 @@ class ProcessScanPool:
                          chunk_size: Optional[int] = None):
         """Spread whole queries over the processes (the inter-query axis).
 
-        ``items`` are ``(qi, pickled_query_state, seed)`` triples, sent
+        ``items`` are ``(qi, pickled_query_state)`` pairs, sent
         ``chunk_size`` to a task (``None``: :func:`resolve_chunk_size`);
         the return value is one structured outcome per item, in order —
         see :func:`_chunk_task` for the ``"ok"``/``"err"`` shapes.

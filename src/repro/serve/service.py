@@ -107,13 +107,12 @@ class BatchResponse:
 
     When the service runs a :class:`~repro.serve.cache.QueryCache`,
     ``provenance`` records where each answer came from, aligned with
-    ``results``: ``"hit"`` (served from cache, no scan), ``"warm"``
-    (scanned with a cache-seeded threshold), ``"cold"`` (plain scan) or
-    ``"shed"`` (dropped by admission control before any scan) —
-    ``None`` when caching is disabled.  ``stats`` sums the counters of
-    *performed* scans only; a cache hit did no pruning work, so replaying
-    its cached counters would double-count the trajectory the paper's
-    tables are built from.
+    ``results``: ``"hit"`` (served from cache, no scan), ``"cold"``
+    (scanned) or ``"shed"`` (dropped by admission control before any
+    scan) — ``None`` when caching is disabled.  ``stats`` sums the
+    counters of *performed* scans only; a cache hit did no pruning work,
+    so replaying its cached counters would double-count the trajectory
+    the paper's tables are built from.
     """
 
     results: List[Optional[RetrievalResult]] = field(default_factory=list)
@@ -167,29 +166,21 @@ class BatchResponse:
         """Queries answered straight from the cache (0 without a cache)."""
         return self.provenance.count("hit") if self.provenance else 0
 
-    @property
-    def warm_queries(self) -> int:
-        """Queries scanned with a cache-seeded threshold."""
-        return self.provenance.count("warm") if self.provenance else 0
-
 
 @dataclass
 class _Pending:
     """The scanned part of one batch, built once by ``batch()``.
 
     Per prepared state ``j``: its batch position ``indices[j]`` (error
-    records and fault tags carry it) and its warm-start ``seeds[j]``
-    (``-inf`` = cold).  Whichever executor scans state ``j`` fills its
-    slots — ``results``, ``positions`` (raw scan positions, for cache
-    stores), ``errors`` and ``timings`` — so answers land in request
-    order no matter which process produced them.
+    records and fault tags carry it).  Whichever executor scans state
+    ``j`` fills its slots — ``results``, ``errors`` and ``timings`` — so
+    answers land in request order no matter which process produced them.
     """
 
     snap: LiveCatalog
     k: int
     states: list
     indices: List[int]
-    seeds: List[float]
     engine: Optional[str]
     budget_flops: Optional[float]
     collect: bool
@@ -198,7 +189,6 @@ class _Pending:
     def __post_init__(self):
         m = len(self.states)
         self.results: List[Optional[RetrievalResult]] = [None] * m
-        self.positions: List[Optional[Tuple[int, ...]]] = [None] * m
         self.errors: List[Optional[QueryError]] = [None] * m
         self.timings: List[Optional[StageTimings]] = [None] * m
 
@@ -286,8 +276,6 @@ class RetrievalService:
             self.cache = QueryCache(
                 self.config.cache_capacity,
                 ttl_s=self.config.cache_ttl_s,
-                warm_start=self.config.warm_start,
-                bucket_decimals=self.config.warm_bucket_decimals,
                 clock=clock,
             )
         else:
@@ -358,11 +346,12 @@ class RetrievalService:
     def batch(self, queries, k: Optional[int] = None) -> BatchResponse:
         """Serve a whole query matrix; rows are answered independently.
 
-        With a cache configured, each row is first probed against it:
-        exact hits skip preparation and scanning entirely, warm near-hits
-        are scanned with a seeded threshold, and everything else runs
-        cold — see :mod:`repro.serve.cache` for the exactness argument.
-        Ids and scores are identical to the cache-less service either way.
+        With a cache configured, each row is first probed against it: a
+        hit (the query cached at this ``k`` or a larger one) skips
+        preparation and scanning entirely, and everything else is
+        scanned — see :mod:`repro.serve.cache` for the exactness
+        argument.  Ids and scores are identical to the cache-less service
+        either way.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
@@ -424,16 +413,6 @@ class RetrievalService:
         if prep_span is not None:
             prep_span.set(prepared=len(states)).end()
 
-        # Warm-start thresholds, one per state: -inf means cold.
-        seeds = [-math.inf] * len(states)
-        if lookups is not None:
-            for j, i in enumerate(pending):
-                lookup = lookups[i]
-                seeds[j] = lookup.seed if lookup.entry is None \
-                    else cache.bucket_seed(snap, states[j], lookup.entry, k)
-                if root is not None and seeds[j] > -math.inf:
-                    root.event("warm_start", query=i, seed=seeds[j])
-
         collect = self.config.collect_timings
         timings: Optional[StageTimings] = None
         if collect:
@@ -443,7 +422,7 @@ class RetrievalService:
         if root is not None:
             root.set(mode="inter")
         work = _Pending(snap=snap, k=k, states=states, indices=pending,
-                        seeds=seeds, engine=engine,
+                        engine=engine,
                         budget_flops=budget_flops, collect=collect,
                         span=root)
         if states:
@@ -453,7 +432,7 @@ class RetrievalService:
             for scan_timings in work.timings:
                 if scan_timings is not None:
                     timings.merge(scan_timings)
-        scanned, positions = work.results, work.positions
+        scanned = work.results
 
         provenance: Optional[List[str]] = None
         if lookups is None:
@@ -470,23 +449,13 @@ class RetrievalService:
             results = [lookup.result for lookup in lookups]
             for j, i in enumerate(pending):
                 results[i] = scanned[j]
-                result = scanned[j]
-                if result is not None and positions[j] is not None:
-                    cache.store(snap, queries[i], k,
-                                result, positions[j])
+                if scanned[j] is not None:
+                    cache.store(snap, queries[i], k, scanned[j])
             for i in shed_set:
                 results[i] = None
-            provenance = []
-            seed_of = dict(zip(pending, seeds))
-            for i, lookup in enumerate(lookups):
-                if i in shed_set:
-                    provenance.append("shed")
-                elif lookup.kind == "hit":
-                    provenance.append("hit")
-                elif seed_of.get(i, -math.inf) > -math.inf:
-                    provenance.append("warm")
-                else:
-                    provenance.append("cold")
+            provenance = ["shed" if i in shed_set
+                          else "hit" if lookup.kind == "hit" else "cold"
+                          for i, lookup in enumerate(lookups)]
 
         total_stats = aggregate_stats(r.stats for r in scanned
                                       if r is not None)
@@ -589,14 +558,12 @@ class RetrievalService:
 
         Runs the query through :func:`repro.obs.explain.explain_query`
         against the index the service scans (the inner index when a
-        sharded one is wrapped: the single scan serving runs), seeded
-        exactly as serving would seed it: the cache is
-        probed first, and a hit or warm neighbour contributes its
-        threshold seed, recorded as the explanation's ``provenance``
-        (``"hit"`` / ``"warm"`` / ``"cold"``).  Unlike serving, a hit
-        still *runs* the cascade — EXPLAIN describes work, it does not
-        skip it — and no deadline is armed, so the account is always the
-        complete one.  Results are exact regardless of provenance.
+        sharded one is wrapped: the single scan serving runs).  The cache
+        is probed first, and whether serving would answer the query from
+        it is recorded as the explanation's ``provenance`` (``"hit"`` /
+        ``"cold"``).  Unlike serving, a hit still *runs* the cascade, cold
+        — EXPLAIN describes work, it does not skip it — and no deadline
+        is armed, so the account is always the complete one.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
@@ -605,35 +572,14 @@ class RetrievalService:
         q = as_query_vector(query, snap.d)
         k = check_k(self.config.default_k if k is None else k,
                     snap.visible_count)
-        seed = -math.inf
         provenance = "cold"
-        if self.cache is not None and k > 0:
-            lookup = self.cache.lookup(snap, q, k)
-            if lookup.kind == "hit" and lookup.result is not None:
-                # The cached result is exact for this very query, so the
-                # value just below its k-th score is a strict lower bound —
-                # the tightest warm start a scan could legally receive.
-                provenance = "hit"
-                kth = float(lookup.result.scores[k - 1])
-                seed = math.nextafter(kth, -math.inf)
-            elif lookup.kind == "warm":
-                if lookup.entry is not None:
-                    state = prepare_query_states(
-                        snap, q.reshape(1, -1))[0]
-                    seed = self.cache.bucket_seed(
-                        snap, state, lookup.entry, k)
-                else:
-                    seed = lookup.seed
-                if seed > -math.inf:
-                    provenance = "warm"
+        if self.cache is not None and k > 0 \
+                and self.cache.lookup(snap, q, k).kind == "hit":
+            provenance = "hit"
         # Explain builds its own always-sampling tracer (the service's
         # tracer may head-sample this query away, losing the trajectory).
-        return explain_query(
-            self.index, q, k,
-            options=ScanOptions(initial_threshold=seed),
-            provenance=provenance,
-            snapshot=snap,
-        )
+        return explain_query(self.index, q, k, provenance=provenance,
+                             snapshot=snap)
 
     # ------------------------------------------------------------------
     # Executor selection
@@ -840,10 +786,8 @@ class RetrievalService:
                 self.metrics.counter("policy.process_fallback").inc()
                 return None
             items = [(qi, pickle.dumps(state,
-                                       protocol=pickle.HIGHEST_PROTOCOL),
-                      float(seed))
-                     for qi, state, seed in zip(work.indices, work.states,
-                                                work.seeds)]
+                                       protocol=pickle.HIGHEST_PROTOCOL))
+                     for qi, state in zip(work.indices, work.states)]
             return procpool.run_query_chunks(
                 handle, items, work.k,
                 deadline_ms=self.config.deadline_ms,
@@ -907,7 +851,6 @@ class RetrievalService:
         buffer, stats = self.index._scan(
             work.states[j], work.k,
             options=self._armed(work.budget_flops,
-                                initial_threshold=work.seeds[j],
                                 timings=timings, span=span),
             engine=work.engine, snapshot=work.snap,
         )
@@ -919,14 +862,13 @@ class RetrievalService:
         """Finish one successful raw outcome into state ``j``'s slots.
 
         ``outcome`` is ``(positions, scores, stats, elapsed, timings)``:
-        the survivors' raw length-sorted positions (which the cache
-        stores for bucket re-scoring) and scores by descending score, the
-        pruning counters, scan seconds and stage timings (or ``None``).
-        The truncation policy runs first — under ``"fail"`` a truncated
-        scan raises here, before anything is recorded — then
-        the span closes (with a ``degraded`` event for a truncated scan),
-        and the timings, positions and result fill the slots; the batch
-        merges the slots' timings in request order.
+        the survivors' raw length-sorted positions and scores by
+        descending score, the pruning counters, scan seconds and stage
+        timings (or ``None``).  The truncation policy runs first — under
+        ``"fail"`` a truncated scan raises here, before anything is
+        recorded — then the span closes (with a ``degraded`` event for a
+        truncated scan), and the timings and result fill the slots; the
+        batch merges the slots' timings in request order.
         """
         positions, scores, stats, elapsed, timings = outcome
         if self.config.truncation_policy == "fail":
@@ -936,7 +878,6 @@ class RetrievalService:
                 span.event("degraded", scanned=stats.scanned)
             span.end()
         work.timings[j] = timings
-        work.positions[j] = tuple(positions)
         work.results[j] = catalog_result(
             work.snap, work.states[j].q_norm, positions, scores, stats,
             elapsed, budgeted=work.budget_flops is not None)
@@ -1076,7 +1017,6 @@ class RetrievalService:
             scan_hist.observe(result.elapsed)
         if provenance is not None:
             metrics.counter("cache.hits").inc(response.cache_hits)
-            metrics.counter("cache.warm_queries").inc(response.warm_queries)
             metrics.counter("cache.cold_queries").inc(
                 provenance.count("cold"))
         if response.deadline_hits:

@@ -1,10 +1,11 @@
 """Tests for the exactness-preserving query cache (repro.serve.cache).
 
 The load-bearing property: with a cache in front of a service, every
-answer — exact hit, warm-started scan or cold scan — is *bitwise*
-identical (ids and scores) to what the cache-less serial scan produces,
-across all five paper variants, both engines and the sharded scan,
-including adversarial duplicates and ties at the k boundary.
+answer — a hit at the cached k, a prefix hit at a smaller k, or a cold
+scan — is *bitwise* identical (ids and scores) to what the cache-less
+serial scan produces, across all five paper variants, every engine and
+the sharded scan, including adversarial duplicates and ties at the k
+boundary.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import FexiproIndex, ShardedFexiproIndex
+from repro import FexiproIndex, FlopBudget, ShardedFexiproIndex
 from repro.core.options import ScanOptions
 from repro.core.variants import VARIANTS
 from repro.exceptions import ValidationError
@@ -23,7 +24,8 @@ from repro.serve import (
     ServiceConfig,
     process_executor_usable,
 )
-from repro.serve.cache import bucket_query_bytes, canonical_query_bytes
+from repro.serve import cache as cache_module
+from repro.serve.cache import canonical_query_bytes
 
 from conftest import make_mf_like
 
@@ -45,38 +47,51 @@ def _assert_bitwise(expected, got):
     assert expected.scores == got.scores
 
 
+def _seeded(index, q, k, big, **options):
+    """``index.query(q, k)`` warm-started one ulp below the true k-th
+    score, read off a larger-k answer ``big`` (the public warm start)."""
+    seed = math.nextafter(big.scores[k - 1], -math.inf)
+    return index.query(q, k, options=ScanOptions(initial_threshold=seed,
+                                                 **options))
+
+
 # ----------------------------------------------------------------------
-# The exactness property: hit / warm / cold all equal the serial scan
+# The exactness property: hit / prefix hit / cold all equal the serial
+# scan
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-@pytest.mark.parametrize("engine", ["blocked", "reference"])
+@pytest.mark.parametrize("engine", ["blocked", "reference", "gemm"])
 def test_warm_start_bitwise_identical_all_variants(variant, engine):
+    # A larger-k answer serves a smaller k two ways, both bitwise equal to
+    # the cold scan: the cache's prefix hit, and the public warm start
+    # seeded one ulp below its k-th score.
     items, queries = _adversarial()
     index = FexiproIndex(items, variant=variant, engine=engine)
     truth_big = [index.query(q, 9) for q in queries]
     truth_small = [index.query(q, 4) for q in queries]
-    config = ServiceConfig(workers=2, cache_capacity=64)
+    config = ServiceConfig(workers=2, cache_capacity=64, engine=None)
     with RetrievalService(index, config) as service:
         first = service.batch(queries, k=9)
         assert all(p == "cold" for p in first.provenance)
         hot = service.batch(queries, k=9)
         assert all(p == "hit" for p in hot.provenance)
-        # Same queries at smaller k: every scan is warm-started from the
-        # cached k-th score, one ulp down.
-        warm = service.batch(queries, k=4)
-        assert all(p == "warm" for p in warm.provenance)
+        prefix = service.batch(queries, k=4)
+        assert all(p == "hit" for p in prefix.provenance)
+        assert prefix.stats.scanned == 0
     for truth, a, b in zip(truth_big, first.results, hot.results):
         _assert_bitwise(truth, a)
         _assert_bitwise(truth, b)
-    for truth, got in zip(truth_small, warm.results):
+    for q, big, truth, got in zip(queries, truth_big, truth_small,
+                                  prefix.results):
         _assert_bitwise(truth, got)
+        _assert_bitwise(truth, _seeded(index, q, 4, big))
 
 
 @needs_processes
 def test_warm_start_sharded_intra_mode_bitwise():
-    # The process shard fan-out takes a warm seed the way the cache
-    # hands one out for a smaller k: the cached k-th score, one ulp down.
+    # The process shard fan-out takes a public warm start: the true 3rd
+    # score read off a larger-k answer, one ulp down.
     items, queries = make_mf_like(600, 16, seed=21)
     with ShardedFexiproIndex(items, shards=3, workers=1,
                              executor="process") as sharded:
@@ -92,51 +107,52 @@ def test_warm_start_sharded_intra_mode_bitwise():
             assert warm.stats.scanned <= cold.stats.scanned
 
 
-def test_warm_start_ties_exactly_at_boundary():
-    # Duplicate the query's top rows so near-exact ties crowd the cut at
-    # every k; warm and cold must break them the same way at each k.
+def _tie_catalogs():
+    """Two catalogs whose scores tie exactly at the k boundary: the
+    query's top rows duplicated twice, and a ±1-valued catalog whose
+    integer scores tie everywhere."""
     items, queries = make_mf_like(200, 10, seed=13)
     q = queries[0]
     top = items[np.argsort(-(items @ q))[:3]]
-    items = np.vstack([items, top, top])
+    yield np.vstack([items, top, top]), q
+    rng = np.random.default_rng(13)
+    signs = rng.choice([-1.0, 1.0], size=(80, 8))
+    yield signs, rng.choice([-1.0, 1.0], size=8)
+
+
+def test_warm_start_ties_exactly_at_boundary():
+    # Exact ties crowd the cut at every k; the prefix hit and the public
+    # warm start must break them the way the cold scan does at each k.
+    config = ServiceConfig(workers=1, cache_capacity=16, engine=None)
+    for items, q in _tie_catalogs():
+        for engine in ("blocked", "reference", "gemm"):
+            index = FexiproIndex(items, variant="F-SIR", engine=engine)
+            big = index.query(q, 9)
+            with RetrievalService(index, config) as service:
+                service.batch(q.reshape(1, -1), k=9)
+                for k in range(1, 9):
+                    prefix = service.batch(q.reshape(1, -1), k=k)
+                    assert prefix.provenance == ["hit"]
+                    truth = index.query(q, k)
+                    _assert_bitwise(truth, prefix.results[0])
+                    _assert_bitwise(truth, _seeded(index, q, k, big))
+
+
+def test_prefix_hits_serve_delta_tier_winners():
+    # Winners that live in the delta tier come back from a prefix hit
+    # exactly as a fresh scan of the dirty catalog returns them.
+    items, queries = make_mf_like(300, 12, seed=85)
     index = FexiproIndex(items, variant="F-SIR")
-    with RetrievalService(
-            index, ServiceConfig(workers=1, cache_capacity=16)) as service:
-        service.batch(q.reshape(1, -1), k=9)
-        for k in range(1, 9):
-            warm = service.batch(q.reshape(1, -1), k=k)
-            assert warm.provenance == ["warm"]
-            _assert_bitwise(index.query(q, k), warm.results[0])
-
-
-def test_bucket_warm_start_identical():
-    items, queries = make_mf_like(500, 16, seed=31)
     q = np.ascontiguousarray(queries[0])
-    q2 = q + 1e-9  # perturbed: misses the exact map, shares the bucket
-    assert bucket_query_bytes(q, 2) == bucket_query_bytes(q2, 2)
-    index = FexiproIndex(items, variant="F-SIR")
-    truth = index.query(q2, 5)
-    config = ServiceConfig(workers=1, cache_capacity=16,
-                           warm_bucket_decimals=2)
-    with RetrievalService(index, config) as service:
-        service.batch(q.reshape(1, -1), k=5)
-        resp = service.batch(q2.reshape(1, -1), k=5)
-    assert resp.provenance == ["warm"]
-    _assert_bitwise(truth, resp.results[0])
-
-
-def test_warm_start_disabled_serves_hits_only():
-    items, queries = make_mf_like(300, 12, seed=41)
-    index = FexiproIndex(items)
-    config = ServiceConfig(workers=1, cache_capacity=16, warm_start=False)
-    with RetrievalService(index, config) as service:
-        service.batch(queries, k=8)
-        again = service.batch(queries, k=8)
-        smaller = service.batch(queries, k=4)
-    assert all(p == "hit" for p in again.provenance)
-    assert all(p == "cold" for p in smaller.provenance)
-    for q, got in zip(queries, smaller.results):
-        _assert_bitwise(index.query(q, 4), got)
+    index.add_items(np.vstack([q * 3.0, q * 2.5, q * 2.0]))
+    with RetrievalService(
+            index, ServiceConfig(workers=1, cache_capacity=8)) as service:
+        first = service.batch(q.reshape(1, -1), k=6)
+        assert any(int(i) >= len(items) for i in first.results[0].ids)
+        for k in range(1, 6):
+            prefix = service.batch(q.reshape(1, -1), k=k)
+            assert prefix.provenance == ["hit"]
+            _assert_bitwise(index.query(q, k), prefix.results[0])
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +186,7 @@ def test_hit_stats_not_double_counted():
     assert all(p == "hit" for p in hot.provenance)
     assert hot.stats.scanned == 0
     assert hot.cache_hits == len(queries)
-    assert cold.cache_hits == 0 and cold.warm_queries == 0
+    assert cold.cache_hits == 0
 
 
 def test_response_counters_and_metrics_snapshot():
@@ -180,14 +196,14 @@ def test_response_counters_and_metrics_snapshot():
             index, ServiceConfig(workers=1, cache_capacity=16)) as service:
         service.batch(queries, k=6)
         service.batch(queries, k=6)
-        warm = service.batch(queries, k=3)
+        prefix = service.batch(queries, k=3)
         snapshot = service.metrics_snapshot()
-    assert warm.warm_queries == len(queries)
+    assert prefix.cache_hits == len(queries)
     cache_section = snapshot["cache"]
-    assert cache_section["hits"] == len(queries)
-    assert cache_section["warm_hits"] == len(queries)
-    assert snapshot["counters"]["cache.hits"] == len(queries)
-    assert snapshot["counters"]["cache.warm_queries"] == len(queries)
+    assert cache_section["hits"] == 2 * len(queries)
+    assert cache_section["misses"] == len(queries)
+    assert cache_section["size"] == len(queries)
+    assert snapshot["counters"]["cache.hits"] == 2 * len(queries)
     assert snapshot["counters"]["cache.cold_queries"] == len(queries)
 
 
@@ -198,7 +214,7 @@ def test_no_cache_leaves_provenance_none():
         resp = service.batch(queries, k=4)
         assert service.metrics_snapshot()["cache"] is None
     assert resp.provenance is None
-    assert resp.cache_hits == 0 and resp.warm_queries == 0
+    assert resp.cache_hits == 0
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +311,24 @@ def test_lru_eviction_order():
         assert service.batch(queries[2:3], k=4).provenance == ["hit"]
 
 
+def test_capacity_counts_queries_not_depths():
+    # One entry per query: a deeper answer replaces the shallower one,
+    # so two queries at three depths fit a capacity of two.
+    items, queries = make_mf_like(300, 12, seed=71)
+    index = FexiproIndex(items)
+    cache = QueryCache(2)
+    with RetrievalService(index, ServiceConfig(workers=1),
+                          cache=cache) as service:
+        service.batch(queries[0:1], k=4)
+        assert service.batch(queries[0:1], k=8).provenance == ["cold"]
+        service.batch(queries[1:2], k=4)
+        assert len(cache) == 2 and cache.evictions == 0
+        for k in (8, 4, 1):
+            got = service.batch(queries[0:1], k=k)
+            assert got.provenance == ["hit"]
+            _assert_bitwise(index.query(queries[0], k), got.results[0])
+
+
 def test_ttl_expiry_with_injected_clock():
     items, queries = make_mf_like(300, 12, seed=72)
     index = FexiproIndex(items)
@@ -305,11 +339,13 @@ def test_ttl_expiry_with_injected_clock():
         service.batch(queries[:1], k=4)
         now[0] = 5.0
         assert service.batch(queries[:1], k=4).provenance == ["hit"]
+        assert service.batch(queries[:1], k=2).provenance == ["hit"]
         now[0] = 20.0
-        late = service.batch(queries[:1], k=4)
+        # The expired entry serves neither its own k nor a smaller one.
+        late = service.batch(queries[:1], k=2)
         assert late.provenance == ["cold"]
         assert cache.expirations == 1
-        _assert_bitwise(index.query(queries[0], 4), late.results[0])
+        _assert_bitwise(index.query(queries[0], 2), late.results[0])
 
 
 def test_store_rejects_incomplete_and_short_results():
@@ -318,14 +354,35 @@ def test_store_rejects_incomplete_and_short_results():
     result = index.query(queries[0], 4)
     cache = QueryCache(8)
     # Wrong k: a k=5 slot must never hold a 4-item answer.
-    assert not cache.store(index, queries[0], 5, result, range(4))
+    assert not cache.store(index, queries[0], 5, result)
     # Deadline-truncated: not the exact top-k of the whole index.
     result.stats.deadline_hit = 1
-    assert not cache.store(index, queries[0], 4, result, range(4))
+    assert not cache.store(index, queries[0], 4, result)
     assert cache.stores == 0 and len(cache) == 0
     result.stats.deadline_hit = 0
-    assert cache.store(index, queries[0], 4, result, range(4))
+    assert cache.store(index, queries[0], 4, result)
     assert cache.stores == 1
+
+
+def test_store_keeps_the_longer_usable_answer():
+    items, queries = make_mf_like(200, 10, seed=73)
+    index = FexiproIndex(items)
+    q = queries[0]
+    cache = QueryCache(8)
+    assert cache.store(index, q, 8, index.query(q, 8))
+    # A shallower answer never displaces a usable deeper one...
+    assert not cache.store(index, q, 4, index.query(q, 4))
+    assert cache.lookup(index, q, 8).kind == "hit"
+    # ...an equal-depth one refreshes it, and a deeper one replaces it.
+    assert cache.store(index, q, 8, index.query(q, 8))
+    assert cache.store(index, q, 9, index.query(q, 9))
+    assert len(cache) == 1 and cache.lookup(index, q, 9).kind == "hit"
+    # A stale deeper answer is no answer: after a write the shallower
+    # store replaces it.
+    index.add_items(items[:2] * 0.5)
+    assert cache.store(index, q, 4, index.query(q, 4))
+    assert cache.lookup(index, q, 4).kind == "hit"
+    assert cache.lookup(index, q, 5).kind == "miss"
 
 
 def test_canonical_bytes_fold_negative_zero_only():
@@ -354,33 +411,26 @@ def test_cache_and_config_validation():
     with pytest.raises(ValidationError):
         QueryCache(4, ttl_s=0)
     with pytest.raises(ValidationError):
-        QueryCache(4, bucket_decimals=-1)
-    with pytest.raises(ValidationError):
         ServiceConfig(cache_capacity=-1)
     with pytest.raises(ValidationError):
         ServiceConfig(cache_capacity=4, cache_ttl_s=-2.0)
-    with pytest.raises(ValidationError):
-        ServiceConfig(cache_capacity=4, warm_bucket_decimals=-3)
 
 
-def test_bucket_seed_is_strict_lower_bound():
-    items, queries = make_mf_like(400, 16, seed=75)
-    index = FexiproIndex(items, variant="F-SIR")
-    q, q2 = queries[0], queries[0] + 1e-9
-    cache = QueryCache(8, bucket_decimals=2)
-    with RetrievalService(index, ServiceConfig(workers=1),
-                          cache=cache) as service:
-        service.batch(q.reshape(1, -1), k=5)
-        lookup = cache.lookup(index, q2, 5)
-    assert lookup.kind == "warm" and lookup.entry is not None
-    from repro.core.index import prepare_query_states
-    state = prepare_query_states(index, q2.reshape(1, -1))[0]
-    seed = cache.bucket_seed(index, state, lookup.entry, 5)
-    true_kth = index.query(q2, 5).scores[-1]
-    assert -math.inf < seed < true_kth or seed == -math.inf
-    # Stale entries seed nothing.
-    lookup.entry.token = ("other-uid", 0)
-    assert cache.bucket_seed(index, state, lookup.entry, 5) == -math.inf
+def test_warm_start_knobs_are_gone():
+    # The cache has one rule and no seeding knobs left to set.
+    from repro.cli import build_parser
+
+    with pytest.raises(TypeError):
+        QueryCache(4, warm_start=False)
+    with pytest.raises(TypeError):
+        QueryCache(4, bucket_decimals=2)
+    with pytest.raises(TypeError):
+        ServiceConfig(cache_capacity=4, warm_start=False)
+    with pytest.raises(TypeError):
+        ServiceConfig(cache_capacity=4, warm_bucket_decimals=2)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["serve", "--cache-capacity", "4", "--no-warm-start"])
 
 
 # ----------------------------------------------------------------------
@@ -435,23 +485,34 @@ def test_registry_reset_clears_stage_timings():
 def test_cli_serve_cache_section(capsys):
     from repro.cli import main
     assert main(["serve", "--scale", "0.02", "--queries", "6",
-                 "--workers", "2", "--cache-capacity", "8"]) == 0
+                 "--workers", "2", "--k", "4", "--cache-capacity", "8"]) == 0
     out = capsys.readouterr().out
     assert "cache" in out.lower()
-    assert "warm" in out.lower()
+    assert "prefix (k=2)" in out
 
 
-def test_cli_serve_no_warm_start_flag():
-    from repro.cli import build_parser
-    args = build_parser().parse_args(
-        ["serve", "--cache-capacity", "4", "--no-warm-start"])
-    assert args.cache_capacity == 4
-    assert args.warm_start is False
+def test_cli_serve_cache_section_exits_on_drift(monkeypatch):
+    # A cache that hands out wrong scores must fail the demo, not just
+    # print a False.
+    from repro.cli import main
+
+    copy_result = cache_module._copy_result
+
+    def corrupted(result, k):
+        out = copy_result(result, k)
+        out.scores = [s + 1.0 for s in out.scores]
+        return out
+
+    monkeypatch.setattr(cache_module, "_copy_result", corrupted)
+    with pytest.raises(SystemExit, match="drifted"):
+        main(["serve", "--scale", "0.02", "--queries", "6",
+              "--workers", "1", "--k", "4", "--cache-capacity", "8"])
 
 
 # ----------------------------------------------------------------------
 # budget interaction (DESIGN.md §2.13): truncated results are never
-# cached, and warm starts never corrupt a budgeted scan
+# cached, hits keep their certified band, and warm starts never corrupt
+# a budgeted scan
 # ----------------------------------------------------------------------
 
 def test_store_rejects_budget_truncated_results():
@@ -460,10 +521,10 @@ def test_store_rejects_budget_truncated_results():
     result = index.query(queries[0], 4)
     cache = QueryCache(8)
     result.stats.budget_exhausted = 1
-    assert not cache.store(index, queries[0], 4, result, range(4))
+    assert not cache.store(index, queries[0], 4, result)
     assert cache.stores == 0 and len(cache) == 0
     result.stats.budget_exhausted = 0
-    assert cache.store(index, queries[0], 4, result, range(4))
+    assert cache.store(index, queries[0], 4, result)
 
 
 def test_budget_mode_service_never_caches_truncated_results():
@@ -486,7 +547,7 @@ def test_budget_mode_service_never_caches_truncated_results():
         assert p == ("hit" if r.complete else "cold")
 
 
-def test_infinite_budget_results_are_cached_and_warm_startable():
+def test_infinite_budget_results_are_cached_and_serve_smaller_k():
     items, queries = make_mf_like(600, 16, seed=21)
     index = FexiproIndex(items, variant="F-SIR")
     truth_big = [index.query(q, 9) for q in queries[:6]]
@@ -496,48 +557,65 @@ def test_infinite_budget_results_are_cached_and_warm_startable():
     with RetrievalService(index, config) as service:
         first = service.batch(queries[:6], k=9)
         hot = service.batch(queries[:6], k=9)
-        warm = service.batch(queries[:6], k=4)
+        prefix = service.batch(queries[:6], k=4)
     assert first.complete and first.budget_hits == 0
     assert all(p == "hit" for p in hot.provenance)
-    assert all(p == "warm" for p in warm.provenance)
+    assert all(p == "hit" for p in prefix.provenance)
     for truth, a, b in zip(truth_big, first.results, hot.results):
         _assert_bitwise(truth, a)
         _assert_bitwise(truth, b)
-    for truth, got in zip(truth_small, warm.results):
+    for truth, got in zip(truth_small, prefix.results):
         _assert_bitwise(truth, got)
 
 
+def test_budget_mode_hits_keep_their_certified_band():
+    # A budget-mode result carries its band; a hit replays it, and a
+    # prefix hit keeps the first k lower bounds and the tail cap, which
+    # still bounds every item the deeper scan never visited.
+    items, queries = make_mf_like(600, 16, seed=21)
+    index = FexiproIndex(items, variant="F-SIR")
+    config = ServiceConfig(cache_capacity=64, budget_flops=1e9, workers=1)
+    with RetrievalService(index, config) as service:
+        first = service.batch(queries[:5], k=6)
+        hot = service.batch(queries[:5], k=6)
+        prefix = service.batch(queries[:5], k=3)
+    assert all(r.bounds is not None for r in first.results)
+    assert all(p == "hit" for p in hot.provenance + prefix.provenance)
+    for q, a, b, c in zip(queries, first.results, hot.results,
+                          prefix.results):
+        assert b.bounds == a.bounds
+        assert c.bounds.lower == a.bounds.lower[:3]
+        assert c.bounds.tail_upper == a.bounds.tail_upper
+        assert c.bounds.certified
+        ceiling = max(c.bounds.kth_lower, c.bounds.tail_upper)
+        scores = items @ q
+        unreturned = np.setdiff1d(np.arange(len(items)), c.ids)
+        assert float(scores[unreturned].max()) <= ceiling + 1e-9
+
+
 def test_warm_start_with_finite_budget_stays_exact_and_certified():
-    """Warm seeds + a finite budget: every returned score is exact, and
-    no unreturned item beats the certified band, even though the seeded
-    threshold may exclude prefix items a cold budgeted scan would keep.
+    """A public warm start + a finite budget: every returned score is
+    exact, and no unreturned item beats the certified band, even though
+    the seeded threshold may exclude prefix items a cold budgeted scan
+    would keep.
     """
     items, queries = make_mf_like(600, 16, seed=21)
     index = FexiproIndex(items, variant="F-SIR")
-    cache = QueryCache(64)
-    # Fill the cache with complete k=9 answers through an unbudgeted
-    # service sharing the same external cache.
-    with RetrievalService(index, ServiceConfig(workers=1),
-                          cache=cache) as filler:
-        filler.batch(queries[:6], k=9)
-    assert len(cache) == 6
-    config = ServiceConfig(workers=1, budget_flops=120 * 16.0)
-    with RetrievalService(index, config, cache=cache) as service:
-        warm = service.batch(queries[:6], k=4)
-    assert warm.budget_hits >= 1
-    assert all(p in ("warm", "hit") for p in warm.provenance)
-    for qi, result in enumerate(warm.results):
-        scores = items @ queries[qi]
+    truncated = 0
+    for q in queries[:6]:
+        result = _seeded(index, q, 4, index.query(q, 9),
+                         budget=FlopBudget(120 * 16.0))
+        truncated += result.stats.budget_exhausted
+        scores = items @ q
         for item_id, score in zip(result.ids, result.scores):
             assert score == pytest.approx(float(scores[item_id]),
                                           rel=1e-9, abs=1e-12)
-        if result.bounds is None:
-            continue  # served straight from the cache, complete by proof
         ceiling = max(result.bounds.kth_lower, result.bounds.tail_upper)
         returned = set(result.ids)
         for item_id in range(len(items)):
             if item_id not in returned:
                 assert float(scores[item_id]) <= ceiling + 1e-9
+    assert truncated >= 1
 
 
 # ----------------------------------------------------------------------
@@ -582,19 +660,18 @@ def test_served_answers_equal_fresh_scans_after_compaction(flavour):
             _assert_bitwise(a, b)
 
 
-def test_hits_and_warm_seeds_are_snapshot_bound_across_compaction():
-    """Cached answers, larger-k scores and bucket positions are all
-    expressed in the producing snapshot's SVD basis; a post-compaction
-    scan runs in a new basis where those bits could differ by an ulp, so
-    no cached entry crosses the fold — the queries still come back
-    exact, just cold.
+def test_hits_and_prefix_hits_are_snapshot_bound_across_compaction():
+    """A cached answer is expressed in the producing snapshot's SVD
+    basis; a post-compaction scan runs in a new basis where those bits
+    could differ by an ulp, so no cached entry crosses the fold — at its
+    own k or any smaller one.  The queries still come back exact, just
+    cold.
     """
     items, queries = make_mf_like(400, 14, seed=84)
     index = FexiproIndex(items, variant="F-SIR")
     index.add_items(items[:5] * 0.8)
-    cache = QueryCache(32, bucket_decimals=2)
+    cache = QueryCache(32)
     q = np.ascontiguousarray(queries[0])
-    q2 = q + 1e-9  # same bucket, different exact key
     with RetrievalService(index, ServiceConfig(workers=1),
                           cache=cache) as service:
         cached = service.batch(q.reshape(1, -1), k=9).results[0]
@@ -602,52 +679,21 @@ def test_hits_and_warm_seeds_are_snapshot_bound_across_compaction():
         assert index.compact()
         snap = index._live
 
-        def probe(target, query, k):
+        def probe(target, k):
             # A refused entry is dropped, so re-store the pre-fold
             # answer before every probe.
-            cache.store(old, q, 9, cached, range(9))
-            return cache.lookup(target, query, k).kind
+            cache.store(old, q, 9, cached)
+            return cache.lookup(target, q, k).kind
 
         # Against the snapshot that produced it, the entry serves...
-        assert probe(old, q, 9) == "hit"
-        assert probe(old, q, 4) == "warm"
-        assert probe(old, q2, 9) == "warm"
-        # ...after the fold, the exact hit, the larger-k warm start and
-        # the bucket warm start are all refused (and dropped).
-        for query, k in ((q, 9), (q, 4), (q2, 9)):
+        assert probe(old, 9) == "hit"
+        assert probe(old, 4) == "hit"
+        # ...after the fold, the hit and the prefix hit are both refused
+        # (and dropped).
+        for k in (9, 4):
             dropped = cache.invalidations
-            assert probe(snap, query, k) == "miss"
+            assert probe(snap, k) == "miss"
             assert cache.invalidations == dropped + 1
         smaller = service.batch(q.reshape(1, -1), k=4)
         assert smaller.provenance == ["cold"]
         _assert_bitwise(index.query(q, 4), smaller.results[0])
-
-
-def test_bucket_seed_scores_delta_positions_exactly():
-    """A cached entry whose winners live in the delta tier must seed the
-    bucket warm start with raw-dot scores — and stay a strict lower
-    bound on the neighbour query's true k-th product.
-    """
-    items, queries = make_mf_like(300, 12, seed=85)
-    index = FexiproIndex(items, variant="F-SIR")
-    q = np.ascontiguousarray(queries[0])
-    q2 = q + 1e-9
-    # Delta rows engineered to dominate the top-k for this query family.
-    index.add_items(np.vstack([q * 3.0, q * 2.5, q * 2.0]))
-    cache = QueryCache(8, bucket_decimals=2)
-    with RetrievalService(index, ServiceConfig(workers=1),
-                          cache=cache) as service:
-        first = service.batch(q.reshape(1, -1), k=4)
-        snap = index._live
-        assert any(int(i) >= len(items)
-                   for i in first.results[0].ids), "delta rows not on top"
-        lookup = cache.lookup(snap, q2, 4)
-        assert lookup.kind == "warm" and lookup.entry is not None
-        from repro.core.index import prepare_query_states
-        state = prepare_query_states(snap, q2.reshape(1, -1))[0]
-        seed = cache.bucket_seed(snap, state, lookup.entry, 4)
-        true_kth = float(index.query(q2, 4).scores[-1])
-        assert -math.inf < seed < true_kth
-        resp = service.batch(q2.reshape(1, -1), k=4)
-        assert resp.provenance == ["warm"]
-        _assert_bitwise(index.query(q2, 4), resp.results[0])

@@ -264,27 +264,25 @@ def test_stage_accounts_chain_is_exact():
     assert accounts[-1].survived == result.stats.full_products
 
 
-def test_service_explain_provenance_hit_warm_cold():
+def test_service_explain_provenance_hit_cold():
     items, queries = make_mf_like(700, 16, seed=5)
     index = FexiproIndex(items, variant="F-SIR")
-    config = ServiceConfig(workers=1, cache_capacity=32,
-                           warm_bucket_decimals=2)
+    config = ServiceConfig(workers=1, cache_capacity=32)
     with RetrievalService(index, config) as service:
         q = queries[0]
         cold = service.explain(q, K)
         assert cold.provenance == "cold"
         service.batch(q.reshape(1, -1), K)  # populate the cache
-        hit = service.explain(q, K)
-        assert hit.provenance == "hit"
-        assert hit.initial_threshold > -math.inf
-        assert hit.result.ids == cold.result.ids
-        assert hit.result.scores == cold.result.scores
-        assert_explain_matches_registry(hit)
-        # A smaller k against the same cached traffic warms the scan.
-        warm = service.explain(q, K - 2)
-        assert warm.provenance == "warm"
-        assert warm.initial_threshold > -math.inf
-        assert_explain_matches_registry(warm)
+        # A hit at the cached k and a prefix hit at a smaller one are
+        # both explained by the same cold scan a miss would run.
+        for k, want in ((K, cold), (K - 2, index.explain(q, K - 2))):
+            hit = service.explain(q, k)
+            assert hit.provenance == "hit"
+            assert hit.initial_threshold == -math.inf
+            assert hit.result.ids == want.result.ids
+            assert hit.result.scores == want.result.scores
+            assert hit.counters == want.counters
+            assert_explain_matches_registry(hit)
 
 
 def test_sharded_service_explains_the_scan_it_serves():

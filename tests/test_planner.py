@@ -374,7 +374,7 @@ def test_service_planner_with_cache_warm_start_identity():
     serial = FexiproIndex(items, variant="F-SIR")
     expected = [serial.query(q, 6) for q in queries[:6]]
     config = ServiceConfig(workers=2, executor="serial", engine="auto",
-                           cache_capacity=32, warm_bucket_decimals=2)
+                           cache_capacity=32)
     with RetrievalService(FexiproIndex(items, variant="F-SIR"),
                           config) as service:
         for __ in range(2):  # second pass is all cache hits
@@ -383,6 +383,13 @@ def test_service_planner_with_cache_warm_start_identity():
                 assert got.ids == want.ids
                 assert got.scores == want.scores
         assert response.cache_hits == 6
+        # A smaller k is served from the cached answers' prefixes.
+        prefix = service.batch(queries[:6], 3)
+    assert prefix.cache_hits == 6
+    for got, q in zip(prefix.results, queries[:6]):
+        want = serial.query(q, 3)
+        assert got.ids == want.ids
+        assert got.scores == want.scores
 
 
 def test_service_engine_knob_over_sharded_index():

@@ -556,6 +556,26 @@ def test_service_campaign_metrics_and_cache_interplay():
         len(probes)
 
 
+def test_campaign_takes_prefix_hits_from_the_forward_cache():
+    # Forward traffic cached at k=10 answers a k=5 campaign's
+    # verifications as prefix hits, with audiences still the oracle's.
+    items, users = make_corpora()
+    fx = Fexipro(items, variant="F-SIR", users=users)
+    index = FexiproIndex(items, variant="F-SIR")
+    probes = [pick_probe(index, users, 5), 0, 5]
+    config = ServiceConfig(workers=1, cache_capacity=256,
+                           collect_timings=False)
+    with fx.serve(config) as service:
+        service.batch(users, k=10)
+        response = service.campaign(probes, k=5)
+    assert response.complete
+    assert response.stats.cache_bound_hits > 0
+    for item, result in zip(probes, response.results):
+        want_ids, want_kth = oracle_audience(index, users, item, 5)
+        assert result.user_ids == want_ids
+        assert result.kth_scores == want_kth
+
+
 def test_service_campaign_isolates_failures_and_counts_them():
     items, users = make_corpora(n=80, m=10)
     fx = Fexipro(items, variant="F-SIR", users=users)
