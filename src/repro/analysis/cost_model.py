@@ -38,8 +38,9 @@ from ..core.stats import PruningStats
 PLANNER_ENGINES = ("blocked", "gemm")
 
 #: Each calibration sample runs the blocked cascade under a deadline of
-#: this multiple of the same sample's GEMM time: past it, blocked has
+#: this multiple of the median GEMM sample time: past it, blocked has
 #: already lost, so the rest of its scan would measure nothing useful.
+#: The median keeps one stalled GEMM sample from stretching a deadline.
 CALIBRATION_DEADLINE_FACTOR = 2.0
 
 #: Sample queries :func:`calibrate_cost_model` times each engine on.
@@ -309,9 +310,10 @@ def calibrate_cost_model(index, *, k: int = 10,
 
     Samples item rows at evenly spaced positions of the length-sorted
     order as stand-in queries (the matrix-factorization setting queries
-    and items share a space).  Each sample is scanned by GEMM first, then
-    by the blocked cascade under a deadline of
-    :data:`CALIBRATION_DEADLINE_FACTOR` times that GEMM time, and each
+    and items share a space).  Every sample is scanned by GEMM first;
+    then each is scanned by the blocked cascade under a deadline of
+    :data:`CALIBRATION_DEADLINE_FACTOR` times the median GEMM sample
+    time, so one stalled GEMM sample cannot stretch it, and each
     engine's seconds-per-coordinate is fitted as the median observed rate
     over the coordinates each scan visited.  The cascade selectivity
     fractions come from the blocked runs; a blocked scan the deadline cut
@@ -319,10 +321,10 @@ def calibrate_cost_model(index, *, k: int = 10,
     lost to GEMM, so it is priced pessimistically rather than from the
     short, weakly pruned prefix it reached.
 
-    The pass is deliberately cheap — at most three GEMM times per
-    sample — so it can run at build/load time or lazily on the first
-    ``auto`` query.  The model keeps improving online via
-    :meth:`CostModel.observe`.  ``index`` may be a
+    The pass is deliberately cheap — one GEMM time plus at most two
+    median GEMM times per sample — so it can run at build/load time or
+    lazily on the first ``auto`` query.  The model keeps improving
+    online via :meth:`CostModel.observe`.  ``index`` may be a
     :class:`~repro.core.index.FexiproIndex` or a captured
     :class:`~repro.core.delta.LiveCatalog`; the pass measures one
     snapshot's base tier, the extent every engine scans.
@@ -345,25 +347,24 @@ def calibrate_cost_model(index, *, k: int = 10,
 
     rate_samples: Dict[str, list] = {engine: [] for engine in
                                      PLANNER_ENGINES}
-    blocked_stats = []
-    gemm_stats = []
-    for qs in states:
+
+    def sample(engine, scan, qs, **kwargs):
         tick = perf_counter()
-        __, g_stats = scan_gemm(index, qs, k)
-        g_elapsed = perf_counter() - tick
-        options = ScanOptions(deadline=Deadline(
-            g_elapsed * CALIBRATION_DEADLINE_FACTOR))
-        tick = perf_counter()
-        __, b_stats = scan_blocked(index, qs, k, index.block_size,
-                                   options=options)
-        b_elapsed = perf_counter() - tick
-        for engine, stats, elapsed in (("gemm", g_stats, g_elapsed),
-                                       ("blocked", b_stats, b_elapsed)):
-            coords = observed_coordinates(stats, index.w, index.d)
-            if elapsed > 0 and coords > 0:
-                rate_samples[engine].append(elapsed / coords)
-        gemm_stats.append(g_stats)
-        blocked_stats.append(b_stats)
+        __, stats = scan(index, qs, k, **kwargs)
+        elapsed = perf_counter() - tick
+        coords = observed_coordinates(stats, index.w, index.d)
+        if elapsed > 0 and coords > 0:
+            rate_samples[engine].append(elapsed / coords)
+        return stats, elapsed
+
+    gemm_runs = [sample("gemm", scan_gemm, qs) for qs in states]
+    gemm_stats = [stats for stats, __ in gemm_runs]
+    cap = CALIBRATION_DEADLINE_FACTOR \
+        * statistics.median(elapsed for __, elapsed in gemm_runs)
+    blocked_stats = [
+        sample("blocked", scan_blocked, qs, block_size=index.block_size,
+               options=ScanOptions(deadline=Deadline(cap)))[0]
+        for qs in states]
     rates = {engine: statistics.median(values) if values else 1e-9
              for engine, values in rate_samples.items()}
 

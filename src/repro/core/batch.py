@@ -16,7 +16,10 @@ entry points are bit-identical by construction.
 :func:`batch_retrieve` validates the whole query matrix once, prepares
 every :class:`~repro.core.index.QueryState` through the shared function and
 runs the ordinary scan per query — timing each scan so per-query latency
-survives batch mode.  For parallel, instrumented batch serving use
+survives batch mode.  On a ``"gemm"`` index it scores chunks of
+:data:`~repro.core.gemm.GEMM_CHUNK` queries with one BLAS-3 product per
+block instead (:func:`~repro.core.gemm.scan_gemm_many`), with the same
+ids, scores and counters.  For parallel, instrumented batch serving use
 :class:`repro.serve.RetrievalService`, which is built on the same
 primitives.
 """
@@ -26,7 +29,9 @@ from __future__ import annotations
 import time
 from typing import List
 
+from .. import _faultsites
 from .._validation import as_query_matrix, check_k
+from .gemm import GEMM_CHUNK
 from .index import FexiproIndex, QueryState, prepare_query_states
 from .stats import RetrievalResult, assemble_result
 
@@ -45,7 +50,10 @@ def batch_retrieve(index: FexiproIndex, queries, k: int = 10,
     Returns exactly what ``[index.query(q, k) for q in queries]`` would —
     same ids, scores, and pruning counters — with validation done once for
     the whole matrix.  Each result's ``elapsed`` covers its own scan (the
-    shared preparation is not attributed to individual queries).
+    shared preparation is not attributed to individual queries); a fused
+    GEMM chunk's wall time is shared equally by its queries.  The fused
+    path is skipped while a fault injector is armed, so every per-query
+    ``scan`` fault site still fires.
     """
     # One snapshot for the whole batch: preparation and every scan share
     # a single frozen catalog even if writes or a compaction land mid-batch.
@@ -56,6 +64,15 @@ def batch_retrieve(index: FexiproIndex, queries, k: int = 10,
         return [RetrievalResult() for __ in queries]
     states = prepare_query_states(snap, queries)
     results: List[RetrievalResult] = []
+    if index.engine == "gemm" and len(states) > 1 \
+            and _faultsites.active is None:
+        for lo in range(0, len(states), GEMM_CHUNK):
+            outcomes = index._scan_gemm_chunk(states[lo:lo + GEMM_CHUNK], k,
+                                              snapshot=snap)
+            for positions, scores, stats, elapsed, __ in outcomes:
+                results.append(assemble_result(snap.full_order, positions,
+                                               scores, stats, elapsed))
+        return results
     for state in states:
         started = time.perf_counter()
         buffer, stats = index._scan(state, k, snapshot=snap)

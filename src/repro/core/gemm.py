@@ -39,6 +39,12 @@ The Cauchy–Schwarz cut (``||q||*||p|| <= tau``) still applies inside each
 block — norms are length-sorted, so the scan terminates at the first
 failure, exactly like the other engines.
 
+:func:`scan_gemm_many` runs the same two steps for a chunk of queries at
+once: one ``Q_live @ items_bar[block].T`` product per block selects
+against a per-(query, block) margin, one ``exact_scores`` call rescores
+every kept (query, row) pair, and an array merge in the buffer's order
+replaces the pushes — bitwise the per-query scan, counters included.
+
 The raw batched kernel (:func:`gemm_topk` / :func:`topk_select`) is also
 the *single* score/select implementation behind the Table-5 baselines
 (:class:`repro.baselines.minibatch.MiniBatch`,
@@ -51,7 +57,7 @@ catalogs, fixing the historical ``k >= n_items`` crash class.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +66,7 @@ from .blocked import block_schedule
 from .driver import BlockCursor
 from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .score import exact_scores
-from .stats import PruningStats
+from .stats import PruningStats, StageTimings
 from .topk import TopKBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - imported only for type checking
@@ -69,14 +75,21 @@ if TYPE_CHECKING:  # pragma: no cover - imported only for type checking
 __all__ = [
     "DEFAULT_GEMM_BLOCK",
     "dot_error_margin",
+    "GEMM_CHUNK",
     "gemm_topk",
     "scan_gemm",
+    "scan_gemm_many",
     "topk_select",
 ]
 
 #: Default (maximum) rows per GEMM block.  Larger than the cascade
 #: engine's default: the whole point is to amortize BLAS call overhead.
 DEFAULT_GEMM_BLOCK = 4096
+
+#: Queries per fused product (:func:`scan_gemm_many`): enough that one
+#: ``Q @ P_block.T`` streams each block once for many queries, few
+#: enough that the ``(chunk, block)`` selection matrix stays a few MiB.
+GEMM_CHUNK = 128
 
 #: Safety factor on the classical dot-product rounding bound.  The
 #: classical bound for one length-``d`` float64 dot is
@@ -266,3 +279,153 @@ def scan_gemm(index: "FexiproIndex", qs: "QueryState", k: int,
             break
     cursor.finish(t)
     return buffer, stats
+
+
+def scan_gemm_many(index: "FexiproIndex", states, k: int, *,
+                   timings: Optional[StageTimings] = None,
+                   ) -> List[Tuple[TopKBuffer, PruningStats]]:
+    """:func:`scan_gemm` for a chunk of queries, one GEMM per block.
+
+    Returns one ``(buffer, stats)`` pair per state, bitwise equal — ids,
+    score bits and every :class:`PruningStats` field — to
+    ``scan_gemm(index, qs, k)`` with default options.  The blocks are
+    :func:`~repro.core.blocked.block_schedule`'s; in each one:
+
+    - every query still scanning freezes its own ``tau`` (its buffer's
+      k-th score) and applies the same Cauchy–Schwarz prefix test
+      (``q_norm * norms <= tau``), so ``scanned``, ``full_products`` and
+      ``length_terminated`` come out as the single scan's;
+    - one ``Q_live @ items_bar[block].T`` product selects, per query,
+      the rows with ``G >= nextafter(tau - M, -inf)``, where the
+      per-(query, block) margin ``M`` is :func:`dot_error_margin` at the
+      block's largest row norm — at least every row's own margin, so the
+      kept set holds every row whose exact score reaches ``tau``;
+    - one :func:`~repro.core.score.exact_scores` call (one ``q`` row per
+      gathered row) scores every kept (query, row) pair;
+    - an array merge keeps each query's ``k`` best of its buffer and its
+      new candidates by ``(score desc, position asc)`` — the
+      :class:`~repro.core.topk.TopKBuffer` order, so the buffer after the
+      block, and with it the next ``tau``, is the single scan's.
+
+    DESIGN §2.12 has the exactness argument.  There is no deadline,
+    budget, shared threshold, span or fault site: callers send only
+    untriggered scans here.  ``timings`` (one record for the whole
+    chunk) gets the BLAS product as ``full`` and the rest — selection,
+    rescore and merge — as ``select``.  The base tier only: delta rows and
+    tombstones are the caller's (:func:`~repro.core.delta.
+    finish_catalog_scan`).
+    """
+    m = len(states)
+    n = index.n
+    items_bar = index.items_bar
+    norms = index.norms_sorted
+    bar_norms = index.bar_norms
+    w = index.w
+    d = index.d
+    queries = np.stack([qs.q_bar for qs in states])
+    q_norms = np.array([qs.q_norm for qs in states])
+    q_bar_norms = np.array([safe_norm(qs.q_bar) for qs in states])
+    # Each query's k best so far, by (score desc, position asc); empty
+    # slots hold -inf, so column k - 1 is TopKBuffer.threshold.
+    width = min(k, n)
+    best = np.full((m, width), -np.inf)
+    best_pos = np.zeros((m, width), dtype=np.intp)
+    held = np.zeros(m, dtype=np.intp)
+    scanned = np.zeros(m, dtype=np.intp)
+    terminated = np.zeros(m, dtype=bool)
+    live = np.arange(m)
+    timed = timings is not None
+
+    for bstart, bstop in block_schedule(n, k, DEFAULT_GEMM_BLOCK):
+        if not live.size:
+            break
+        tau = best[live, k - 1] if width == k \
+            else np.full(live.size, -np.inf)
+        # Cauchy–Schwarz prefix per query.  ``q_norm * norms`` falls along
+        # the block (descending norms, monotone rounding), so a query
+        # whose last product clears tau keeps the whole block; for the
+        # others the first product <= tau is scan_gemm's cut.
+        prefix = np.full(live.size, bstop - bstart)
+        cut = np.nonzero(q_norms[live] * norms[bstop - 1] <= tau)[0]
+        if cut.size:
+            dead = q_norms[live[cut], None] * norms[bstart:bstop] \
+                <= tau[cut, None]
+            prefix[cut] = dead.argmax(axis=1)
+            terminated[live[cut]] = True
+        scanned[live] += prefix
+        go = np.nonzero(prefix)[0]
+        if go.size:
+            owners = live[go]
+            reach = prefix[go]
+            wide = int(reach.max())
+            block = slice(bstart, bstart + wide)
+            if timed:
+                tick = perf_counter()
+            # Selection only: the product's floats depend on its shape
+            # and are never returned.
+            product = queries[owners] @ items_bar[block].T
+            if timed:
+                now = perf_counter()
+                timings.full += now - tick
+                tick = now
+            margin = dot_error_margin(bar_norms[block].max(),
+                                      q_bar_norms[owners], d)
+            kept = product >= np.nextafter(tau[go] - margin,
+                                           -np.inf)[:, None]
+            del product  # a (chunk, block) float matrix: free it now
+            short = np.nonzero(reach < wide)[0]
+            if short.size:
+                kept[short] &= np.arange(wide) < reach[short, None]
+            pair, cols = np.divmod(np.flatnonzero(kept), wide)
+            who = owners[pair]
+            rows = cols + bstart
+            __, scores = exact_scores(items_bar, rows, queries[who], w)
+            _merge_best(best, best_pos, held, who, scores, rows)
+            if timed:
+                timings.select += perf_counter() - tick
+        if cut.size:
+            live = live[prefix == bstop - bstart]
+    out = []
+    for i in range(m):
+        stats = PruningStats(n_items=n, scanned=int(scanned[i]),
+                             full_products=int(scanned[i]),
+                             length_terminated=int(terminated[i]))
+        count = held[i]
+        out.append((TopKBuffer.from_ranked(k, best[i, :count].tolist(),
+                                           best_pos[i, :count].tolist()),
+                    stats))
+    return out
+
+
+def _merge_best(best: np.ndarray, best_pos: np.ndarray, held: np.ndarray,
+                who: np.ndarray, scores: np.ndarray,
+                rows: np.ndarray) -> None:
+    """Fold candidates ``(who, score, row)`` into each query's k best.
+
+    One ``lexsort`` on ``(query, -score, position)`` over the touched
+    queries' held entries plus the candidates; the first ``width`` of
+    each query are its new best, under the
+    :class:`~repro.core.topk.TopKBuffer` order.
+    """
+    width = best.shape[1]
+    # A candidate below a full buffer's last score cannot enter.
+    entry = scores >= best[who, width - 1]
+    who, scores, rows = who[entry], scores[entry], rows[entry]
+    if not who.size:
+        return
+    touched = np.unique(who)
+    counts = held[touched]
+    mine = np.repeat(touched, counts)
+    slot = np.arange(mine.size) - np.repeat(np.cumsum(counts) - counts,
+                                            counts)
+    q = np.concatenate([mine, who])
+    s = np.concatenate([best[mine, slot], scores])
+    p = np.concatenate([best_pos[mine, slot], rows])
+    order = np.lexsort((p, -s, q))
+    q, s, p = q[order], s[order], p[order]
+    rank = np.arange(q.size) - np.searchsorted(q, q)
+    top = rank < width
+    q, rank = q[top], rank[top]
+    best[q, rank] = s[top]
+    best_pos[q, rank] = p[top]
+    held[touched] = np.bincount(q, minlength=best.shape[0])[touched]

@@ -51,7 +51,7 @@ from .options import DEFAULT_SCAN_OPTIONS, ScanOptions
 from .reduction import MonotoneQuery, MonotoneReduction
 from .scaling import DEFAULT_E, ScaledItems, ScaledQuery
 from .scanner import scan_reference
-from .stats import RetrievalResult, assemble_result
+from .stats import RetrievalResult, StageTimings, assemble_result
 from .svd import DEFAULT_RHO, SVDTransform, fit_svd, identity_transform
 from .variants import DEFAULT_VARIANT, VariantConfig, get_variant
 
@@ -650,6 +650,41 @@ class FexiproIndex:
         if snap.clean:
             return buffer, stats
         return finish_catalog_scan(snap, qs, k, buffer, stats, opts)
+
+    def _scan_gemm_chunk(self, states, k: int, *, snapshot: LiveCatalog,
+                         collect: bool = False) -> list:
+        """:meth:`_scan` on the GEMM engine for a chunk of states at once.
+
+        One :func:`~repro.core.gemm.scan_gemm_many` call (callers pass at
+        most :data:`~repro.core.gemm.GEMM_CHUNK` states) at the inflated
+        capacity, then :func:`~repro.core.delta.finish_catalog_scan` per
+        state on a dirty ``snapshot`` — the same steps as :meth:`_scan`
+        with default options, so each outcome is bitwise the per-query
+        scan's.  Returns ``(positions, scores, stats, elapsed, timings)``
+        per state: ``elapsed`` and ``timings`` (``None`` unless
+        ``collect``) are the state's equal share of the chunk's wall
+        time and stage times.
+        """
+        from .gemm import scan_gemm_many
+
+        started = time.perf_counter()
+        chunk_timings = StageTimings() if collect else None
+        pairs = scan_gemm_many(snapshot, states, effective_k(snapshot, k),
+                               timings=chunk_timings)
+        if not snapshot.clean:
+            pairs = [finish_catalog_scan(snapshot, qs, k, buffer, stats,
+                                         DEFAULT_SCAN_OPTIONS)
+                     for qs, (buffer, stats) in zip(states, pairs)]
+        m = len(states)
+        share = (time.perf_counter() - started) / m
+        outcomes = []
+        for buffer, stats in pairs:
+            timings = None if chunk_timings is None else StageTimings(
+                **{name: value / m
+                   for name, value in chunk_timings.as_dict().items()})
+            outcomes.append((*buffer.items_and_scores(), stats, share,
+                             timings))
+        return outcomes
 
     # ------------------------------------------------------------------
     # Pickling

@@ -28,7 +28,11 @@ def exact_scores(P: np.ndarray, rows, q: np.ndarray,
     (Lines 9 and 18-20 of Algorithm 5).  ``rows`` is a sequence of row
     indices; each output float depends only on its own row, never on the
     others in the call.  Raw rows without a head/tail split take
-    ``w = d``.
+    ``w = d``.  ``q`` is one query vector, or one query row per gathered
+    row (shape ``(len(rows), d)``), as when one call scores the kept
+    (query, row) pairs of a fused multi-query scan; a pair's floats are
+    then the one-query call's, since each product element and each
+    row's reduce depend on that row alone.
     """
     # ``take`` always copies, so the product can overwrite the gather.
     prod = np.ascontiguousarray(P.take(rows, axis=0))

@@ -53,6 +53,22 @@ class TopKBuffer:
         self.k = int(k)
         self._heap: List[Tuple[float, int]] = []
 
+    @classmethod
+    def from_ranked(cls, k: int, scores: List[float],
+                    item_ids: List[int]) -> "TopKBuffer":
+        """A buffer holding the pairs ``(scores[i], item_ids[i])``.
+
+        For at most ``k`` pairs that already are the k best of what a
+        scan offered (an array top-k, such as
+        :func:`repro.core.gemm.scan_gemm_many`'s); the buffer then
+        behaves as if each had been pushed.
+        """
+        buffer = cls(k)
+        buffer._heap = [(score, -item_id)
+                        for score, item_id in zip(scores, item_ids)]
+        heapq.heapify(buffer._heap)
+        return buffer
+
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -19,6 +19,9 @@ score does not depend on the depth that computed it.  The same-``k`` hit
 is the case ``k' = k``.  In budget mode the certified band is cut the
 same way: ``lower`` keeps its first ``k`` entries and ``tail_upper``
 stays, since it still caps every item the longer scan never visited.
+A hit replays whatever band the storing service had; the
+:class:`~repro.serve.RetrievalService` serving it then drops the band or
+supplies the complete scan's, per its own mode.
 
 **Snapshot binding.**  Every entry records the
 :attr:`~repro.core.delta.LiveCatalog.token` — ``(uid, state_version)`` —

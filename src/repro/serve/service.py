@@ -70,13 +70,15 @@ from ..core.stats import (
     aggregate_stats,
 )
 from ..core.budget import FlopBudget
-from ..core.delta import LiveCatalog, catalog_result
+from ..core.delta import LiveCatalog, catalog_bounds, catalog_result
 from ..core.options import ScanOptions
 from ..core.driver import raise_if_truncated
+from ..core.gemm import GEMM_CHUNK
 from ..exceptions import OverloadSheddedError, QueryError, \
     ServiceClosedError, ValidationError
 from ..obs.trace import Span, Tracer
-from .cache import CacheLookup, QueryCache
+from .cache import CacheLookup, QueryCache, _copy_result, \
+    canonical_query_bytes
 from .config import ServiceConfig
 from .metrics import MetricsRegistry
 from .resilience import Deadline, RetryPolicy
@@ -165,6 +167,48 @@ class BatchResponse:
     def cache_hits(self) -> int:
         """Queries answered straight from the cache (0 without a cache)."""
         return self.provenance.count("hit") if self.provenance else 0
+
+
+def _first_rows(queries: np.ndarray) -> List[int]:
+    """Per row, the first row of ``queries`` with its cache-key bytes."""
+    if len(queries) < 2:
+        return list(range(len(queries)))
+    seen: dict = {}
+    return [seen.setdefault(canonical_query_bytes(row), i)
+            for i, row in enumerate(queries)]
+
+
+def _fill_copies(first: List[int], results: list, provenance: List[str],
+                 errors: List[QueryError]) -> List[str]:
+    """Give each repeated row its first row's outcome; full provenance.
+
+    ``provenance`` has one entry per first row.  A copy gets its own
+    copy of the first row's result, the same provenance and, when the
+    first row failed or was shed, its own error record.  Returns the
+    per-row provenance; ``errors`` ends in row order.
+    """
+    if len(provenance) == len(first):
+        return provenance
+    tags = iter(provenance)
+    out = []
+    failed = {error.index: error for error in errors}
+    added = False
+    for i, f in enumerate(first):
+        if f == i:
+            out.append(next(tags))
+            continue
+        out.append(out[f])
+        if results[f] is not None:
+            results[i] = _copy_result(results[f], len(results[f].ids))
+        elif f in failed:
+            error = failed[f]
+            errors.append(QueryError(index=i, error=error.error,
+                                     retried=error.retried,
+                                     code=error.code))
+            added = True
+    if added:
+        errors.sort(key=lambda error: error.index)
+    return out
 
 
 @dataclass
@@ -380,15 +424,22 @@ class RetrievalService:
             if self.tracer is not None else None
 
         cache = self.cache
-        lookups: Optional[List[CacheLookup]] = None
+        lookups: Optional[List[Optional[CacheLookup]]] = None
         if cache is not None:
             lookup_span = root.child("cache.lookup") \
                 if root is not None else None
-            lookups = [cache.lookup(snap, queries[i], k)
-                       for i in range(m)]
-            pending = [i for i in range(m) if lookups[i].kind != "hit"]
+            # Rows with equal query bytes are probed, scanned and stored
+            # once, through their first row; the copies share its outcome.
+            first = _first_rows(queries)
+            lookups = [cache.lookup(snap, queries[i], k) if first[i] == i
+                       else None for i in range(m)]
+            pending = [i for i in range(m) if lookups[i] is not None
+                       and lookups[i].kind != "hit"]
+            self._band_hits(snap, queries, lookups)
             if lookup_span is not None:
-                lookup_span.set(queries=m, hits=m - len(pending)).end()
+                lookup_span.set(queries=m, hits=sum(
+                    1 for i in range(m)
+                    if lookups[first[i]].kind == "hit")).end()
         else:
             pending = list(range(m))
 
@@ -446,7 +497,8 @@ class RetrievalService:
                 for j, i in enumerate(pending):
                     results[i] = scanned[j]
         else:
-            results = [lookup.result for lookup in lookups]
+            results = [None if lookup is None else lookup.result
+                       for lookup in lookups]
             for j, i in enumerate(pending):
                 results[i] = scanned[j]
                 if scanned[j] is not None:
@@ -455,7 +507,9 @@ class RetrievalService:
                 results[i] = None
             provenance = ["shed" if i in shed_set
                           else "hit" if lookup.kind == "hit" else "cold"
-                          for i, lookup in enumerate(lookups)]
+                          for i, lookup in enumerate(lookups)
+                          if lookup is not None]
+            provenance = _fill_copies(first, results, provenance, errors)
 
         total_stats = aggregate_stats(r.stats for r in scanned
                                       if r is not None)
@@ -580,6 +634,37 @@ class RetrievalService:
         # tracer may head-sample this query away, losing the trajectory).
         return explain_query(self.index, q, k, provenance=provenance,
                              snapshot=snap)
+
+    def _band_hits(self, snap: LiveCatalog, queries: np.ndarray,
+                   lookups: List[Optional[CacheLookup]]) -> None:
+        """Give every cache hit the band this service's mode serves.
+
+        An entry carries whatever band the service that stored it had,
+        and one cache may front services in both modes.  An unbudgeted
+        service serves hits with no band; a budget-mode service serves
+        the band a complete scan carries — the exact scores as lower
+        bounds and the Cauchy–Schwarz cap past the scanned prefix the
+        entry's stats record — computing it for an entry stored without.
+        """
+        budgeted = self.config.budget_flops is not None
+        bare = []
+        for i, lookup in enumerate(lookups):
+            if lookup is None or lookup.kind != "hit":
+                continue
+            if not budgeted:
+                lookup.result.bounds = None
+            elif lookup.result.bounds is None:
+                bare.append(i)
+        if not bare:
+            return
+        states = prepare_query_states(snap,
+                                      np.ascontiguousarray(queries[bare]))
+        for i, qs in zip(bare, states):
+            result = lookups[i].result
+            result.bounds = catalog_bounds(
+                snap, qs.q_norm, result.scores,
+                [(0, snap.n, result.stats.scanned)],
+                result.stats.delta_scanned)
 
     # ------------------------------------------------------------------
     # Executor selection
@@ -737,16 +822,58 @@ class RetrievalService:
     # Dispatch: two sources of raw outcomes, one attempt/finish pair
     # ------------------------------------------------------------------
 
-    def _scan_inter_query(self, work: _Pending) -> None:
-        """Scan whole queries: on worker processes or one by one here.
+    def _fuses(self, work: _Pending) -> bool:
+        """Whether ``work`` takes the fused GEMM path: the one decision.
 
-        When :meth:`_wants_processes` says so, worker processes scan the
-        batch (:meth:`_map_inter_process`); their ``"ok"`` outcomes are
-        finished here and their ``"err"`` outcomes replayed in-process.
-        Otherwise, or when the process pool cannot serve this batch, the
-        queries run in order in this process, each in its own
-        :meth:`_attempt` loop.
+        Its engine resolves to ``"gemm"``, it holds two or more states,
+        and nothing in it acts per query per block: no deadline or
+        budget (polled per block), no sampled trace (one scan span per
+        query) and no armed fault injector (per-query ``scan`` sites —
+        the rule of :meth:`_acquire_procpool`).  A one-query batch,
+        such as every cold start's, always scans alone.
         """
+        engine = self.index.engine if work.engine is None else work.engine
+        return (engine == "gemm" and len(work.states) > 1
+                and self.config.deadline_ms is None
+                and work.budget_flops is None and work.span is None
+                and _faultsites.active is None)
+
+    def _scan_fused(self, work: _Pending) -> None:
+        """Scan ``work`` in chunks of :data:`GEMM_CHUNK` queries.
+
+        Each chunk is one :meth:`FexiproIndex._scan_gemm_chunk` call (one
+        GEMM per block for the whole chunk), and each of its outcomes ends in
+        :meth:`_attempt` like a worker's.  A chunk whose fused call
+        raises is counted (``policy.fused_fallback``) and scanned again
+        query by query, so retry and isolation hold per query.
+        """
+        m = len(work.states)
+        for lo in range(0, m, GEMM_CHUNK):
+            chunk = range(lo, min(lo + GEMM_CHUNK, m))
+            try:
+                outcomes = self.index._scan_gemm_chunk(
+                    work.states[lo:chunk.stop], work.k, snapshot=work.snap,
+                    collect=work.collect)
+            except Exception:
+                self.metrics.counter("policy.fused_fallback").inc()
+                outcomes = [None] * len(chunk)
+            for j, outcome in zip(chunk, outcomes):
+                self._attempt(work, j, outcome)
+
+    def _scan_inter_query(self, work: _Pending) -> None:
+        """Scan whole queries: fused, on worker processes or one by one.
+
+        When :meth:`_fuses` says so, chunks of queries share one GEMM per
+        block (:meth:`_scan_fused`).  When :meth:`_wants_processes` says
+        so, worker processes scan the batch (:meth:`_map_inter_process`);
+        their ``"ok"`` outcomes are finished here and their ``"err"``
+        outcomes replayed in-process.  Otherwise, or when the process
+        pool cannot serve this batch, the queries run in order in this
+        process, each in its own :meth:`_attempt` loop.
+        """
+        if self._fuses(work):
+            self._scan_fused(work)
+            return
         if self._wants_processes(work):
             outputs = self._map_inter_process(work)
             if outputs is not None:

@@ -697,3 +697,87 @@ def test_hits_and_prefix_hits_are_snapshot_bound_across_compaction():
         smaller = service.batch(q.reshape(1, -1), k=4)
         assert smaller.provenance == ["cold"]
         _assert_bitwise(index.query(q, 4), smaller.results[0])
+
+
+def test_repeated_rows_are_scanned_and_stored_once():
+    # Rows with equal query bytes (here also -0.0 against +0.0) are
+    # probed, scanned and stored once; every copy gets its own result.
+    items, queries = make_mf_like(500, 12, seed=31)
+    index = FexiproIndex(items)
+    twin = queries[2].copy()
+    twin[twin == 0.0] = -0.0
+    rows = np.vstack([queries[0], queries[1], queries[0], queries[2],
+                      queries[1], queries[0], twin])
+    loop = [index.query(q, 5) for q in rows]
+    config = ServiceConfig(cache_capacity=64, workers=1)
+    with RetrievalService(index, config) as service:
+        cold = service.batch(rows, 5)
+        counts = service.cache.snapshot()
+        hot = service.batch(rows, 5)
+    assert counts["misses"] == 3 and counts["stores"] == 3
+    assert counts["size"] == 3
+    assert cold.provenance == ["cold"] * len(rows)
+    assert hot.provenance == ["hit"] * len(rows)
+    assert service.cache.snapshot()["hits"] == 3
+    for truth, a, b in zip(loop, cold.results, hot.results):
+        _assert_bitwise(truth, a)
+        _assert_bitwise(truth, b)
+    assert cold.results[0] is not cold.results[2]
+    assert cold.results[0].ids is not cold.results[5].ids
+    assert cold.stats.scanned == sum(r.stats.scanned
+                                     for r in cold.results[:2]) \
+        + cold.results[3].stats.scanned
+
+
+def test_repeated_rows_share_their_first_rows_error(monkeypatch):
+    items, queries = make_mf_like(300, 8, seed=32)
+    index = FexiproIndex(items)
+    rows = np.vstack([queries[0], queries[1], queries[0]])
+    config = ServiceConfig(cache_capacity=8, workers=1, retries=0,
+                           engine="blocked")
+    with RetrievalService(index, config) as service:
+        original = service._scan_one
+
+        def failing(work, j, span):
+            if work.indices[j] == 0:
+                raise RuntimeError("row 0 fails")
+            return original(work, j, span)
+
+        monkeypatch.setattr(service, "_scan_one", failing)
+        response = service.batch(rows, 3)
+    assert [e.index for e in response.errors] == [0, 2]
+    assert response.results[0] is None and response.results[2] is None
+    _assert_bitwise(index.query(queries[1], 3), response.results[1])
+
+
+def test_hit_band_follows_the_serving_services_mode():
+    # Two services share one cache; each serves hits in its own mode.
+    items, queries = make_mf_like(600, 16, seed=33)
+    index = FexiproIndex(items, variant="F-SIR")
+    cache = QueryCache(64)
+    plain = RetrievalService(index, ServiceConfig(workers=1), cache=cache)
+    banded = RetrievalService(index, ServiceConfig(workers=1,
+                                                   budget_flops=1e9),
+                              cache=cache)
+    with plain, banded:
+        truth = banded.batch(queries[4:8], k=5)
+        cache.clear()
+        plain.batch(queries[:4], k=5)
+        from_plain = banded.batch(queries[:4], k=5)
+        stored_banded = banded.batch(queries[4:8], k=5)
+        from_banded = plain.batch(queries[4:8], k=5)
+        banded_hits = banded.batch(queries[4:8], k=5)
+        prefix = banded.batch(queries[:4], k=3)
+    assert all(p == "hit" for p in from_plain.provenance)
+    assert all(p == "cold" for p in stored_banded.provenance)
+    assert all(p == "hit" for p in from_banded.provenance)
+    assert all(r.bounds is None for r in from_banded.results)
+    for fresh, hit in zip(truth.results, banded_hits.results):
+        assert hit.bounds == fresh.bounds
+    for q, result, short in zip(queries, from_plain.results,
+                                prefix.results):
+        fresh = index.query(q, 5, options=ScanOptions(
+            budget=FlopBudget(1e9)))
+        assert result.bounds == fresh.bounds
+        assert short.bounds.lower == fresh.bounds.lower[:3]
+        assert short.bounds.tail_upper == fresh.bounds.tail_upper

@@ -520,6 +520,38 @@ def test_cut_calibration_samples_price_blocked_as_a_full_scan(monkeypatch):
     assert cut.fractions["scanned"] >= complete.fractions["scanned"]
 
 
+def test_calibration_deadlines_follow_the_median_gemm_sample(monkeypatch):
+    """One stalled GEMM sample does not stretch any blocked sample's
+    deadline: every blocked sample runs under the same cap, a multiple
+    of the median GEMM sample time."""
+    from repro.core import gemm as gemm_module
+    from repro.serve import resilience
+
+    caps = []
+
+    class Recording(resilience.Deadline):
+        def __init__(self, seconds, **kwargs):
+            caps.append(seconds)
+            super().__init__(seconds, **kwargs)
+
+    stall_s = 0.2
+    calls = []
+
+    def stalling(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            time.sleep(stall_s)
+        return scan_gemm(*args, **kwargs)
+
+    monkeypatch.setattr(resilience, "Deadline", Recording)
+    monkeypatch.setattr(gemm_module, "scan_gemm", stalling)
+    items, __ = make_data(3000, 16, seed=13)
+    calibrate_cost_model(FexiproIndex(items, block_size=64), samples=4)
+    assert len(calls) == 4 and len(caps) == 4
+    assert len(set(caps)) == 1
+    assert caps[0] < stall_s
+
+
 def test_gauge_and_registry_round_trip():
     gauge = Gauge()
     assert gauge.value == 0.0

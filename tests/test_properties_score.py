@@ -97,6 +97,40 @@ def test_exact_scores_are_row_stable(d, n, seed, exps, denormal, layout,
         np.testing.assert_array_equal(bits(score), bits(score1[rows]))
 
 
+@given(
+    d=st.sampled_from(WIDTHS),
+    n=st.integers(1, 60),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    exps=st.tuples(st.integers(-150, 150), st.integers(-150, 150)),
+    denormal=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_exact_scores_take_one_query_row_per_gathered_row(
+        d, n, m, seed, exps, denormal, data):
+    # The fused GEMM kernel scores a chunk's kept (query, row) pairs in
+    # one call with one q row per gathered row; each pair's floats must
+    # be the one-q call's for that query.
+    rng = np.random.default_rng(seed)
+    lo_exp, hi_exp = sorted(exps)
+    P = adversarial_rows(rng, n, d, lo_exp, hi_exp, denormal)
+    Q = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-150, 150,
+                                                          size=(m, 1))
+    w = data.draw(st.integers(0, d), label="w")
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                         st.integers(0, n - 1)),
+                               min_size=1, max_size=3 * n), label="pairs")
+    owners = np.array([j for j, __ in pairs])
+    rows = np.array([i for __, i in pairs])
+    head, score = exact_scores(P, rows, Q[owners], w)
+    for j in range(m):
+        mine = owners == j
+        head1, score1 = exact_scores(P, rows[mine], Q[j], w)
+        np.testing.assert_array_equal(bits(head[mine]), bits(head1))
+        np.testing.assert_array_equal(bits(score[mine]), bits(score1))
+
+
 def test_exact_scores_on_no_rows():
     P = np.ones((4, 3))
     head, score = exact_scores(P, np.empty(0, dtype=np.int64), np.ones(3), 2)
